@@ -24,9 +24,10 @@ from math import gcd
 from typing import Dict, List, Sequence, Tuple
 
 from .markedbox import MarkedBox, apply_word_box
+from .projective import PappusError
 
 
-class FareyError(Exception):
+class FareyError(PappusError):
     pass
 
 

@@ -12,20 +12,18 @@ with i reverses the geodesic, so unoriented geodesics are stored once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .projective import Flag, is_exact_scalar
+from .projective import Flag, PappusError
 from .markedbox import (
     MarkedBox,
     OutOfRange,
-    apply_word_box,
     bottom_flag,
     box_polarity,
     model_box,
-    op_b,
-    op_t,
+    tb_tree,
     top_flag,
 )
 from .fareycomb import OrientedEdge, Rational, default_base_edge, word_apply
@@ -42,7 +40,7 @@ from .symmspace import (
 from .projective import join, meet
 
 
-class PatternError(Exception):
+class PatternError(PappusError):
     pass
 
 
@@ -103,16 +101,11 @@ def base_box(x, y) -> MarkedBox:
     return model_box(2 * x - 1, 1 - 2 * y)
 
 
-def pattern_boxes(x, y, depth: int) -> List[Tuple[str, MarkedBox]]:
+def pattern_boxes(x, y, depth: int, pool=None, workers: int = 1) -> List[Tuple[str, MarkedBox]]:
     """Breadth-first t/b words with their boxes, one per pattern geodesic."""
     if depth < 0:
         raise PatternError("depth must be nonnegative")
-    level = [("", base_box(x, y))]
-    out: List[Tuple[str, MarkedBox]] = list(level)
-    for _ in range(depth):
-        level = [pair for w, m in level for pair in ((w + "t", op_t(m)), (w + "b", op_b(m)))]
-        out.extend(level)
-    return out
+    return tb_tree([("", base_box(x, y))], depth, pool, workers)
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,16 +122,6 @@ class FareyPattern:
 
     def edge_of(self, word: str) -> OrientedEdge:
         return word_apply(word, self.base_edge)
-
-    def lookup_edge(self, e: OrientedEdge) -> Optional[Tuple[PatternGeodesic, int]]:
-        """Stored geodesic for an oriented edge, with +1/-1 orientation tag."""
-        for g in self.geodesics:
-            ge = self.edge_of(g.word)
-            if ge == e:
-                return g, 1
-            if ge.tail == e.head and ge.head == e.tail:
-                return g, -1
-        return None
 
 
 def build_pattern(x, y, depth: int) -> FareyPattern:
@@ -274,18 +257,24 @@ class LimitFlag:
     edge: OrientedEdge
 
 
-def limit_set_flags(x, y, depth: int) -> List[LimitFlag]:
-    """Flags of the one-sided orbit, one per Farey vertex, in circular order.
+def fold_limit_flags(rows: Sequence[Tuple[str, MarkedBox]]) -> List[LimitFlag]:
+    """First-witness flag per Farey vertex over breadth-first (word, box) rows.
 
-    The tail of a word's edge carries the box's top flag and the head its
-    bottom flag; both endpoints of every t/b word are collected and the
-    first witness in breadth-first order wins.
+    A row's edge is one letter applied to its parent word's edge, so the
+    parent row must come first.  The tail of the edge carries the box's
+    top flag and the head its bottom flag.  The flags come back in
+    circular order of their vertices.
     """
-    base_edge = default_base_edge()
+    edges: Dict[str, OrientedEdge] = {}
     seen: Dict[Rational, LimitFlag] = {}
-    for word, box in pattern_boxes(x, y, depth):
-        e = word_apply(word, base_edge)
+    for word, box in rows:
+        e = edges[word] = word_apply(word[-1], edges[word[:-1]]) if word else default_base_edge()
         for vertex, flag in ((e.tail, top_flag(box)), (e.head, bottom_flag(box))):
             if vertex not in seen:
                 seen[vertex] = LimitFlag(vertex=vertex, flag=flag, word=word, edge=e)
     return sorted(seen.values(), key=lambda lf: lf.vertex.circular_key())
+
+
+def limit_set_flags(x, y, depth: int, pool=None, workers: int = 1) -> List[LimitFlag]:
+    """Flags of the one-sided orbit, one per Farey vertex, in circular order."""
+    return fold_limit_flags(pattern_boxes(x, y, depth, pool, workers))

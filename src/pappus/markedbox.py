@@ -357,24 +357,43 @@ def order3_transform(m: MarkedBox) -> ProjMap:
     raise DegenerateBox("no order-3 symmetry carries t(M) to b(M) to i(M)")
 
 
-def orbit_enumerate(m: MarkedBox, depth: int) -> List[Tuple[str, MarkedBox]]:
+def _expand_chunk(rows: Sequence[Tuple[str, MarkedBox]]) -> List[Tuple[str, MarkedBox]]:
+    """The t-child then the b-child of every row, in row order."""
+    return [pair for w, m in rows for pair in ((w + "t", op_t(m)), (w + "b", op_b(m)))]
+
+
+def tb_tree(roots: Sequence[Tuple[str, MarkedBox]], depth: int, pool=None,
+            workers: int = 1) -> List[Tuple[str, MarkedBox]]:
+    """The roots and every t/b word below them up to ``depth``, breadth first.
+
+    Each level lists the children in the order of their parents, so
+    words of one length keep the order of the roots.  With a pool, a
+    level of at least ``8 * workers`` rows is expanded in contiguous
+    ``pool.map`` chunks; the flattened result is the same list as the
+    serial expansion.
+    """
+    level = list(roots)
+    out = list(level)
+    for _ in range(depth):
+        if pool is None or len(level) < 8 * workers:
+            level = _expand_chunk(level)
+        else:
+            step = (len(level) + workers - 1) // workers
+            chunks = [level[k:k + step] for k in range(0, len(level), step)]
+            level = [pair for part in pool.map(_expand_chunk, chunks) for pair in part]
+        out.extend(level)
+    return out
+
+
+def orbit_enumerate(m: MarkedBox, depth: int, pool=None,
+                    workers: int = 1) -> List[Tuple[str, MarkedBox]]:
     """All boxes w(M) and w(i(M)) for words w over {t, b} of length <= depth.
 
     Breadth first, t-child before b-child, M-rooted words before the
     i(M)-rooted words of the same length.  Words read left to right in
-    application order, so "it" means i first, then t.
+    application order, so "it" means i first, then t.  ``pool`` and
+    ``workers`` are passed to :func:`tb_tree`.
     """
     if depth < 0:
         raise OutOfRange("depth must be nonnegative")
-    level: List[Tuple[str, MarkedBox]] = [("", m), ("i", op_i(m))]
-    out = list(level)
-    for _ in range(depth):
-        nxt: List[Tuple[str, MarkedBox]] = []
-        for w, box in level:
-            nxt.append((w + "t", op_t(box)))
-            nxt.append((w + "b", op_b(box)))
-        # regroup: all M-rooted words of this length first, then i-rooted
-        nxt.sort(key=lambda item: item[0].startswith("i"))
-        out.extend(nxt)
-        level = nxt
-    return out
+    return tb_tree([("", m), ("i", op_i(m))], depth, pool, workers)

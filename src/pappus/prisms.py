@@ -22,6 +22,7 @@ import numpy as np
 
 from .projective import (
     Flag,
+    PappusError,
     Polarity,
     ProjMap,
     ProjPoint,
@@ -58,7 +59,7 @@ from .symmspace import (
 )
 
 
-class PrismError(Exception):
+class PrismError(PappusError):
     pass
 
 

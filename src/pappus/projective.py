@@ -28,7 +28,11 @@ Triple = Tuple[Scalar, Scalar, Scalar]
 DEFAULT_TOL = 1e-9
 
 
-class ProjectiveError(Exception):
+class PappusError(Exception):
+    """Root of every error the library raises."""
+
+
+class ProjectiveError(PappusError):
     """Base class for degenerate projective input."""
 
 

@@ -29,11 +29,12 @@ from .projective import (
     ProjMap,
     ProjPoint,
     NonElliptic,
+    PappusError,
     is_elliptic,
 )
 
 
-class SymmSpaceError(Exception):
+class SymmSpaceError(PappusError):
     pass
 
 

@@ -61,6 +61,12 @@ def test_workers_do_not_change_the_bytes(capsys):
     _, svg1, _ = run(capsys, "limitset", *base, "--workers", "1")
     _, svg2, _ = run(capsys, "limitset", *base, "--workers", "2")
     assert svg1 == svg2
+    # depth 5 has a 16-row level, so two workers reach pool.map on the one-root walk
+    deep = ("--x", "3/10", "--y", "2/5", "--depth", "5")
+    for fmt in ("svg", "csv"):
+        _, out1, _ = run(capsys, "limitset", *deep, "--format", fmt, "--workers", "1")
+        _, out2, _ = run(capsys, "limitset", *deep, "--format", fmt, "--workers", "2")
+        assert out1 == out2
 
 
 def test_limitset_svg_is_wellformed_xml(capsys):
@@ -171,7 +177,9 @@ def test_config_errors_exit_two(capsys):
     assert run(capsys, "orbit", "--x", "3/10", "--y", "2/5", "--depth", "17")[0] == 2
     assert run(capsys, "orbit", "--x", "3/10", "--y", "2/5", "--workers", "0")[0] == 2
     assert run(capsys, "verify", "--suite", "nonsense")[0] == 2
-    assert run(capsys, "orbit", "--x", "3/10", "--y", "2/5", "--tol", "-1")[0] == 2
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "orbit", "--x", "3/10", "--y", "2/5", "--tol", "1e-9")
+    assert exc.value.code == 2
 
 
 def test_geometry_errors_exit_three(capsys):

@@ -12,7 +12,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pappus.markedbox import box_polarity, op_i, top_flag, bottom_flag
+from pappus.fareycomb import default_base_edge, word_apply
+from pappus.markedbox import box_polarity, op_i, orbit_enumerate, top_flag, bottom_flag
 from pappus.symmspace import (
     FlagClass,
     boundary_ray_class,
@@ -129,17 +130,6 @@ def test_coincident_geodesics_rejected_by_the_dichotomy():
         one_end_asymptotic(g, g)
 
 
-def test_lookup_edge_finds_both_orientations():
-    pat = build_pattern(X, Y, 2)
-    e = pat.edge_of("t")
-    found = pat.lookup_edge(e)
-    assert found is not None and found[0].word == "t" and found[1] == 1
-    from pappus.fareycomb import OrientedEdge
-    rev = OrientedEdge.from_rationals(e.head, e.tail)
-    found = pat.lookup_edge(rev)
-    assert found is not None and found[0].word == "t" and found[1] == -1
-
-
 def test_sampled_distances_separate_distinct_flats():
     pat = build_pattern(X, Y, 2)
     by_word = pat.by_word()
@@ -156,6 +146,17 @@ def test_sampled_geodesic_distance_vanishes_only_on_overlap():
     gt = by_word["t"]
     assert min_distance_geodesics(g0, g0) < 1e-12
     assert min_distance_geodesics(g0, gt) > 0
+
+
+def test_one_walk_serves_the_pattern_and_the_limit_fold():
+    depth = 4
+    rows = pattern_boxes(X, Y, depth)
+    orbit = orbit_enumerate(base_box(X, Y), depth)
+    assert rows == [(w, m) for w, m in orbit if not w.startswith("i")]
+    flags = limit_set_flags(X, Y, depth)
+    assert flags
+    for lf in flags:
+        assert lf.edge == word_apply(lf.word, default_base_edge())
 
 
 def test_limit_flags_one_per_vertex_in_circular_order():
