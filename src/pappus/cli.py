@@ -26,7 +26,7 @@ import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -158,16 +158,16 @@ def _build_config(args, formats: Sequence[str], need_params: bool = True) -> Run
         if not (0 < x < 1 and 0 < y < 1):
             raise ConfigError("x and y must lie strictly between 0 and 1")
         cfg.x, cfg.y, cfg.backend = x, y, backend
-    depth = getattr(args, "depth", 0) or 0
+    depth = getattr(args, "depth", 0)
     cap = _depth_cap()
     if depth < 0 or depth > cap:
         raise ConfigError(f"depth must be in [0, {cap}]")
     cfg.depth = depth
-    fmt = getattr(args, "format", None) or formats[0]
+    fmt = args.format
     if fmt not in formats:
         raise ConfigError(f"format {fmt!r} not supported here (use one of {', '.join(formats)})")
     cfg.fmt = fmt
-    cfg.out = getattr(args, "out", None)
+    cfg.out = args.out
     return cfg
 
 
@@ -208,18 +208,16 @@ def _box_coords(m: MarkedBox):
     return [c for p in (m.s, m.t, m.u, m.a, m.b, m.c) for c in p.v]
 
 
-def _worker_count(args) -> int:
-    w = getattr(args, "workers", None)
-    if w is None:
-        return 1
-    if w < 1:
-        raise ConfigError("workers must be at least 1")
-    return w
+def _check_positive(**options) -> None:
+    for name, value in options.items():
+        if not value > 0:
+            raise ConfigError(f"--{name} must be positive, got {value}")
 
 
 def cmd_orbit(args) -> int:
     cfg = _build_config(args, formats=("csv", "json"))
-    workers = _worker_count(args)
+    workers = args.workers
+    _check_positive(workers=workers)
     with (multiprocessing.Pool(workers) if workers > 1 else nullcontext()) as pool:
         boxes = orbit_enumerate(base_box(cfg.x, cfg.y), cfg.depth, pool, workers)
     if cfg.fmt == "csv":
@@ -317,7 +315,8 @@ def _limitset_svg(flags, window: float) -> str:
 
 def cmd_limitset(args) -> int:
     cfg = _build_config(args, formats=("svg", "csv"))
-    workers = _worker_count(args)
+    workers = args.workers
+    _check_positive(window=args.window, workers=workers)
     with (multiprocessing.Pool(workers) if workers > 1 else nullcontext()) as pool:
         flags = limit_set_flags(cfg.x, cfg.y, cfg.depth, pool, workers)
     if cfg.fmt == "csv":
@@ -330,7 +329,7 @@ def cmd_limitset(args) -> int:
             lines.append(",".join(cells))
         _emit(cfg, "\n".join(lines) + "\n")
     else:
-        _emit(cfg, _limitset_svg(flags, getattr(args, "window", None) or 4.0))
+        _emit(cfg, _limitset_svg(flags, args.window))
     return EXIT_OK
 
 
@@ -373,6 +372,7 @@ def _distance_summary(pat, window: float, samples: int) -> Dict:
 
 def cmd_pattern(args) -> int:
     cfg = _build_config(args, formats=("json",))
+    _check_positive(window=args.window, samples=args.samples)
     pat = build_pattern(cfg.x, cfg.y, cfg.depth)
     records = []
     for g in pat.geodesics:
@@ -396,12 +396,8 @@ def cmd_pattern(args) -> int:
         "backend": cfg.backend,
         "geodesics": records,
     }
-    if getattr(args, "distances", False):
-        payload["distances"] = _distance_summary(
-            pat,
-            getattr(args, "window", None) or 3.0,
-            getattr(args, "samples", None) or 15,
-        )
+    if args.distances:
+        payload["distances"] = _distance_summary(pat, args.window, args.samples)
     _emit(cfg, _dump_json(payload))
     return EXIT_OK
 
@@ -410,9 +406,8 @@ def cmd_pattern(args) -> int:
 
 def cmd_charvar(args) -> int:
     cfg = _build_config(args, formats=("csv",), need_params=False)
-    grid = getattr(args, "grid", None) or 41
-    if grid < 1:
-        raise ConfigError("grid must be at least 1")
+    grid = args.grid
+    _check_positive(grid=grid)
     lines = ["x,y,triple_invariant"]
     for i in range(1, grid + 1):
         for j in range(1, grid + 1):
@@ -427,17 +422,14 @@ def cmd_charvar(args) -> int:
 
 def cmd_prism(args) -> int:
     cfg = _build_config(args, formats=("json", "obj"))
+    _check_positive(window=args.window, samples=args.samples)
     if cfg.fmt == "obj":
+        if args.samples < 2:
+            raise ConfigError("--samples must be at least 2 for the obj mesh")
         m = base_box(cfg.x, cfg.y)
         prism = prism_of_triangle(m)
         triangle = [geodesic_of_box(b).geodesic for b in prism.boxes]
-        mesh = cone_fill_sample(
-            prism,
-            triangle,
-            getattr(args, "cone", None) or 0.0,
-            getattr(args, "samples", None) or 9,
-            window=getattr(args, "window", None) or 2.0,
-        )
+        mesh = cone_fill_sample(prism, triangle, args.cone, args.samples, window=args.window)
         _emit(cfg, mesh_to_obj(mesh))
         return EXIT_OK
     report = bending_report(cfg.x, cfg.y, cfg.depth)
@@ -463,24 +455,19 @@ def _random_param(rng: random.Random) -> Fraction:
     return Fraction(num, den)
 
 
-def _boxes_equal(m1: MarkedBox, m2: MarkedBox) -> bool:
-    # exact canonical coordinates make same_box an equality test modulo flip
-    return m1.same_box(m2)
-
-
 def _suite_relations(rng: random.Random) -> List[Dict]:
     checks = []
     worst = True
     for _ in range(100):
         m = base_box(_random_param(rng), _random_param(rng))
         ok = (
-            _boxes_equal(apply_word_box("ii", m), m)
-            and _boxes_equal(apply_word_box("tit", m), op_b(m))
-            and _boxes_equal(apply_word_box("bib", m), op_t(m))
-            and _boxes_equal(apply_word_box("tibi", m), m)
-            and _boxes_equal(apply_word_box("biti", m), m)
-            and _boxes_equal(apply_word_box("ititit", m), m)
-            and _boxes_equal(apply_word_box("ibibib", m), m)
+            apply_word_box("ii", m).same_box(m)
+            and apply_word_box("tit", m).same_box(op_b(m))
+            and apply_word_box("bib", m).same_box(op_t(m))
+            and apply_word_box("tibi", m).same_box(m)
+            and apply_word_box("biti", m).same_box(m)
+            and apply_word_box("ititit", m).same_box(m)
+            and apply_word_box("ibibib", m).same_box(m)
         )
         worst = worst and ok
     checks.append(_check("relations.exact_100_random_boxes", worst))
@@ -656,7 +643,7 @@ _SUITES = {
 
 
 def cmd_verify(args) -> int:
-    suite = getattr(args, "suite", None) or "all"
+    suite = args.suite
     if suite != "all" and suite not in _SUITES:
         raise ConfigError(f"unknown suite {suite!r} (use all|{'|'.join(_SUITES)})")
     rng = random.Random(20260816)
@@ -665,7 +652,7 @@ def cmd_verify(args) -> int:
     for name in names:
         checks.extend(_SUITES[name](rng))
     passed = all(c["passed"] for c in checks)
-    cfg = RunConfig(out=getattr(args, "out", None))
+    cfg = RunConfig(out=args.out)
     _emit(cfg, _dump_json({"command": "verify", "suite": suite, "passed": passed, "checks": checks}))
     return EXIT_OK if passed else EXIT_VERIFY
 
@@ -690,20 +677,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("orbit", help="enumerate the two-sided box orbit")
     _add_common(sp, ("csv", "json"), "csv")
-    sp.add_argument("--workers", type=int, help="parallel expansion processes")
+    sp.add_argument("--workers", type=int, default=1, help="parallel expansion processes")
     sp.set_defaults(func=cmd_orbit)
 
     sp = sub.add_parser("limitset", help="limit-set flags as svg or csv")
     _add_common(sp, ("svg", "csv"), "svg")
-    sp.add_argument("--window", type=float, help="half width of the svg viewport")
-    sp.add_argument("--workers", type=int, help="parallel expansion processes")
+    sp.add_argument("--window", type=float, default=4.0, help="half width of the svg viewport")
+    sp.add_argument("--workers", type=int, default=1, help="parallel expansion processes")
     sp.set_defaults(func=cmd_limitset)
 
     sp = sub.add_parser("pattern", help="geodesic pattern records as json")
     _add_common(sp, ("json",), "json")
     sp.add_argument("--distances", action="store_true", help="add pairwise minimum distances")
-    sp.add_argument("--window", type=float, help="parameter window for sampling")
-    sp.add_argument("--samples", type=int, help="samples per geodesic")
+    sp.add_argument("--window", type=float, default=3.0, help="parameter window for sampling")
+    sp.add_argument("--samples", type=int, default=15, help="samples per geodesic")
     sp.set_defaults(func=cmd_pattern)
 
     sp = sub.add_parser("charvar", help="grid of the orbit invariant")
@@ -714,9 +701,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("prism", help="bending report (json) or cone mesh (obj)")
     _add_common(sp, ("json", "obj"), "json")
-    sp.add_argument("--cone", type=float, help="apex offset along the symmetry axis")
-    sp.add_argument("--window", type=float, help="parameter window for mesh sides")
-    sp.add_argument("--samples", type=int, help="samples per mesh direction")
+    sp.add_argument("--cone", type=float, default=0.0, help="apex offset along the symmetry axis")
+    sp.add_argument("--window", type=float, default=2.0, help="parameter window for mesh sides")
+    sp.add_argument("--samples", type=int, default=9, help="samples per mesh direction")
     sp.set_defaults(func=cmd_prism)
 
     sp = sub.add_parser("verify", help="run identity suites")

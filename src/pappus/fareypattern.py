@@ -6,7 +6,7 @@ unit ellipsoid sits on that flat, and the medial geodesic through that
 point running from the top flag to the bottom flag.  Pushing this
 construction over the tree of t/b words produces one geodesic per
 oriented Farey edge on one side of the base edge; reversing the box
-with i reverses the geodesic, so unoriented geodesics are stored once.
+with i reverses the geodesic, so each geodesic is stored once, oriented.
 """
 
 from __future__ import annotations
@@ -29,11 +29,11 @@ from .markedbox import (
 from .fareycomb import OrientedEdge, Rational, default_base_edge, word_apply
 from .symmspace import (
     Flat,
+    NumericalFailure,
     XGeodesic,
     XPoint,
     flat_from_triangle,
     flat_geodesic,
-    geodesic_point,
     metric_d,
     polarity_fixed_point,
 )
@@ -160,6 +160,8 @@ def _pairwise_min(mats_a: Sequence[np.ndarray], mats_b: Sequence[np.ndarray]):
     w = np.linalg.solve(ell[:, None], np.transpose(x, (0, 1, 3, 2)))
     w = (w + np.transpose(w, (0, 1, 3, 2))) / 2.0
     mu = np.linalg.eigvalsh(w)
+    if not mu[..., 0].min() > 0:
+        raise NumericalFailure("generalized eigenvalues not positive")
     d = 0.5 * np.sqrt((np.log(mu) ** 2).sum(axis=-1))
     i, j = np.unravel_index(int(np.argmin(d)), d.shape)
     return (int(i), int(j)), float(d[i, j])
@@ -199,30 +201,6 @@ def _descend(f, start: List[float], step: float, rounds: int = 3, tol: float = 1
                 pos[axis], best = v, fv
         step *= 0.5
     return best
-
-
-def min_distance_geodesics(g1: PatternGeodesic, g2: PatternGeodesic,
-                           window: float = 3.0, samples: int = 25) -> float:
-    """Sampled minimum distance between two pattern geodesics.
-
-    Grid scan over the parameter square, then golden-section descent.
-    The result is an upper bound for the true minimum on the window,
-    used as positive-separation evidence.
-    """
-    if samples < 2 or window <= 0:
-        raise PatternError("need window > 0 and at least 2 samples")
-    taus = np.linspace(-window, window, samples)
-    pa = [geodesic_point(g1.geodesic, float(t)).m for t in taus]
-    pb = [geodesic_point(g2.geodesic, float(t)).m for t in taus]
-    (i, j), best = _pairwise_min(pa, pb)
-    if best < 1e-15:
-        return 0.0
-    step = float(taus[1] - taus[0])
-
-    def f(v):
-        return metric_d(geodesic_point(g1.geodesic, v[0]), geodesic_point(g2.geodesic, v[1]))
-
-    return min(best, _descend(f, [float(taus[i]), float(taus[j])], step))
 
 
 def min_distance_flats(f1: Flat, f2: Flat, window: float = 2.0, samples: int = 7) -> float:

@@ -17,7 +17,6 @@ so <i, t, b> is the free product of a 2-cycle and a 3-cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from .projective import (
@@ -31,9 +30,7 @@ from .projective import (
     ProjMap,
     ProjPoint,
     Scalar,
-    cross3,
     cross_ratio,
-    incident,
     is_exact_scalar,
     mat_mul,
     mat_transpose,
@@ -102,12 +99,6 @@ class MarkedBox:
             return True
         return all(p.same(q, tol) for p, q in zip(self.sextuple(), other.flip().sextuple()))
 
-    def canonical_key(self):
-        """Deterministic key identifying the box modulo flip (exact backend)."""
-        raw = tuple(p.v for p in self.sextuple())
-        flipped = tuple(p.v for p in self.flip().sextuple())
-        return min(raw, flipped)
-
 
 @dataclass(frozen=True)
 class DualMarkedBox:
@@ -137,43 +128,6 @@ class DualMarkedBox:
         if direct:
             return True
         return all(p.same(q, tol) for p, q in zip(self.sextuple(), other.flip().sextuple()))
-
-
-@dataclass(frozen=True)
-class EnhancedBox:
-    """Marked box together with its doppelganger line sextuple."""
-
-    box: MarkedBox
-    dual: DualMarkedBox
-
-    def __post_init__(self):
-        if not doppelganger(self.box).same_dual(self.dual, tol=1e-7):
-            raise DegenerateBox("dual half does not match the box")
-
-
-@dataclass(frozen=True)
-class BoxInvariant:
-    """Unordered pair class [(x, y)] with (x, y) ~ (1-x, 1-y)."""
-
-    x: Scalar
-    y: Scalar
-
-    @staticmethod
-    def of(x: Scalar, y: Scalar) -> "BoxInvariant":
-        alt = (1 - x, 1 - y)
-        return BoxInvariant(*min(((x, y), alt)))
-
-    def pair(self) -> Tuple[Scalar, Scalar]:
-        return (self.x, self.y)
-
-    def same(self, other: "BoxInvariant", tol: float = DEFAULT_TOL) -> bool:
-        from .projective import scalars_close
-
-        a, b = self.pair(), other.pair()
-        if scalars_close(a[0], b[0], tol) and scalars_close(a[1], b[1], tol):
-            return True
-        alt = (1 - b[0], 1 - b[1])
-        return scalars_close(a[0], alt[0], tol) and scalars_close(a[1], alt[1], tol)
 
 
 def model_box(p: Scalar, q: Scalar) -> MarkedBox:
@@ -247,19 +201,6 @@ def raw_invariant(m: MarkedBox) -> Tuple[Scalar, Scalar]:
     return x, y
 
 
-def box_invariant(m: MarkedBox) -> BoxInvariant:
-    return BoxInvariant.of(*raw_invariant(m))
-
-
-def is_convex(m: MarkedBox) -> bool:
-    """True when the box is projectively equivalent to a model box."""
-    try:
-        x, y = raw_invariant(m)
-    except ProjectiveError:
-        return False
-    return 0 < float(x) < 1 and 0 < float(y) < 1
-
-
 def doppelganger(m: MarkedBox) -> DualMarkedBox:
     """Companion line sextuple of a marked box.
 
@@ -286,18 +227,6 @@ def polarity_box_to_dual(delta: Polarity, m: MarkedBox) -> DualMarkedBox:
 
 def polarity_dual_to_box(delta: Polarity, d: DualMarkedBox) -> MarkedBox:
     return MarkedBox(*(delta.line_to_point(line) for line in d.sextuple()))
-
-
-def enhanced_duality(delta: Polarity, e: EnhancedBox) -> EnhancedBox:
-    """Polarity action on an enhanced box: halves swap roles."""
-    return EnhancedBox(
-        polarity_dual_to_box(delta, e.dual),
-        polarity_box_to_dual(delta, e.box),
-    )
-
-
-def enhance(m: MarkedBox) -> EnhancedBox:
-    return EnhancedBox(m, doppelganger(m))
 
 
 def _model_params(m: MarkedBox) -> Tuple[Scalar, Scalar]:

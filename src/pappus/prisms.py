@@ -48,6 +48,7 @@ from .symmspace import (
     XPoint,
     boundary_ray_class,
     LineClass,
+    NotPositiveDefinite,
     PointClass,
     flat_geodesic,
     geodesic_between,
@@ -91,67 +92,6 @@ def triple_invariant(x, y) -> float:
         raise OutOfRange("parameters must lie in (0,1)")
     ratio = (x * (1 - x)) / (y * (1 - y))
     return abs(math.log(float(ratio)))
-
-
-def _rotate_quarter(xy):
-    x, y = xy
-    return (1 - y, x)
-
-
-def _in_upper_quadrant(xy) -> bool:
-    x, y = xy
-    half = Fraction(1, 2) if is_exact_scalar(x) and is_exact_scalar(y) else 0.5
-    dx = x - half
-    dy = y - half
-    return dy >= (dx if dx >= 0 else -dx)
-
-
-@dataclass(frozen=True)
-class CharacterPoint:
-    """Class of a parameter pair modulo the quarter rotation about the center."""
-
-    x: object
-    y: object
-
-    def pair(self):
-        return (self.x, self.y)
-
-    def same(self, other: "CharacterPoint", tol: float = 1e-9) -> bool:
-        ax, ay = self.pair()
-        bx, by = other.pair()
-        if is_exact_scalar(ax) and is_exact_scalar(bx):
-            return ax == bx and ay == by
-        return abs(float(ax) - float(bx)) <= tol and abs(float(ay) - float(by)) <= tol
-
-
-def canonical_character(x, y) -> CharacterPoint:
-    if not (0 < x < 1 and 0 < y < 1):
-        raise OutOfRange("parameters must lie in (0,1)")
-    orbit = [(x, y)]
-    for _ in range(3):
-        orbit.append(_rotate_quarter(orbit[-1]))
-    candidates = [p for p in orbit if _in_upper_quadrant(p)]
-    rep = min(candidates)
-    return CharacterPoint(rep[0], rep[1])
-
-
-def level_set_sweep(c: float, n: int) -> List[Tuple[float, float]]:
-    """Points (x, y) with x(1-x)/(y(1-y)) = c, y on the lower branch."""
-    if c <= 0 or n < 2:
-        raise PrismError("need c > 0 and n >= 2")
-    pts: List[Tuple[float, float]] = []
-    for x in np.linspace(0.02, 0.98, 4 * n):
-        disc = 1.0 - 4.0 * x * (1.0 - x) / c
-        if disc < 0:
-            continue
-        y = (1.0 - math.sqrt(disc)) / 2.0
-        if 0 < y < 1:
-            pts.append((float(x), float(y)))
-        if len(pts) == n:
-            break
-    if len(pts) < 2:
-        raise PrismError("level set has too few sample points")
-    return pts
 
 
 # --- stabilizing polarities ----------------------------------------------------
@@ -356,27 +296,12 @@ def prism_inflection_data(p: Prism) -> Tuple[InflectionData, InflectionData, Inf
 
 # --- the translation matrix in the square frame --------------------------------
 
-def square_frame_box(x, y) -> MarkedBox:
-    """Box with invariant (x, y) on the unit square: top edge at height one
-    traversed left to right, bottom edge at height zero right to left."""
-    if not (0 < x < 1 and 0 < y < 1):
-        raise OutOfRange("parameters must lie in (0,1)")
-    one = 1 if is_exact_scalar(x) and is_exact_scalar(y) else 1.0
-    zero = 0 * one
-    return MarkedBox(
-        ProjPoint((zero, one, one)),
-        ProjPoint((x + zero, one, one)),
-        ProjPoint((one, one, one)),
-        ProjPoint((one, zero, one)),
-        ProjPoint((1 - y + zero, zero, one)),
-        ProjPoint((zero, zero, one)),
-    )
-
-
 def translation_T(x, y) -> ProjMap:
     """Singular-line translation of the square-frame box, up to scale.
 
-    Eigenvalues are (1, -1, (-1+x+y)/(x-y)) on the top point, the bottom
+    The box with invariant (x, y) sits on the unit square: top edge at
+    height one traversed left to right, bottom edge at height zero right
+    to left.  Eigenvalues are (1, -1, (-1+x+y)/(x-y)) on the top point, the bottom
     point, and the meet of the top and bottom lines.  Undefined on the
     diagonal x = y; singular on the antidiagonal x + y = 1, where the
     triple product is -1.
@@ -423,7 +348,7 @@ def order3_axis(p: Prism) -> Tuple[XGeodesic, XPoint]:
         seed[k, k] = 1.0
         try:
             cand = XPoint(average(seed))
-        except Exception:
+        except NotPositiveDefinite:
             continue
         if not e1.same(cand, 1e-9):
             e2 = cand

@@ -72,13 +72,6 @@ def is_exact_triple(v: Sequence[Scalar]) -> bool:
     return all(is_exact_scalar(x) for x in v)
 
 
-def scalars_close(a: Scalar, b: Scalar, tol: float = DEFAULT_TOL) -> bool:
-    """Equality for one scalar, exact when both sides are exact."""
-    if is_exact_scalar(a) and is_exact_scalar(b):
-        return a == b
-    return math.isclose(float(a), float(b), rel_tol=tol, abs_tol=tol)
-
-
 def cross3(u: Sequence[Scalar], v: Sequence[Scalar]) -> Triple:
     return (
         u[1] * v[2] - u[2] * v[1],

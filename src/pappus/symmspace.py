@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -154,20 +154,6 @@ def identity_point() -> XPoint:
     return XPoint(np.eye(3))
 
 
-@dataclass(frozen=True)
-class FrameDecomp:
-    """Orthonormal axis frame with principal lengths, product one."""
-
-    frame: Tuple[np.ndarray, np.ndarray, np.ndarray]
-    lengths: Tuple[float, float, float]
-    degenerate: bool
-
-
-def lambda_norm(e: XPoint) -> float:
-    w, _ = jacobi_eigh(e.m)
-    return 0.5 * math.sqrt(sum(math.log(x) ** 2 for x in w))
-
-
 def metric_d(e1: XPoint, e2: XPoint) -> float:
     ell = np.linalg.cholesky(e1.m)
     w = np.linalg.solve(ell, e2.m)
@@ -176,23 +162,6 @@ def metric_d(e1: XPoint, e2: XPoint) -> float:
     if mu[-1] <= 0:
         raise NumericalFailure("generalized eigenvalues not positive")
     return 0.5 * math.sqrt(sum(math.log(x) ** 2 for x in mu))
-
-
-def eigen_frame(e: XPoint) -> FrameDecomp:
-    w, v = jacobi_eigh(e.m)
-    # ascending eigenvalues give descending principal lengths
-    w = w[::-1]
-    v = v[:, ::-1]
-    lengths = tuple(1.0 / math.sqrt(x) for x in w)
-    prod = lengths[0] * lengths[1] * lengths[2]
-    if abs(prod - 1.0) > 1e-10:
-        raise NumericalFailure("principal lengths do not multiply to one")
-    gaps = (abs(w[0] - w[1]), abs(w[1] - w[2]))
-    degenerate = min(gaps) <= 1e-10 * max(1.0, abs(w[0]), abs(w[2]))
-    cols = tuple(v[:, j].copy() for j in range(3))
-    for c in cols:
-        c.flags.writeable = False
-    return FrameDecomp(frame=cols, lengths=lengths, degenerate=degenerate)
 
 
 def group_action(t: ProjMap, e: XPoint) -> XPoint:
@@ -435,28 +404,3 @@ def flat_geodesic(flat: Flat, base: XPoint, velocity: Sequence[float]) -> XGeode
     k = np.diag(np.exp(u0 / 2.0)) @ flat.basis_inv @ half_inv
     lam = k.T @ np.diag(-w / 2.0) @ k
     return XGeodesic(base, lam)
-
-
-@dataclass(frozen=True)
-class BoundaryData:
-    points: Tuple[ProjPoint, ProjPoint, ProjPoint]
-    lines: Tuple[ProjLine, ProjLine, ProjLine]
-    flags: Tuple[Flag, ...]
-    cycle: Tuple[Tuple[str, object], ...]
-
-
-def flat_boundary_data(flat: Flat) -> BoundaryData:
-    """Vertices, sides, and the six flags of a flat, in interlaced cyclic order."""
-    v = flat.vertices
-    s = flat.sides
-    flags = (
-        Flag(v[0], s[1]), Flag(v[0], s[2]),
-        Flag(v[1], s[2]), Flag(v[1], s[0]),
-        Flag(v[2], s[0]), Flag(v[2], s[1]),
-    )
-    cycle = (
-        ("flag", flags[0]), ("point", v[0]), ("flag", flags[1]), ("line", s[2]),
-        ("flag", flags[2]), ("point", v[1]), ("flag", flags[3]), ("line", s[0]),
-        ("flag", flags[4]), ("point", v[2]), ("flag", flags[5]), ("line", s[1]),
-    )
-    return BoundaryData(points=v, lines=s, flags=flags, cycle=cycle)

@@ -177,6 +177,18 @@ def test_config_errors_exit_two(capsys):
     assert run(capsys, "orbit", "--x", "3/10", "--y", "2/5", "--depth", "17")[0] == 2
     assert run(capsys, "orbit", "--x", "3/10", "--y", "2/5", "--workers", "0")[0] == 2
     assert run(capsys, "verify", "--suite", "nonsense")[0] == 2
+    xy = ("--x", "3/10", "--y", "2/5")
+    for argv in (
+        ("charvar", "--grid", "0"),
+        ("limitset", *xy, "--window", "0"),
+        ("limitset", *xy, "--window", "-1"),
+        ("pattern", *xy, "--distances", "--samples", "0"),
+        ("pattern", *xy, "--distances", "--samples", "-3"),
+        ("pattern", *xy, "--distances", "--window", "0"),
+        ("prism", *xy, "--format", "obj", "--samples", "1"),
+        ("prism", *xy, "--format", "obj", "--window", "0"),
+    ):
+        assert run(capsys, *argv)[0] == 2, argv
     with pytest.raises(SystemExit) as exc:
         run(capsys, "orbit", "--x", "3/10", "--y", "2/5", "--tol", "1e-9")
     assert exc.value.code == 2

@@ -1,7 +1,7 @@
 """Farey triangulation bookkeeping.
 
-The oracle below re-derives the one-sided triangulation by plain mediant
-recursion, independent of the edge-map plumbing under test.
+The oracle below re-derives the one-sided triangulation by plain
+Stern-Brocot recursion, independent of the edge maps under test.
 """
 
 import random
@@ -18,27 +18,18 @@ from pappus.fareycomb import (
     edge_b,
     edge_i,
     edge_t,
-    edge_word,
-    enumerate_triangles,
-    halfplane_contains_edge,
-    in_closed_arc,
-    mediant,
-    reduce_word,
-    triangle_edges,
-    triangle_of,
     word_apply,
-    word_matrix,
 )
 
 BASE = default_base_edge()
 
 
 def mediant_triangles(depth):
-    """Plain mediant recursion on the base edge, no word machinery."""
+    """Plain Stern-Brocot recursion on the base edge, no word machinery."""
     tris = []
 
     def rec(a, b, d):
-        mid = mediant(a, b)
+        mid = Rational(a.n + b.n, a.d + b.d)
         tris.append(frozenset((a, mid, b)))
         if d > 0:
             rec(a, mid, d - 1)
@@ -48,17 +39,20 @@ def mediant_triangles(depth):
     return tris
 
 
+def tb_words(depth):
+    """All words over {t, b} of length at most ``depth``."""
+    return [
+        "".join("tb"[(bits >> j) & 1] for j in range(k))
+        for k in range(depth + 1)
+        for bits in range(2 ** k)
+    ]
+
+
 def test_base_edge_and_generator_edges():
     assert (BASE.tail, BASE.head) == (INF, Rational(0, 1))
     assert (edge_i(BASE).tail, edge_i(BASE).head) == (Rational(0, 1), INF)
     assert (edge_t(BASE).tail, edge_t(BASE).head) == (INF, Rational(1, 1))
     assert (edge_b(BASE).tail, edge_b(BASE).head) == (Rational(1, 1), Rational(0, 1))
-
-
-def test_mediant_basics():
-    assert mediant(Rational(0, 1), Rational(1, 1)) == Rational(1, 2)
-    assert mediant(INF, Rational(0, 1)) == Rational(1, 1)
-    assert mediant(Rational(1, 3), Rational(1, 2)) == Rational(2, 5)
 
 
 def test_rationals_are_reduced_and_hashable():
@@ -76,90 +70,55 @@ def test_edges_exist_only_between_farey_neighbors():
 
 @pytest.mark.parametrize("depth", range(6))
 def test_triangle_enumeration_matches_mediant_recursion(depth):
-    got = enumerate_triangles(BASE, depth)
+    got = set()
+    for w in tb_words(depth):
+        e = word_apply(w, BASE)
+        third = Rational(e.p[0] + e.q[0], e.p[1] + e.q[1])
+        got.add(frozenset((e.tail, e.head, third)))
     oracle = mediant_triangles(depth)
     assert len(got) == 2 ** (depth + 1) - 1
-    assert set(got) == set(oracle)
+    assert got == set(oracle)
     got_vertices = {v for t in got for v in t}
     assert len(got_vertices) == 2 ** (depth + 1) + 1
 
 
-def test_triangle_of_an_edge_adds_the_mediant():
-    tri = triangle_of(BASE)
-    assert tri == frozenset((INF, Rational(0, 1), Rational(1, 1)))
-    edges = triangle_edges(BASE)
-    assert edges == frozenset(
-        (BASE.unoriented(), edge_t(BASE).unoriented(), edge_b(BASE).unoriented())
-    )
-
-
 def test_words_enumerate_distinct_edges():
-    seen = set()
-    for k in range(0, 5):
-        for bits in range(2 ** k):
-            w = "".join("tb"[(bits >> j) & 1] for j in range(k))
-            e = word_apply(w, BASE)
-            seen.add((e.tail, e.head))
+    seen = {word_apply(w, BASE) for w in tb_words(4)}
     assert len(seen) == 2 ** 5 - 1
 
 
-def test_word_reduction_pinned_values():
-    assert reduce_word("ii") == ""
-    assert reduce_word("tit") == "b"
-    assert reduce_word("bib") == "t"
-    assert reduce_word("titib") == "t"
-    assert reduce_word("ititit") == ""
-    assert reduce_word("") == ""
+# each relation of <i, t, b> as (word, equivalent word)
+RELATIONS = [("ii", ""), ("tit", "b"), ("bib", "t"), ("tibi", ""), ("biti", ""),
+             ("ititit", ""), ("ibibib", "")]
 
 
-def test_word_reduction_agrees_with_the_edge_action():
+@pytest.mark.parametrize("word,equal", RELATIONS, ids=[w for w, _ in RELATIONS])
+def test_edge_action_satisfies_the_group_relations(word, equal):
     rng = random.Random(11)
-    for _ in range(300):
-        w = "".join(rng.choice("itb") for _ in range(rng.randint(0, 12)))
-        r = reduce_word(w)
-        assert word_apply(w, BASE) == word_apply(r, BASE)
-        assert reduce_word(r) == r
+    for _ in range(50):
+        e = word_apply("".join(rng.choice("itb") for _ in range(rng.randint(0, 12))), BASE)
+        assert word_apply(word, e) == word_apply(equal, e)
 
 
 def test_word_matrix_realizes_the_edge_action():
-    rng = random.Random(5)
+    # right multiplication by the letter matrices of the module docstring
+    letters = {"i": (0, -1, 1, 0), "t": (1, 1, 0, 1), "b": (1, 0, 1, 1)}
+
+    def product(w):
+        a, b, c, d = 1, 0, 0, 1
+        for ch in w:
+            p, q, r, s = letters[ch]
+            a, b, c, d = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
+        return a, b, c, d
 
     def act(mat, r):
         a, b, c, d = mat
         return Rational(a * r.n + b * r.d, c * r.n + d * r.d)
 
+    rng = random.Random(5)
     for _ in range(100):
         w = "".join(rng.choice("itb") for _ in range(rng.randint(0, 8)))
-        mw = word_matrix(w)
+        mw = product(w)
         e = word_apply(w, BASE)
         assert act(mw, BASE.tail) == e.tail
         assert act(mw, BASE.head) == e.head
-
-
-def test_edge_word_round_trip():
-    rng = random.Random(23)
-    for _ in range(60):
-        w = "".join(rng.choice("tb") for _ in range(rng.randint(0, 7)))
-        target = word_apply(w, BASE)
-        back = edge_word(BASE, target)
-        assert word_apply(back, BASE) == target
-
-
-def test_halfplane_nesting():
-    et = edge_t(BASE)
-    for suffix in ("", "t", "b", "tt", "tb", "bt", "bb"):
-        assert halfplane_contains_edge(et, word_apply("t" + suffix, BASE))
-    assert not halfplane_contains_edge(et, edge_b(BASE))
-    assert not halfplane_contains_edge(edge_b(BASE), et)
-
-
-def test_arc_membership():
-    # the witness picks the side: the arc through 1/2 versus the arc through inf
-    assert in_closed_arc(Rational(1, 3), Rational(0, 1), Rational(1, 1), Rational(1, 2))
-    assert not in_closed_arc(Rational(2, 1), Rational(0, 1), Rational(1, 1), Rational(1, 2))
-    assert in_closed_arc(Rational(2, 1), Rational(0, 1), Rational(1, 1), INF)
-    assert not in_closed_arc(Rational(1, 3), Rational(0, 1), Rational(1, 1), INF)
-    # endpoints belong to both closed arcs
-    assert in_closed_arc(Rational(0, 1), Rational(0, 1), Rational(1, 1), INF)
-    with pytest.raises(FareyError):
-        in_closed_arc(Rational(1, 3), Rational(0, 1), Rational(1, 1), Rational(1, 1))

@@ -16,6 +16,7 @@ from pappus.fareycomb import default_base_edge, word_apply
 from pappus.markedbox import box_polarity, op_i, orbit_enumerate, top_flag, bottom_flag
 from pappus.symmspace import (
     FlagClass,
+    NumericalFailure,
     boundary_ray_class,
     duality_action,
     geodesic_point,
@@ -25,13 +26,13 @@ from pappus.symmspace import (
 from pappus.fareypattern import (
     FixedPointOffFlat,
     PatternError,
+    _pairwise_min,
     base_box,
     build_pattern,
     flat_of_box,
     geodesic_of_box,
     limit_set_flags,
     min_distance_flats,
-    min_distance_geodesics,
     one_end_asymptotic,
     pattern_boxes,
 )
@@ -140,12 +141,10 @@ def test_sampled_distances_separate_distinct_flats():
     assert min_distance_flats(fa, fa) < 1e-9
 
 
-def test_sampled_geodesic_distance_vanishes_only_on_overlap():
-    by_word = build_pattern(X, Y, 1).by_word()
-    g0 = by_word[""]
-    gt = by_word["t"]
-    assert min_distance_geodesics(g0, g0) < 1e-12
-    assert min_distance_geodesics(g0, gt) > 0
+def test_pairwise_min_rejects_non_positive_generalized_eigenvalues():
+    # the log of a negative eigenvalue would be NaN, which is not JSON
+    with pytest.raises(NumericalFailure):
+        _pairwise_min([np.eye(3)], [np.diag([1.0, 1.0, -1.0])])
 
 
 def test_one_walk_serves_the_pattern_and_the_limit_fold():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pappus.projective import ProjPoint, SingularMap, triple_product
-from pappus.markedbox import OutOfRange, op_i, raw_invariant, top_flag
+from pappus.markedbox import OutOfRange, op_i, top_flag
 from pappus.symmspace import (
     PointClass,
     boundary_ray_class,
@@ -20,15 +20,12 @@ from pappus.prisms import (
     DiagonalLocus,
     UnityTripleProduct,
     bending_report,
-    canonical_character,
     cone_fill_sample,
     inflection_point,
-    level_set_sweep,
     mesh_to_obj,
     order3_axis,
     prism_inflection_data,
     prism_of_triangle,
-    square_frame_box,
     translation_T,
     triple_invariant,
 )
@@ -54,28 +51,6 @@ def test_triple_invariant_constant_on_quarter_rotation_orbit():
         orbit.append((1 - y, x))
     vals = [triple_invariant(x, y) for x, y in orbit]
     assert max(vals) - min(vals) < 1e-14
-
-
-def test_canonical_character_folds_the_orbit():
-    rep = canonical_character(X, Y)
-    x, y = X, Y
-    for _ in range(3):
-        x, y = 1 - y, x
-        assert canonical_character(x, y).same(rep)
-    assert canonical_character(X, Y) == CharacterPointAlias(rep)
-
-
-def CharacterPointAlias(rep):
-    # frozen dataclass equality: same rep pair means same character
-    from pappus.prisms import CharacterPoint
-    return CharacterPoint(rep.x, rep.y)
-
-
-def test_level_set_points_share_the_invariant():
-    c = 7 / 8
-    target = abs(math.log(c))
-    for x, y in level_set_sweep(c, 9):
-        assert triple_invariant(x, y) == pytest.approx(target, abs=1e-9)
 
 
 def test_stabilizing_polarities_swap_the_flag_pairs():
@@ -171,7 +146,6 @@ def test_polarity_fixes_the_inflection_point():
 
 
 def test_square_frame_box_invariant_and_translation_eigenvalues():
-    assert raw_invariant(square_frame_box(X, Y)) == (X, Y)
     for x, y in ((X, Y), (Fraction(2, 7), Fraction(3, 5))):
         T = translation_T(x, y)
         a = np.array([[float(v) for v in r] for r in T.m])

@@ -27,8 +27,6 @@ from pappus.symmspace import (
     ZeroDirection,
     boundary_ray_class,
     duality_action,
-    eigen_frame,
-    flat_boundary_data,
     flat_from_triangle,
     flat_geodesic,
     geodesic_between,
@@ -36,7 +34,6 @@ from pappus.symmspace import (
     group_action,
     identity_point,
     jacobi_eigh,
-    lambda_norm,
     metric_d,
 )
 from pappus.markedbox import box_polarity
@@ -99,9 +96,11 @@ def test_metric_axioms_and_invariance():
 
 
 def test_lambda_norm_is_distance_from_the_round_sphere():
+    # half the norm of the log eigenvalues, computed here with numpy
     for _ in range(10):
         e = random_spd()
-        assert abs(lambda_norm(e) - metric_d(identity_point(), e)) < 1e-10
+        lam = 0.5 * np.linalg.norm(np.log(np.linalg.eigvalsh(e.m)))
+        assert abs(lam - metric_d(identity_point(), e)) < 1e-10
 
 
 def test_duality_action_is_an_isometry_and_involution():
@@ -137,19 +136,6 @@ def test_reverse_flips_the_parameter():
     for t in (-1.3, 0.4, 2.0):
         assert np.max(np.abs(geodesic_point(rev, t).m - geodesic_point(gamma, -t).m)) < 1e-10
     assert gamma.same_unoriented(rev)
-
-
-def test_eigen_frame_reconstructs_the_ellipsoid():
-    e = random_spd()
-    fr = eigen_frame(e)
-    assert abs(fr.lengths[0] * fr.lengths[1] * fr.lengths[2] - 1.0) < 1e-9
-    # descending half-axis lengths pair with ascending eigenvalues
-    assert fr.lengths[0] >= fr.lengths[1] >= fr.lengths[2]
-    recon = sum(
-        (1.0 / fr.lengths[j] ** 2) * np.outer(fr.frame[j], fr.frame[j]) for j in range(3)
-    )
-    assert np.max(np.abs(recon - e.m)) < 1e-9
-    assert eigen_frame(identity_point()).degenerate
 
 
 # --- flats -------------------------------------------------------------------
@@ -221,15 +207,6 @@ def test_boundary_class_of_singular_directions_splits_point_line():
 def test_boundary_class_generic_direction():
     gamma = XGeodesic(identity_point(), np.diag([2.0, 1.0, -3.0]))
     assert isinstance(boundary_ray_class(gamma, 1), Generic)
-
-
-def test_flat_boundary_data_interlaces_flags():
-    f = unit_triangle_flat()
-    data = flat_boundary_data(f)
-    assert len(data.flags) == 6
-    from pappus.projective import incident
-    for flag in data.flags:
-        assert incident(flag.point, flag.line, 1e-9)
 
 
 def test_medial_limits_of_a_box_flat_are_the_marked_flags():
