@@ -205,7 +205,7 @@ _COORD_NAMES = [f"{pt}{k}" for pt in "stuabc" for k in range(3)]
 
 
 def _box_coords(m: MarkedBox):
-    return [c for p in (m.s, m.t, m.u, m.a, m.b, m.c) for c in p.v]
+    return [c for p in (m.s, m.t, m.u, m.a, m.b, m.c) for c in p.coords]
 
 
 def _check_positive(**options) -> None:
@@ -251,7 +251,7 @@ def cmd_orbit(args) -> int:
 # --- limit set -------------------------------------------------------------------
 
 def _affine_point(flag: Flag, eps: float = 1e-12):
-    x, y, z = (float(c) for c in flag.point.v)
+    x, y, z = flag.point.floats()
     scale = max(abs(x), abs(y), abs(z))
     if abs(z) <= eps * scale:
         return None
@@ -296,7 +296,7 @@ def _limitset_svg(flags, window: float) -> str:
     r = w / 160.0
     sw = w / 500.0
     for lf in flags:
-        coeffs = tuple(float(c) for c in lf.flag.line.v)
+        coeffs = lf.flag.line.floats()
         seg = _clip_line(coeffs[0], coeffs[1], coeffs[2], w)
         if seg:
             (x1, y1), (x2, y2) = seg
@@ -323,8 +323,8 @@ def cmd_limitset(args) -> int:
         lines = ["word,px,py,pz,lx,ly,lz,farey_tail,farey_head"]
         for lf in flags:
             cells = [lf.word or "-"]
-            cells += [_fmt_scalar(c) for c in lf.flag.point.v]
-            cells += [_fmt_scalar(c) for c in lf.flag.line.v]
+            cells += [_fmt_scalar(c) for c in lf.flag.point.coords]
+            cells += [_fmt_scalar(c) for c in lf.flag.line.coords]
             cells += [_fmt_rational(lf.edge.tail), _fmt_rational(lf.edge.head)]
             lines.append(",".join(cells))
         _emit(cfg, "\n".join(lines) + "\n")
@@ -337,8 +337,8 @@ def cmd_limitset(args) -> int:
 
 def _flag_json(flag: Flag):
     return {
-        "point": [_jsonable_scalar(c) for c in flag.point.v],
-        "line": [_jsonable_scalar(c) for c in flag.line.v],
+        "point": [_jsonable_scalar(c) for c in flag.point.coords],
+        "line": [_jsonable_scalar(c) for c in flag.line.coords],
     }
 
 
@@ -420,16 +420,26 @@ def cmd_charvar(args) -> int:
 
 # --- prism reports -----------------------------------------------------------------
 
+# the mesh options and their defaults; the json report reads none of them
+_MESH_OPTIONS = {"cone": 0.0, "window": 2.0, "samples": 9}
+
+
 def cmd_prism(args) -> int:
     cfg = _build_config(args, formats=("json", "obj"))
-    _check_positive(window=args.window, samples=args.samples)
+    # an option the chosen format does not read is refused, not ignored
+    given = vars(args)
+    for name in ("depth",) if cfg.fmt == "obj" else _MESH_OPTIONS:
+        if name in given:
+            raise ConfigError(f"--{name} does not apply to --format {cfg.fmt}")
     if cfg.fmt == "obj":
-        if args.samples < 2:
+        cone, window, samples = (given.get(name, default) for name, default in _MESH_OPTIONS.items())
+        _check_positive(window=window, samples=samples)
+        if samples < 2:
             raise ConfigError("--samples must be at least 2 for the obj mesh")
         m = base_box(cfg.x, cfg.y)
         prism = prism_of_triangle(m)
         triangle = [geodesic_of_box(b).geodesic for b in prism.boxes]
-        mesh = cone_fill_sample(prism, triangle, args.cone, args.samples, window=args.window)
+        mesh = cone_fill_sample(prism, triangle, cone, samples, window=window)
         _emit(cfg, mesh_to_obj(mesh))
         return EXIT_OK
     report = bending_report(cfg.x, cfg.y, cfg.depth)
@@ -659,10 +669,10 @@ def cmd_verify(args) -> int:
 
 # --- argument parsing -----------------------------------------------------------------
 
-def _add_common(sp, fmt_choices, default_fmt):
+def _add_common(sp, fmt_choices, default_fmt, depth_default=0):
     sp.add_argument("--x", help="first parameter, rational p/q or decimal")
     sp.add_argument("--y", help="second parameter, rational p/q or decimal")
-    sp.add_argument("--depth", type=int, default=0, help="orbit depth")
+    sp.add_argument("--depth", type=int, default=depth_default, help="orbit depth")
     sp.add_argument("--backend", choices=("exact", "float"), help="arithmetic backend")
     sp.add_argument("--out", help="output path (default stdout)")
     sp.add_argument("--format", choices=fmt_choices, default=default_fmt)
@@ -699,11 +709,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--format", choices=("csv",), default="csv")
     sp.set_defaults(func=cmd_charvar)
 
-    sp = sub.add_parser("prism", help="bending report (json) or cone mesh (obj)")
-    _add_common(sp, ("json", "obj"), "json")
-    sp.add_argument("--cone", type=float, default=0.0, help="apex offset along the symmetry axis")
-    sp.add_argument("--window", type=float, default=2.0, help="parameter window for mesh sides")
-    sp.add_argument("--samples", type=int, default=9, help="samples per mesh direction")
+    sp = sub.add_parser("prism", help="bending report (json, reads --depth) or cone mesh (obj)")
+    # unset options stay out of the namespace, so cmd_prism can refuse
+    # the ones the chosen format does not read
+    _add_common(sp, ("json", "obj"), "json", depth_default=argparse.SUPPRESS)
+    sp.add_argument("--cone", type=float, default=argparse.SUPPRESS,
+                    help="obj only: apex offset along the symmetry axis (default 0)")
+    sp.add_argument("--window", type=float, default=argparse.SUPPRESS,
+                    help="obj only: parameter window for mesh sides (default 2)")
+    sp.add_argument("--samples", type=int, default=argparse.SUPPRESS,
+                    help="obj only: samples per mesh direction (default 9)")
     sp.set_defaults(func=cmd_prism)
 
     sp = sub.add_parser("verify", help="run identity suites")

@@ -48,14 +48,12 @@ class OutOfRange(ProjectiveError):
 
 
 def _collinear(p, q, r, tol=1e-7) -> bool:
-    d = (
-        p.v[0] * (q.v[1] * r.v[2] - q.v[2] * r.v[1])
-        - p.v[1] * (q.v[0] * r.v[2] - q.v[2] * r.v[0])
-        + p.v[2] * (q.v[0] * r.v[1] - q.v[1] * r.v[0])
+    exact = p.exact and q.exact and r.exact
+    (p0, p1, p2), (q0, q1, q2), (r0, r1, r2) = (
+        (p.v, q.v, r.v) if exact else (p.floats(), q.floats(), r.floats())
     )
-    if p.exact and q.exact and r.exact:
-        return d == 0
-    return abs(float(d)) <= tol
+    d = p0 * (q1 * r2 - q2 * r1) - p1 * (q0 * r2 - q2 * r0) + p2 * (q0 * r1 - q1 * r0)
+    return d == 0 if exact else abs(float(d)) <= tol
 
 
 @dataclass(frozen=True)

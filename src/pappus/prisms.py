@@ -170,9 +170,7 @@ def stabilizing_polarities(flags: Sequence[Flag], tol: float = 1e-9) -> Tuple[Po
             raise UnityTripleProduct("flag triple has unity triple product")
     elif min(abs(float(xi) - 1.0), abs(float(xi) + 1.0)) < tol:
         raise UnityTripleProduct("flag triple has unity triple product")
-    exact = all(
-        is_exact_scalar(c) for f in flags for c in (*f.point.v, *f.line.v)
-    )
+    exact = all(f.point.exact and f.line.exact for f in flags)
     out = []
     for perm in _TRANSPOSITIONS:
         rows = []

@@ -4,19 +4,26 @@ Points and lines live in the projective plane and its dual, and are
 stored as homogeneous coordinate triples.  All constructions run over
 either backend:
 
-* exact: ``int`` / ``fractions.Fraction`` entries, decided by equality;
+* exact: ``int`` / ``fractions.Fraction`` input, decided by equality;
 * float: 64-bit floats, decided by tolerance (default ``1e-9`` relative).
 
-The backend of a value is inferred from its entries, never declared.
-Canonical forms differ per backend: exact vectors are divided by their
-first nonzero coordinate; float vectors get unit Euclidean norm with a
-positive first nonzero coordinate.
+A vector's backend is decided once, when it is built, from its entries,
+and kept in its ``exact`` field.  Canonical forms differ per backend: an
+exact vector is stored as a primitive integer triple (denominators
+cleared, divided by the gcd, first nonzero entry positive), so joins,
+meets and zero tests run on plain Python ints, whose size grows with
+the depth of a construction; a float vector gets unit Euclidean norm
+with a positive first nonzero coordinate.  Two accessors give the
+first-nonzero-is-one normal form that output formats print: ``coords``
+as ``Fraction`` entries, ``floats()`` as correctly rounded floats.
+Operations on a mix of exact and float vectors read the exact ones
+through ``floats()``; maps and polarities multiply the stored ``v``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Tuple, Union
 
@@ -84,13 +91,22 @@ def dot3(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def _canonicalize(v: Sequence[Scalar]) -> Triple:
-    if is_exact_triple(v):
-        vv = tuple(Fraction(x) for x in v)
-        for x in vv:
-            if x != 0:
-                return tuple(y / x for y in vv)
+def _primitive(a: int, b: int, c: int) -> Triple:
+    g = math.gcd(a, b, c)
+    if g == 0:
         raise ProjectiveError("zero homogeneous vector")
+    if (a or b or c) < 0:
+        g = -g
+    return a // g, b // g, c // g
+
+
+def _exact_canonical(v: Sequence[Scalar]) -> Triple:
+    fs = tuple(Fraction(x) for x in v)
+    den = math.lcm(*(x.denominator for x in fs))
+    return _primitive(*(x.numerator * (den // x.denominator) for x in fs))
+
+
+def _float_canonical(v: Sequence[Scalar]) -> Triple:
     fv = tuple(float(x) for x in v)
     norm = math.sqrt(sum(x * x for x in fv))
     if norm == 0.0 or not math.isfinite(norm):
@@ -106,26 +122,54 @@ def _canonicalize(v: Sequence[Scalar]) -> Triple:
 
 @dataclass(frozen=True)
 class HomVec:
-    """Nonzero homogeneous coordinate triple, canonicalized on construction."""
+    """Nonzero homogeneous coordinate triple, canonicalized on construction.
+
+    ``v`` is the primitive integer triple of an exact vector or the
+    unit-norm float triple of a float one; ``exact`` says which.
+    """
 
     v: Triple
+    exact: bool = field(compare=False)
 
     def __init__(self, v: Sequence[Scalar]):
-        object.__setattr__(self, "v", _canonicalize(tuple(v)))
+        v = tuple(v)
+        exact = is_exact_triple(v)
+        object.__setattr__(self, "v", _exact_canonical(v) if exact else _float_canonical(v))
+        object.__setattr__(self, "exact", exact)
 
     @property
-    def exact(self) -> bool:
-        return is_exact_triple(self.v)
+    def coords(self) -> Triple:
+        """Exact: ``Fraction`` entries with the first nonzero one equal to 1.
+        Float: the stored unit-norm triple."""
+        if not self.exact:
+            return self.v
+        a, b, c = self.v
+        first = a or b or c
+        return Fraction(a, first), Fraction(b, first), Fraction(c, first)
+
+    def floats(self) -> Tuple[float, float, float]:
+        """Float triple; for an exact vector each entry is ``float()`` of ``coords``."""
+        if not self.exact:
+            return self.v
+        a, b, c = self.v
+        first = a or b or c
+        return a / first, b / first, c / first
 
     def same(self, other: "HomVec", tol: float = DEFAULT_TOL) -> bool:
         """Projective equality, i.e. proportionality of representatives."""
         if self.exact and other.exact:
             return self.v == other.v
-        c = cross3(self.v, other.v)
+        c = cross3(self.floats(), other.floats())
         return max(abs(float(x)) for x in c) <= tol
 
-    def floats(self) -> Tuple[float, float, float]:
-        return tuple(float(x) for x in self.v)
+
+def _built(cls, v: Sequence[Scalar], exact: bool):
+    """A ``cls`` vector from a triple whose backend the caller already knows;
+    exact triples here have plain ``int`` entries."""
+    h = object.__new__(cls)
+    object.__setattr__(h, "v", _primitive(*v) if exact else _float_canonical(v))
+    object.__setattr__(h, "exact", exact)
+    return h
 
 
 class ProjPoint(HomVec):
@@ -138,37 +182,41 @@ class ProjLine(HomVec):
         return meet(self, other)
 
 
-def _is_zero_triple(v: Sequence[Scalar], tol: float, scale: float) -> bool:
-    if is_exact_triple(v):
-        return all(x == 0 for x in v)
+def _near_zero(v: Sequence[float], tol: float, scale: float) -> bool:
     return max(abs(float(x)) for x in v) <= tol * max(scale, 1.0)
 
 
-def _pair_scale(u: Sequence[Scalar], v: Sequence[Scalar]) -> float:
+def _pair_scale(u: Sequence[float], v: Sequence[float]) -> float:
     return max(abs(float(x)) for x in (*u, *v))
+
+
+def _cross_of(cls, p: HomVec, q: HomVec, tol: float, err, what: str):
+    if p.exact and q.exact:
+        c = cross3(p.v, q.v)
+        if c == (0, 0, 0):
+            raise err(f"{what} {p.v}")
+        return _built(cls, c, True)
+    u, w = p.floats(), q.floats()
+    c = cross3(u, w)
+    if _near_zero(c, tol, _pair_scale(u, w)):
+        raise err(f"{what} {p.v}")
+    return _built(cls, c, False)
 
 
 def join(p: ProjPoint, q: ProjPoint, tol: float = DEFAULT_TOL) -> ProjLine:
     """Line through two distinct points."""
-    c = cross3(p.v, q.v)
-    if _is_zero_triple(c, tol, _pair_scale(p.v, q.v)):
-        raise CoincidentPoints(f"join of coincident points {p.v}")
-    return ProjLine(c)
+    return _cross_of(ProjLine, p, q, tol, CoincidentPoints, "join of coincident points")
 
 
 def meet(l: ProjLine, m: ProjLine, tol: float = DEFAULT_TOL) -> ProjPoint:
     """Intersection point of two distinct lines."""
-    c = cross3(l.v, m.v)
-    if _is_zero_triple(c, tol, _pair_scale(l.v, m.v)):
-        raise CoincidentLines(f"meet of coincident lines {l.v}")
-    return ProjPoint(c)
+    return _cross_of(ProjPoint, l, m, tol, CoincidentLines, "meet of coincident lines")
 
 
 def incident(p: ProjPoint, l: ProjLine, tol: float = DEFAULT_TOL) -> bool:
-    d = dot3(p.v, l.v)
     if p.exact and l.exact:
-        return d == 0
-    return abs(float(d)) <= tol
+        return dot3(p.v, l.v) == 0
+    return abs(float(dot3(p.floats(), l.floats()))) <= tol
 
 
 @dataclass(frozen=True)
@@ -196,34 +244,39 @@ def cross_ratio(a: ProjPoint, b: ProjPoint, c: ProjPoint, d: ProjPoint,
     (w_a - w_b)(w_c - w_d) / ((w_a - w_c)(w_b - w_d)).
     """
     pts = (a, b, c, d)
+    exact = a.exact and b.exact and c.exact and d.exact
+    vs = tuple(p.v if exact else p.floats() for p in pts)
     base = None
     for i in range(4):
         for j in range(i + 1, 4):
-            cc = cross3(pts[i].v, pts[j].v)
-            if not _is_zero_triple(cc, tol, _pair_scale(pts[i].v, pts[j].v)):
+            cc = cross3(vs[i], vs[j])
+            if (cc != (0, 0, 0)) if exact else not _near_zero(cc, tol, _pair_scale(vs[i], vs[j])):
                 base = cc
                 break
         if base is not None:
             break
     if base is None:
         raise DegenerateQuadruple("all four points coincide")
-    for p in pts:
-        val = dot3(p.v, base)
-        ok = val == 0 if p.exact and is_exact_triple(base) else abs(float(val)) <= tol * 10
-        if not ok:
-            raise NotCollinear(f"{p.v} off the common line")
-    num = cross3(a.v, b.v)
-    num2 = cross3(c.v, d.v)
-    den = cross3(a.v, c.v)
-    den2 = cross3(b.v, d.v)
-    scale = _pair_scale(den, den2)
-    for i in range(3):
-        dv = den[i] * den2[i]
-        if is_exact_scalar(dv):
+    for v in vs:
+        val = dot3(v, base)
+        if not (val == 0 if exact else abs(float(val)) <= tol * 10):
+            raise NotCollinear(f"{v} off the common line")
+    va, vb, vc, vd = vs
+    num = cross3(va, vb)
+    num2 = cross3(vc, vd)
+    den = cross3(va, vc)
+    den2 = cross3(vb, vd)
+    if exact:
+        for i in range(3):
+            dv = den[i] * den2[i]
             if dv != 0:
-                return Fraction(num[i] * num2[i]) / dv
-        elif abs(float(dv)) > tol * max(scale, 1.0) ** 2 * 1e-4:
-            return (num[i] * num2[i]) / dv
+                return Fraction(num[i] * num2[i], dv)
+    else:
+        scale = _pair_scale(den, den2)
+        for i in range(3):
+            dv = den[i] * den2[i]
+            if abs(float(dv)) > tol * max(scale, 1.0) ** 2 * 1e-4:
+                return (num[i] * num2[i]) / dv
     raise DegenerateQuadruple("cross ratio undefined for this quadruple")
 
 
@@ -236,13 +289,16 @@ def triple_product(flags: Sequence[Flag], tol: float = DEFAULT_TOL) -> Scalar:
     """
     if len(flags) != 3:
         raise DegenerateFlags("triple product needs exactly three flags")
-    (p1, l1), (p2, l2), (p3, l3) = ((f.point.v, f.line.v) for f in flags)
+    exact = all(f.point.exact and f.line.exact for f in flags)
+    (p1, l1), (p2, l2), (p3, l3) = (
+        (f.point.v, f.line.v) if exact else (f.point.floats(), f.line.floats()) for f in flags
+    )
     num = dot3(p1, l2) * dot3(p2, l3) * dot3(p3, l1)
     den = dot3(p2, l1) * dot3(p3, l2) * dot3(p1, l3)
-    if is_exact_scalar(den):
+    if exact:
         if den == 0:
             raise DegenerateFlags("degenerate flag triple: zero pairing")
-        return Fraction(num) / den
+        return Fraction(num, den)
     if abs(float(den)) <= tol ** 2:
         raise DegenerateFlags("degenerate flag triple: near-zero pairing")
     return num / den
@@ -436,11 +492,13 @@ def transform_from_correspondence(src, dst) -> ProjMap:
     if len(src) != 4 or len(dst) != 4:
         raise DegenerateQuadruple("need exactly four source and four target points")
 
+    # coords, not the integer triples: the scale of the map (and of every
+    # polarity matrix built from it) stays that of the first-nonzero-is-one form
     def simplex_map(quad) -> Mat:
-        cols = tuple(p.v for p in quad[:3])
+        cols = tuple(p.coords for p in quad[:3])
         a = mat_transpose(cols)
         try:
-            c = mat_vec(mat_inv(a), quad[3].v)
+            c = mat_vec(mat_inv(a), quad[3].coords)
         except SingularMap:
             raise DegenerateQuadruple("three of the four points are collinear")
         exact = all(p.exact for p in quad)

@@ -63,7 +63,7 @@ class PointOffFlat(SymmSpaceError):
 
 
 def _float_triple(v: HomVec) -> np.ndarray:
-    arr = np.array([float(x) for x in v.v], dtype=float)
+    arr = np.array(v.floats(), dtype=float)
     return arr / np.linalg.norm(arr)
 
 

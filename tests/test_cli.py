@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, formats, determinism, schema."""
 
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -67,6 +68,29 @@ def test_workers_do_not_change_the_bytes(capsys):
         _, out1, _ = run(capsys, "limitset", *deep, "--format", fmt, "--workers", "1")
         _, out2, _ = run(capsys, "limitset", *deep, "--format", fmt, "--workers", "2")
         assert out1 == out2
+
+
+# SHA-256 of stdout, pinned before exact coordinates became integer triples;
+# the exact arithmetic may change, the bytes it prints may not
+PINNED_OUTPUTS = {
+    ("orbit", "--x", "3/10", "--y", "2/5", "--depth", "5"):
+        "6fe53cd70201b8dc3c61bd802a121c066d4bde4c9de9e7c4d395a36b0745725b",
+    ("orbit", "--x", "3/10", "--y", "2/5", "--depth", "5", "--format", "json"):
+        "21f074d3fca43d268c3be5787b1aef7501ec174de1ab85c1bf40c42ab8b3134e",
+    ("limitset", "--x", "17/41", "--y", "5/37", "--depth", "5", "--format", "csv"):
+        "72c3705e4e5accbc51f9d8c8ca3b88019fcfcd4add35dafb8355990a0bde5bef",
+    ("pattern", "--x", "3/10", "--y", "2/5", "--depth", "3"):
+        "683c60963384ffe151b58c61e9f8d499b1bf3d1d37abbe99c734e154c9cb8a9e",
+    ("prism", "--x", "3/10", "--y", "2/5", "--depth", "2"):
+        "454ae8944ad439a866483180fb136d294f87b5f15a7923f8c6471507e21267f4",
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_OUTPUTS), ids=lambda a: "-".join(a[:1] + a[-2:]))
+def test_output_bytes_match_pinned_hashes(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_OUTPUTS[argv]
 
 
 def test_limitset_svg_is_wellformed_xml(capsys):
@@ -187,6 +211,12 @@ def test_config_errors_exit_two(capsys):
         ("pattern", *xy, "--distances", "--window", "0"),
         ("prism", *xy, "--format", "obj", "--samples", "1"),
         ("prism", *xy, "--format", "obj", "--window", "0"),
+        # each prism format refuses the options only the other one reads
+        ("prism", *xy, "--cone", "0.3"),
+        ("prism", *xy, "--samples", "5"),
+        ("prism", *xy, "--depth", "1", "--window", "1"),
+        ("prism", *xy, "--format", "obj", "--depth", "1"),
+        ("prism", *xy, "--format", "obj", "--depth", "0", "--cone", "0.3"),
     ):
         assert run(capsys, *argv)[0] == 2, argv
     with pytest.raises(SystemExit) as exc:

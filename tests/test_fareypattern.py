@@ -24,12 +24,10 @@ from pappus.symmspace import (
     metric_d,
 )
 from pappus.fareypattern import (
-    FixedPointOffFlat,
     PatternError,
     _pairwise_min,
     base_box,
     build_pattern,
-    flat_of_box,
     geodesic_of_box,
     limit_set_flags,
     min_distance_flats,

@@ -1,10 +1,10 @@
 """Incidence plane basics: exact canonical coordinates, join/meet, maps."""
 
+import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pappus.projective import (
     CoincidentLines,
@@ -37,7 +37,36 @@ def frac_point(a, b, c):
 
 def test_exact_canonical_form_scales_first_nonzero_to_one():
     p = HomVec((Fraction(0), Fraction(3), Fraction(-6)))
-    assert p.v == (Fraction(0), Fraction(1), Fraction(-2))
+    assert p.exact
+    assert p.v == (0, 1, -2) and all(type(x) is int for x in p.v)
+    assert p.coords == (Fraction(0), Fraction(1), Fraction(-2))
+    assert all(type(x) is Fraction for x in p.coords)
+    q = HomVec((Fraction(-3, 4), Fraction(1, 6), 0))
+    assert q.v == (9, -2, 0) and math.gcd(*q.v) == 1
+    assert q.coords == (Fraction(1), Fraction(-2, 9), Fraction(0))
+    assert not HomVec((0.0, 3.0, -6.0)).exact
+
+
+# heights well past 53 bits, so floats() must round the integer ratio itself
+tall_rationals = st.one_of(
+    st.integers(-10**30, 10**30),
+    st.fractions(min_value=-10**30, max_value=10**30, max_denominator=10**25),
+)
+
+
+@given(st.tuples(tall_rationals, tall_rationals, tall_rationals),
+       tall_rationals.filter(lambda s: s != 0))
+@settings(deadline=None, max_examples=200)
+def test_exact_vectors_are_scale_free_primitive_integer_triples(t, scale):
+    assume(any(x != 0 for x in t))
+    v = HomVec(t)
+    assert HomVec(tuple(x * scale for x in t)).v == v.v
+    assert v.exact and all(type(x) is int for x in v.v)
+    assert math.gcd(*v.v) == 1 and next(x for x in v.v if x != 0) > 0
+    first = next(Fraction(x) for x in t if x != 0)
+    old = tuple(Fraction(x) / first for x in t)
+    assert v.coords == old
+    assert [x.hex() for x in v.floats()] == [float(x).hex() for x in old]
 
 
 def test_same_ignores_scale():

@@ -14,9 +14,7 @@ import pytest
 from pappus.projective import ProjMap, ProjPoint
 from pappus.symmspace import (
     CollinearVertices,
-    Flag,
     FlagClass,
-    Flat,
     Generic,
     LineClass,
     NotPositiveDefinite,
@@ -36,7 +34,6 @@ from pappus.symmspace import (
     jacobi_eigh,
     metric_d,
 )
-from pappus.markedbox import box_polarity
 from pappus.fareypattern import base_box, flat_of_box
 
 RNG = np.random.default_rng(20260816)
