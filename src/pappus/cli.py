@@ -143,8 +143,6 @@ def _build_config(args, formats: Sequence[str], need_params: bool = True) -> Run
         x, x_exact = _parse_scalar(args.x)
         y, y_exact = _parse_scalar(args.y)
         backend = args.backend or ("exact" if x_exact and y_exact else "float")
-        if backend not in ("exact", "float"):
-            raise ConfigError(f"unknown backend {backend!r}")
         if backend == "exact":
             # Fraction(str) reads decimal strings exactly, so 0.3 -> 3/10
             x = x if x_exact else Fraction(args.x)
@@ -250,10 +248,10 @@ def cmd_orbit(args) -> int:
 
 # --- limit set -------------------------------------------------------------------
 
-def _affine_point(flag: Flag, eps: float = 1e-12):
+def _affine_point(flag: Flag):
     x, y, z = flag.point.floats()
     scale = max(abs(x), abs(y), abs(z))
-    if abs(z) <= eps * scale:
+    if abs(z) <= 1e-12 * scale:
         return None
     return x / z, y / z
 
@@ -450,12 +448,10 @@ def cmd_prism(args) -> int:
 
 # --- verification suites -------------------------------------------------------------
 
-def _check(name: str, passed: bool, residual: Optional[float] = None, detail: str = "") -> Dict:
+def _check(name: str, passed: bool, residual: Optional[float] = None) -> Dict:
     rec = {"name": name, "passed": bool(passed)}
     if residual is not None:
         rec["residual"] = float(residual)
-    if detail:
-        rec["detail"] = detail
     return rec
 
 

@@ -137,12 +137,12 @@ def build_pattern(x, y, depth: int) -> FareyPattern:
     )
 
 
-def one_end_asymptotic(g1: PatternGeodesic, g2: PatternGeodesic, tol: float = 1e-7) -> bool:
+def one_end_asymptotic(g1: PatternGeodesic, g2: PatternGeodesic) -> bool:
     """Do the two geodesics limit on a single common flag?"""
     shared = 0
     for f1 in (g1.top, g1.bottom):
         for f2 in (g2.top, g2.bottom):
-            if f1.point.same(f2.point, tol) and f1.line.same(f2.line, tol):
+            if f1.point.same(f2.point, 1e-7) and f1.line.same(f2.line, 1e-7):
                 shared += 1
     if shared >= 2:
         raise PatternError("geodesics coincide; asymptoticity is undefined")
@@ -170,11 +170,11 @@ def _pairwise_min(mats_a: Sequence[np.ndarray], mats_b: Sequence[np.ndarray]):
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_min(f, lo: float, hi: float, tol: float = 1e-6):
+def _golden_min(f, lo: float, hi: float):
     c = hi - _GOLDEN * (hi - lo)
     d = lo + _GOLDEN * (hi - lo)
     fc, fd = f(c), f(d)
-    while hi - lo > tol:
+    while hi - lo > 1e-6:
         if fc <= fd:
             hi, d, fd = d, c, fc
             c = hi - _GOLDEN * (hi - lo)
@@ -186,28 +186,27 @@ def _golden_min(f, lo: float, hi: float, tol: float = 1e-6):
     return (c, fc) if fc <= fd else (d, fd)
 
 
-def _descend(f, start: List[float], step: float, rounds: int = 3, tol: float = 1e-6):
+def _descend(f, start: List[float], step: float):
     pos = list(start)
     best = f(pos)
-    for _ in range(rounds):
+    for _ in range(2):
         for axis in range(len(pos)):
             def slice_f(v, axis=axis):
                 trial = list(pos)
                 trial[axis] = v
                 return f(trial)
 
-            v, fv = _golden_min(slice_f, pos[axis] - step, pos[axis] + step, tol)
+            v, fv = _golden_min(slice_f, pos[axis] - step, pos[axis] + step)
             if fv < best:
                 pos[axis], best = v, fv
         step *= 0.5
     return best
 
 
-def min_distance_flats(f1: Flat, f2: Flat, window: float = 2.0, samples: int = 7) -> float:
-    """Sampled minimum distance between two flats (4-parameter grid)."""
-    if samples < 2 or window <= 0:
-        raise PatternError("need window > 0 and at least 2 samples")
-    grid = np.linspace(-window, window, samples)
+def min_distance_flats(f1: Flat, f2: Flat) -> float:
+    """Sampled minimum distance between two flats (4-parameter grid of 7 x 7 x 7 x 7)."""
+    samples = 7
+    grid = np.linspace(-2.0, 2.0, samples)
     pa = [f1.point_at(float(a), float(b)).m for a in grid for b in grid]
     pb = [f2.point_at(float(a), float(b)).m for a in grid for b in grid]
     (i, j), best = _pairwise_min(pa, pb)
@@ -222,7 +221,7 @@ def min_distance_flats(f1: Flat, f2: Flat, window: float = 2.0, samples: int = 7
     def f(v):
         return metric_d(f1.point_at(v[0], v[1]), f2.point_at(v[2], v[3]))
 
-    return min(best, _descend(f, start, step, rounds=2))
+    return min(best, _descend(f, start, step))
 
 
 # --- limit set ----------------------------------------------------------------

@@ -47,13 +47,13 @@ class OutOfRange(ProjectiveError):
     pass
 
 
-def _collinear(p, q, r, tol=1e-7) -> bool:
+def _collinear(p, q, r) -> bool:
     exact = p.exact and q.exact and r.exact
     (p0, p1, p2), (q0, q1, q2), (r0, r1, r2) = (
         (p.v, q.v, r.v) if exact else (p.floats(), q.floats(), r.floats())
     )
     d = p0 * (q1 * r2 - q2 * r1) - p1 * (q0 * r2 - q2 * r0) + p2 * (q0 * r1 - q1 * r0)
-    return d == 0 if exact else abs(float(d)) <= tol
+    return d == 0 if exact else abs(float(d)) <= 1e-7
 
 
 @dataclass(frozen=True)
@@ -86,10 +86,6 @@ class MarkedBox:
     def flip(self) -> "MarkedBox":
         return MarkedBox(self.u, self.t, self.s, self.c, self.b, self.a)
 
-    @property
-    def exact(self) -> bool:
-        return all(p.exact for p in self.sextuple())
-
     def same_box(self, other: "MarkedBox", tol: float = DEFAULT_TOL) -> bool:
         """Equality of marked boxes, modulo the flip identification."""
         direct = all(p.same(q, tol) for p, q in zip(self.sextuple(), other.sextuple()))
@@ -121,11 +117,11 @@ class DualMarkedBox:
     def flip(self) -> "DualMarkedBox":
         return DualMarkedBox(self.U, self.T, self.S, self.C, self.B, self.A)
 
-    def same_dual(self, other: "DualMarkedBox", tol: float = DEFAULT_TOL) -> bool:
-        direct = all(p.same(q, tol) for p, q in zip(self.sextuple(), other.sextuple()))
+    def same_dual(self, other: "DualMarkedBox") -> bool:
+        direct = all(p.same(q) for p, q in zip(self.sextuple(), other.sextuple()))
         if direct:
             return True
-        return all(p.same(q, tol) for p, q in zip(self.sextuple(), other.flip().sextuple()))
+        return all(p.same(q) for p, q in zip(self.sextuple(), other.flip().sextuple()))
 
 
 def model_box(p: Scalar, q: Scalar) -> MarkedBox:

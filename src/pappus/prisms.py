@@ -155,7 +155,7 @@ def _swap_rows(u, w) -> List[List]:
 _TRANSPOSITIONS = ((1, 0, 2), (0, 2, 1), (2, 1, 0))
 
 
-def stabilizing_polarities(flags: Sequence[Flag], tol: float = 1e-9) -> Tuple[Polarity, Polarity, Polarity]:
+def stabilizing_polarities(flags: Sequence[Flag]) -> Tuple[Polarity, Polarity, Polarity]:
     """The three polarities carrying a generic flag triple to itself.
 
     Each acts by one transposition of the flags; returned in the order
@@ -164,13 +164,10 @@ def stabilizing_polarities(flags: Sequence[Flag], tol: float = 1e-9) -> Tuple[Po
     """
     if len(flags) != 3:
         raise DegenerateTriple("need exactly three flags")
-    xi = triple_product(flags)
-    if is_exact_scalar(xi):
-        if xi == 1 or xi == -1:
-            raise UnityTripleProduct("flag triple has unity triple product")
-    elif min(abs(float(xi) - 1.0), abs(float(xi) + 1.0)) < tol:
-        raise UnityTripleProduct("flag triple has unity triple product")
     exact = all(f.point.exact and f.line.exact for f in flags)
+    xi = triple_product(flags)
+    if (xi == 1 or xi == -1) if exact else min(abs(float(xi) - 1.0), abs(float(xi) + 1.0)) < 1e-9:
+        raise UnityTripleProduct("flag triple has unity triple product")
     out = []
     for perm in _TRANSPOSITIONS:
         rows = []
@@ -203,15 +200,16 @@ def stabilizing_polarities(flags: Sequence[Flag], tol: float = 1e-9) -> Tuple[Po
 class Prism:
     """Triple of flats over one ideal triangle.
 
+    base is the box M of the triangle and boxes are (i(M), t(M), b(M)).
     boxes, flags, and flats are aligned: flats[0] is bounded by flags 0
     and 1, flats[1] by flags 1 and 2, flats[2] by flags 2 and 0, and
     polarities[j] swaps exactly the pair bounding flats[j].
     """
 
+    base: MarkedBox
     boxes: Tuple[MarkedBox, MarkedBox, MarkedBox]
     flags: Tuple[Flag, Flag, Flag]
     flats: Tuple[Flat, Flat, Flat]
-    order3: ProjMap
     polarities: Tuple[Polarity, Polarity, Polarity]
 
 
@@ -220,10 +218,10 @@ def prism_of_triangle(m: MarkedBox) -> Prism:
     flags = tuple(top_flag(b) for b in boxes)
     flats = tuple(flat_of_box(b) for b in boxes)
     return Prism(
+        base=m,
         boxes=boxes,
         flags=flags,
         flats=flats,
-        order3=order3_transform(m),
         polarities=stabilizing_polarities(flags),
     )
 
@@ -323,7 +321,7 @@ def translation_T(x, y) -> ProjMap:
 # --- order-3 axis ---------------------------------------------------------------
 
 def _order3_float(p: Prism) -> np.ndarray:
-    g = np.array([[float(v) for v in row] for row in p.order3.m], dtype=float)
+    g = np.array([[float(v) for v in row] for row in order3_transform(p.base).m], dtype=float)
     return g / np.cbrt(float(np.linalg.det(g)))
 
 

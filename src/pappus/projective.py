@@ -5,19 +5,23 @@ stored as homogeneous coordinate triples.  All constructions run over
 either backend:
 
 * exact: ``int`` / ``fractions.Fraction`` input, decided by equality;
-* float: 64-bit floats, decided by tolerance (default ``1e-9`` relative).
+* float: 64-bit floats, decided by tolerance (``DEFAULT_TOL``, relative,
+  unless a check names its own).
 
-A vector's backend is decided once, when it is built, from its entries,
-and kept in its ``exact`` field.  Canonical forms differ per backend: an
-exact vector is stored as a primitive integer triple (denominators
-cleared, divided by the gcd, first nonzero entry positive), so joins,
-meets and zero tests run on plain Python ints, whose size grows with
-the depth of a construction; a float vector gets unit Euclidean norm
-with a positive first nonzero coordinate.  Two accessors give the
-first-nonzero-is-one normal form that output formats print: ``coords``
-as ``Fraction`` entries, ``floats()`` as correctly rounded floats.
-Operations on a mix of exact and float vectors read the exact ones
-through ``floats()``; maps and polarities multiply the stored ``v``.
+A vector's, map's or polarity's backend is decided once, when it is
+built, and kept in its ``exact`` field: a vector reads its entries, a
+matrix its determinant (a float as soon as any entry is one).
+Canonical forms differ per backend: an exact vector is stored as a
+primitive integer triple (denominators cleared, divided by the gcd,
+first nonzero entry positive), so joins, meets and zero tests run on
+plain Python ints, whose size grows with the depth of a construction;
+a float vector gets unit Euclidean norm with a positive first nonzero
+coordinate.  Two accessors give the first-nonzero-is-one normal form
+that output formats print: ``coords`` as ``Fraction`` entries,
+``floats()`` as correctly rounded floats.  Operations on a mix of exact
+and float vectors read the exact ones through ``floats()``; maps and
+polarities multiply the stored ``v``, and their images are exact when
+both the matrix and the vector are.
 """
 
 from __future__ import annotations
@@ -75,10 +79,6 @@ def is_exact_scalar(v: Scalar) -> bool:
     return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
 
 
-def is_exact_triple(v: Sequence[Scalar]) -> bool:
-    return all(is_exact_scalar(x) for x in v)
-
-
 def cross3(u: Sequence[Scalar], v: Sequence[Scalar]) -> Triple:
     return (
         u[1] * v[2] - u[2] * v[1],
@@ -133,7 +133,7 @@ class HomVec:
 
     def __init__(self, v: Sequence[Scalar]):
         v = tuple(v)
-        exact = is_exact_triple(v)
+        exact = all(is_exact_scalar(x) for x in v)
         object.__setattr__(self, "v", _exact_canonical(v) if exact else _float_canonical(v))
         object.__setattr__(self, "exact", exact)
 
@@ -163,13 +163,17 @@ class HomVec:
         return max(abs(float(x)) for x in c) <= tol
 
 
-def _built(cls, v: Sequence[Scalar], exact: bool):
-    """A ``cls`` vector from a triple whose backend the caller already knows;
-    exact triples here have plain ``int`` entries."""
+def _built(cls, v: Triple, exact: bool):
+    """A ``cls`` vector from its canonical triple, skipping the backend scan."""
     h = object.__new__(cls)
-    object.__setattr__(h, "v", _primitive(*v) if exact else _float_canonical(v))
+    object.__setattr__(h, "v", v)
     object.__setattr__(h, "exact", exact)
     return h
+
+
+def _image(cls, v: Sequence[Scalar], exact: bool):
+    """A ``cls`` vector from a triple whose backend the caller already knows."""
+    return _built(cls, _exact_canonical(v) if exact else _float_canonical(v), exact)
 
 
 class ProjPoint(HomVec):
@@ -182,35 +186,35 @@ class ProjLine(HomVec):
         return meet(self, other)
 
 
-def _near_zero(v: Sequence[float], tol: float, scale: float) -> bool:
-    return max(abs(float(x)) for x in v) <= tol * max(scale, 1.0)
+def _near_zero(v: Sequence[float], scale: float) -> bool:
+    return max(abs(float(x)) for x in v) <= DEFAULT_TOL * max(scale, 1.0)
 
 
 def _pair_scale(u: Sequence[float], v: Sequence[float]) -> float:
     return max(abs(float(x)) for x in (*u, *v))
 
 
-def _cross_of(cls, p: HomVec, q: HomVec, tol: float, err, what: str):
+def _cross_of(cls, p: HomVec, q: HomVec, err, what: str):
     if p.exact and q.exact:
         c = cross3(p.v, q.v)
         if c == (0, 0, 0):
             raise err(f"{what} {p.v}")
-        return _built(cls, c, True)
+        return _built(cls, _primitive(*c), True)
     u, w = p.floats(), q.floats()
     c = cross3(u, w)
-    if _near_zero(c, tol, _pair_scale(u, w)):
+    if _near_zero(c, _pair_scale(u, w)):
         raise err(f"{what} {p.v}")
-    return _built(cls, c, False)
+    return _built(cls, _float_canonical(c), False)
 
 
-def join(p: ProjPoint, q: ProjPoint, tol: float = DEFAULT_TOL) -> ProjLine:
+def join(p: ProjPoint, q: ProjPoint) -> ProjLine:
     """Line through two distinct points."""
-    return _cross_of(ProjLine, p, q, tol, CoincidentPoints, "join of coincident points")
+    return _cross_of(ProjLine, p, q, CoincidentPoints, "join of coincident points")
 
 
-def meet(l: ProjLine, m: ProjLine, tol: float = DEFAULT_TOL) -> ProjPoint:
+def meet(l: ProjLine, m: ProjLine) -> ProjPoint:
     """Intersection point of two distinct lines."""
-    return _cross_of(ProjPoint, l, m, tol, CoincidentLines, "meet of coincident lines")
+    return _cross_of(ProjPoint, l, m, CoincidentLines, "meet of coincident lines")
 
 
 def incident(p: ProjPoint, l: ProjLine, tol: float = DEFAULT_TOL) -> bool:
@@ -230,12 +234,8 @@ class Flag:
         if not incident(self.point, self.line, tol=1e-7):
             raise DegenerateFlags(f"point {self.point.v} not on line {self.line.v}")
 
-    def same(self, other: "Flag", tol: float = DEFAULT_TOL) -> bool:
-        return self.point.same(other.point, tol) and self.line.same(other.line, tol)
 
-
-def cross_ratio(a: ProjPoint, b: ProjPoint, c: ProjPoint, d: ProjPoint,
-                tol: float = DEFAULT_TOL) -> Scalar:
+def cross_ratio(a: ProjPoint, b: ProjPoint, c: ProjPoint, d: ProjPoint) -> Scalar:
     """Cross ratio of four collinear points, at least three distinct.
 
     Computed from entrywise products of coordinate cross products; the
@@ -250,7 +250,7 @@ def cross_ratio(a: ProjPoint, b: ProjPoint, c: ProjPoint, d: ProjPoint,
     for i in range(4):
         for j in range(i + 1, 4):
             cc = cross3(vs[i], vs[j])
-            if (cc != (0, 0, 0)) if exact else not _near_zero(cc, tol, _pair_scale(vs[i], vs[j])):
+            if (cc != (0, 0, 0)) if exact else not _near_zero(cc, _pair_scale(vs[i], vs[j])):
                 base = cc
                 break
         if base is not None:
@@ -259,7 +259,7 @@ def cross_ratio(a: ProjPoint, b: ProjPoint, c: ProjPoint, d: ProjPoint,
         raise DegenerateQuadruple("all four points coincide")
     for v in vs:
         val = dot3(v, base)
-        if not (val == 0 if exact else abs(float(val)) <= tol * 10):
+        if not (val == 0 if exact else abs(float(val)) <= DEFAULT_TOL * 10):
             raise NotCollinear(f"{v} off the common line")
     va, vb, vc, vd = vs
     num = cross3(va, vb)
@@ -275,12 +275,12 @@ def cross_ratio(a: ProjPoint, b: ProjPoint, c: ProjPoint, d: ProjPoint,
         scale = _pair_scale(den, den2)
         for i in range(3):
             dv = den[i] * den2[i]
-            if abs(float(dv)) > tol * max(scale, 1.0) ** 2 * 1e-4:
+            if abs(float(dv)) > DEFAULT_TOL * max(scale, 1.0) ** 2 * 1e-4:
                 return (num[i] * num2[i]) / dv
     raise DegenerateQuadruple("cross ratio undefined for this quadruple")
 
 
-def triple_product(flags: Sequence[Flag], tol: float = DEFAULT_TOL) -> Scalar:
+def triple_product(flags: Sequence[Flag]) -> Scalar:
     """Projective invariant of an ordered triple of flags.
 
     With flags (p_k, l_k) the value is
@@ -299,7 +299,7 @@ def triple_product(flags: Sequence[Flag], tol: float = DEFAULT_TOL) -> Scalar:
         if den == 0:
             raise DegenerateFlags("degenerate flag triple: zero pairing")
         return Fraction(num, den)
-    if abs(float(den)) <= tol ** 2:
+    if abs(float(den)) <= DEFAULT_TOL ** 2:
         raise DegenerateFlags("degenerate flag triple: near-zero pairing")
     return num / den
 
@@ -311,10 +311,6 @@ Mat = Tuple[Triple, Triple, Triple]
 
 def mat_from_rows(rows) -> Mat:
     return tuple(tuple(r) for r in rows)
-
-
-def mat_identity() -> Mat:
-    return ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def mat_vec(m: Mat, v: Sequence[Scalar]) -> Triple:
@@ -346,20 +342,20 @@ def mat_adjugate(m: Mat) -> Mat:
     return mat_transpose((c0, c1, c2))
 
 
-def mat_inv(m: Mat, tol: float = DEFAULT_TOL) -> Mat:
+def mat_inv(m: Mat) -> Mat:
+    """Inverse over the determinant's backend: a float entry makes it a float."""
     d = mat_det(m)
-    exact = all(is_exact_triple(r) for r in m)
-    if exact:
+    if is_exact_scalar(d):
         if d == 0:
             raise SingularMap("matrix is singular")
         return mat_scale(mat_adjugate(m), Fraction(1, 1) / d)
     scale = max(abs(float(x)) for row in m for x in row)
-    if abs(float(d)) <= tol * max(scale, 1.0) ** 3 * 1e-3:
+    if abs(float(d)) <= DEFAULT_TOL * max(scale, 1.0) ** 3 * 1e-3:
         raise SingularMap("matrix is numerically singular")
     return mat_scale(mat_adjugate(m), 1.0 / d)
 
 
-def mat_is_proportional(a: Mat, b: Mat, tol: float = DEFAULT_TOL) -> bool:
+def mat_is_proportional(a: Mat, b: Mat) -> bool:
     """True when a = c*b for a nonzero scalar c."""
     flat_a = [x for row in a for x in row]
     flat_b = [x for row in b for x in row]
@@ -380,7 +376,7 @@ def mat_is_proportional(a: Mat, b: Mat, tol: float = DEFAULT_TOL) -> bool:
     fb = [x / nb for x in fb]
     dot = sum(x * y for x, y in zip(fa, fb))
     sign = 1.0 if dot >= 0 else -1.0
-    return max(abs(x - sign * y) for x, y in zip(fa, fb)) <= tol * 100
+    return max(abs(x - sign * y) for x, y in zip(fa, fb)) <= DEFAULT_TOL * 100
 
 
 @dataclass(frozen=True)
@@ -388,21 +384,23 @@ class ProjMap:
     """Invertible projective transformation acting on points and lines."""
 
     m: Mat
+    exact: bool = field(compare=False)
 
     def __init__(self, m):
         mm = mat_from_rows(m)
         d = mat_det(mm)
-        exact = all(is_exact_triple(r) for r in mm)
+        exact = is_exact_scalar(d)
         if (exact and d == 0) or (not exact and abs(float(d)) == 0.0):
             raise SingularMap("projective map must be invertible")
         object.__setattr__(self, "m", mm)
+        object.__setattr__(self, "exact", exact)
 
     def apply_point(self, p: ProjPoint) -> ProjPoint:
-        return ProjPoint(mat_vec(self.m, p.v))
+        return _image(ProjPoint, mat_vec(self.m, p.v), self.exact and p.exact)
 
     def apply_line(self, l: ProjLine) -> ProjLine:
         # lines push forward by the inverse transpose
-        return ProjLine(mat_vec(mat_transpose(mat_inv(self.m)), l.v))
+        return _image(ProjLine, mat_vec(mat_transpose(mat_inv(self.m)), l.v), self.exact and l.exact)
 
     def apply_flag(self, f: Flag) -> Flag:
         return Flag(self.apply_point(f.point), self.apply_line(f.line))
@@ -414,8 +412,8 @@ class ProjMap:
     def inverse(self) -> "ProjMap":
         return ProjMap(mat_inv(self.m))
 
-    def same(self, other: "ProjMap", tol: float = DEFAULT_TOL) -> bool:
-        return mat_is_proportional(self.m, other.m, tol)
+    def same(self, other: "ProjMap") -> bool:
+        return mat_is_proportional(self.m, other.m)
 
 
 @dataclass(frozen=True)
@@ -427,33 +425,32 @@ class Polarity:
     """
 
     q: Mat
+    exact: bool = field(compare=False)
 
     def __init__(self, q):
         qq = mat_from_rows(q)
-        exact = all(is_exact_triple(r) for r in qq)
+        d = mat_det(qq)
+        exact = is_exact_scalar(d)
         for i in range(3):
             for j in range(i + 1, 3):
                 same = qq[i][j] == qq[j][i] if exact else \
                     math.isclose(float(qq[i][j]), float(qq[j][i]), rel_tol=1e-9, abs_tol=1e-12)
                 if not same:
                     raise ProjectiveError("polarity matrix must be symmetric")
-        d = mat_det(qq)
         if (exact and d == 0) or (not exact and float(d) == 0.0):
             raise SingularMap("polarity matrix must be invertible")
         object.__setattr__(self, "q", qq)
+        object.__setattr__(self, "exact", exact)
 
     def point_to_line(self, p: ProjPoint) -> ProjLine:
-        return ProjLine(mat_vec(self.q, p.v))
+        return _image(ProjLine, mat_vec(self.q, p.v), self.exact and p.exact)
 
     def line_to_point(self, l: ProjLine) -> ProjPoint:
-        return ProjPoint(mat_vec(mat_inv(self.q), l.v))
+        return _image(ProjPoint, mat_vec(mat_inv(self.q), l.v), self.exact and l.exact)
 
     def apply_flag(self, f: Flag) -> Flag:
         """Flag image: the input line maps to the point, the input point to the line."""
         return Flag(self.line_to_point(f.line), self.point_to_line(f.point))
-
-    def same(self, other: "Polarity", tol: float = DEFAULT_TOL) -> bool:
-        return mat_is_proportional(self.q, other.q, tol)
 
 
 def standard_polarity(exact: bool = True) -> Polarity:
@@ -462,15 +459,14 @@ def standard_polarity(exact: bool = True) -> Polarity:
     return Polarity(((one, zero, zero), (zero, one, zero), (zero, zero, one)))
 
 
-def is_elliptic(delta: Polarity, tol: float = DEFAULT_TOL) -> bool:
+def is_elliptic(delta: Polarity) -> bool:
     """True when the symmetric matrix of the polarity is definite.
 
     Exact backend: sign pattern of leading principal minors.  Float
     backend: signs of the eigenvalues.
     """
     q = delta.q
-    exact = all(is_exact_triple(r) for r in q)
-    if exact:
+    if delta.exact:
         m1 = q[0][0]
         m2 = q[0][0] * q[1][1] - q[0][1] * q[1][0]
         m3 = mat_det(q)
@@ -478,7 +474,7 @@ def is_elliptic(delta: Polarity, tol: float = DEFAULT_TOL) -> bool:
         neg = m1 < 0 and m2 > 0 and m3 < 0
         return pos or neg
     w = np.linalg.eigvalsh(np.array([[float(x) for x in row] for row in q]))
-    return bool((w > tol).all() or (w < -tol).all())
+    return bool((w > DEFAULT_TOL).all() or (w < -DEFAULT_TOL).all())
 
 
 def transform_from_correspondence(src, dst) -> ProjMap:

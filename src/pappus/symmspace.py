@@ -75,15 +75,15 @@ def _float_triple(v: HomVec) -> np.ndarray:
 _JACOBI_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
-def jacobi_eigh(mat, tol: float = 1e-13, max_sweeps: int = 64):
+def jacobi_eigh(mat):
     """Eigenvalues (descending) and orthonormal eigenvector columns."""
     a = np.array(mat, dtype=float)
     a = (a + a.T) / 2.0
     scale = max(1.0, float(np.sqrt((a * a).sum())))
     v = np.eye(3)
-    for _ in range(max_sweeps):
+    for _ in range(64):
         off = math.sqrt(a[0, 1] ** 2 + a[0, 2] ** 2 + a[1, 2] ** 2)
-        if off <= tol * scale:
+        if off <= 1e-13 * scale:
             break
         for p, q in _JACOBI_PAIRS:
             apq = a[p, q]
@@ -229,12 +229,12 @@ class XGeodesic:
             object.__setattr__(self, "_eig", jacobi_eigh(self.direction))
         return self._eig
 
-    def same_unoriented(self, other: "XGeodesic", tol: float = 1e-8) -> bool:
-        if not self.base.same(other.base, tol):
+    def same_unoriented(self, other: "XGeodesic") -> bool:
+        if not self.base.same(other.base, 1e-8):
             return False
         d = float(np.max(np.abs(self.direction - other.direction)))
         dr = float(np.max(np.abs(self.direction + other.direction)))
-        return min(d, dr) <= tol
+        return min(d, dr) <= 1e-8
 
 
 def geodesic_point(gamma: XGeodesic, tau: float) -> XPoint:
@@ -284,7 +284,7 @@ _PATTERN_LINE = np.array([1.0, 1.0, -2.0]) / math.sqrt(6.0)
 _PATTERN_FLAG = np.array([1.0, 0.0, -1.0]) / math.sqrt(2.0)
 
 
-def boundary_ray_class(gamma: XGeodesic, direction: int, tol: float = 1e-8):
+def boundary_ray_class(gamma: XGeodesic, direction: int):
     """Limit type of one end of a geodesic.
 
     The eigenvalue pattern of the (possibly reversed) direction decides:
@@ -296,11 +296,11 @@ def boundary_ray_class(gamma: XGeodesic, direction: int, tol: float = 1e-8):
     lam = direction * gamma.direction
     w, v = jacobi_eigh(lam)
     half, half_inv = gamma.base._powers()
-    if np.max(np.abs(w - _PATTERN_POINT)) < tol:
+    if np.max(np.abs(w - _PATTERN_POINT)) < 1e-8:
         return PointClass(ProjPoint(tuple(half_inv @ v[:, 0])))
-    if np.max(np.abs(w - _PATTERN_LINE)) < tol:
+    if np.max(np.abs(w - _PATTERN_LINE)) < 1e-8:
         return LineClass(ProjLine(tuple(half @ v[:, 2])))
-    if np.max(np.abs(w - _PATTERN_FLAG)) < tol:
+    if np.max(np.abs(w - _PATTERN_FLAG)) < 1e-8:
         pt = ProjPoint(tuple(half_inv @ v[:, 0]))
         ln = ProjLine(tuple(half @ v[:, 2]))
         return FlagClass(Flag(pt, ln))
@@ -343,11 +343,11 @@ class Flat:
         off = math.sqrt(2.0 * (c[0, 1] ** 2 + c[0, 2] ** 2 + c[1, 2] ** 2))
         return off <= tol * float(np.sqrt((c * c).sum()))
 
-    def log_coords(self, e: XPoint, tol: float = 1e-8) -> np.ndarray:
+    def log_coords(self, e: XPoint) -> np.ndarray:
         c = self.basis.T @ e.m @ self.basis
         d = np.diag(c)
         off = math.sqrt(2.0 * (c[0, 1] ** 2 + c[0, 2] ** 2 + c[1, 2] ** 2))
-        if d.min() <= 0 or off > tol * float(np.sqrt((c * c).sum())):
+        if d.min() <= 0 or off > 1e-8 * float(np.sqrt((c * c).sum())):
             raise PointOffFlat("point is not on the flat")
         u = np.log(d)
         return u - u.mean()
@@ -364,12 +364,12 @@ class Flat:
         u = self.log_coords(e)
         return float(u @ FLAT_AXIS_MEDIAL) / 2.0, float(u @ FLAT_AXIS_SINGULAR) / 2.0
 
-    def same_flat(self, other: "Flat", tol: float = 1e-7) -> bool:
+    def same_flat(self, other: "Flat") -> bool:
         used = set()
         for v in self.vertices:
             hit = None
             for j, w in enumerate(other.vertices):
-                if j not in used and v.same(w, tol):
+                if j not in used and v.same(w, 1e-7):
                     hit = j
                     break
             if hit is None:

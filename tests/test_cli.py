@@ -83,6 +83,21 @@ PINNED_OUTPUTS = {
         "683c60963384ffe151b58c61e9f8d499b1bf3d1d37abbe99c734e154c9cb8a9e",
     ("prism", "--x", "3/10", "--y", "2/5", "--depth", "2"):
         "454ae8944ad439a866483180fb136d294f87b5f15a7923f8c6471507e21267f4",
+    # float-backend, obj, distances and verify outputs, pinned before the
+    # per-call thresholds became module constants
+    ("verify", "--suite", "all"):
+        "428e51c50db9b648304dad74895b769fca3df903e5a82a26a5d63a87b8e2905d",
+    ("prism", "--x", "3/10", "--y", "2/5", "--format", "obj", "--cone", "0.3", "--samples", "24"):
+        "45eb65605c20edc92f37c2bf9e7643b31fb0e66c6a7016cb60d217239249e0f8",
+    ("pattern", "--x", "3/10", "--y", "2/5", "--depth", "2", "--distances"):
+        "b528e3359cf7b93a36ebd59866a8cf02cfeca733dedb883c32add74212a441c0",
+    # flags reordered so the test id differs from the exact orbit entry's
+    ("orbit", "--depth", "5", "--x", "0.3", "--y", "0.4"):
+        "ac2a25e7e1eef15f2ef32c0be3337f77f4defdfce1d4bb1e5962c1b79d62ffdb",
+    ("limitset", "--x", "3/10", "--y", "2/5", "--depth", "5"):
+        "e8dfe1b19435bae34595e6b09eec628082dac55f752a9052c96cb6ae140e7a41",
+    ("charvar", "--grid", "5"):
+        "b315ff3cdc0a167c34161dab670298f1ce665a96e9d9499a3740169126556dd7",
 }
 
 

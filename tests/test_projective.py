@@ -22,6 +22,7 @@ from pappus.projective import (
     is_elliptic,
     join,
     mat_det,
+    mat_inv,
     meet,
     standard_polarity,
     transform_from_correspondence,
@@ -222,3 +223,23 @@ def test_mat_det_exact():
          (Fraction(0), Fraction(3), Fraction(0)),
          (Fraction(0), Fraction(0), Fraction(5)))
     assert mat_det(m) == 30
+
+
+def test_maps_and_polarities_fix_their_backend_at_construction():
+    g = ProjMap(((1, 2, 0), (0, 1, 1), (1, 0, 1)))
+    # one float entry makes the determinant, and so the map and its inverse, float
+    mixed = ProjMap(((1, 2, 0), (0, 1.0, 1), (1, 0, 1)))
+    assert g.exact and not mixed.exact
+    assert all(type(x) is Fraction for row in mat_inv(g.m) for x in row)
+    assert all(type(x) is float for row in mat_inv(mixed.m) for x in row)
+    p, pf = frac_point(3, -1, 2), ProjPoint((3.0, -1.0, 2.0))
+    line = join(p, frac_point(1, 1, 1))
+    # an image is exact when both the matrix and the vector are
+    assert g.apply_point(p).exact and g.apply_line(line).exact
+    assert not (g.apply_point(pf).exact or mixed.apply_point(p).exact or mixed.apply_line(line).exact)
+    exact, floating = standard_polarity(), standard_polarity(exact=False)
+    assert exact.exact and not floating.exact
+    assert exact.line_to_point(line).exact and exact.point_to_line(p).exact
+    assert not (floating.line_to_point(line).exact or exact.point_to_line(pf).exact)
+    # like a vector's, the stored flag takes no part in equality
+    assert exact == floating
