@@ -8,10 +8,11 @@ Subcommands:
   prism     bending report (json) or a sampled cone mesh (obj)
   verify    run the identity suites and report residuals (json)
 
-Rational arguments like 3/10 keep the exact backend exact end to end;
-decimal arguments route to floats with a warning.  Exit codes: 2 for an
-invalid configuration, 3 for degenerate geometry, 1 for a failed
-verification, 0 otherwise.
+The spelling of --x and --y picks the backend: two rationals like 3/10
+run exact end to end, and any decimal runs the float backend (with a
+warning when both are decimals).  Exit codes: 2 for an invalid
+configuration, 3 for degenerate geometry, 1 for a failed verification,
+0 otherwise.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import os
 import random
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
@@ -142,14 +143,8 @@ def _build_config(args, formats: Sequence[str], need_params: bool = True) -> Run
             raise ConfigError("--x and --y are required")
         x, x_exact = _parse_scalar(args.x)
         y, y_exact = _parse_scalar(args.y)
-        backend = args.backend or ("exact" if x_exact and y_exact else "float")
-        if backend == "exact":
-            # Fraction(str) reads decimal strings exactly, so 0.3 -> 3/10
-            x = x if x_exact else Fraction(args.x)
-            y = y if y_exact else Fraction(args.y)
-            if not (x_exact and y_exact):
-                print("note: decimal input coerced to exact rational", file=sys.stderr)
-        else:
+        backend = "exact" if x_exact and y_exact else "float"
+        if backend == "float":
             if not (x_exact or y_exact):
                 print("warning: decimal input uses the float backend", file=sys.stderr)
             x, y = float(x), float(y)
@@ -178,11 +173,7 @@ def _emit(cfg: RunConfig, text: str) -> None:
 
 
 def _fmt_scalar(v) -> str:
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, int):
-        return str(v)
-    return repr(float(v))
+    return str(v) if isinstance(v, (int, Fraction)) else repr(float(v))
 
 
 def _fmt_rational(r) -> str:
@@ -441,7 +432,7 @@ def cmd_prism(args) -> int:
         _emit(cfg, mesh_to_obj(mesh))
         return EXIT_OK
     report = bending_report(cfg.x, cfg.y, cfg.depth)
-    payload = {"command": "prism", **report.as_dict()}
+    payload = {"command": "prism", **asdict(report)}
     _emit(cfg, _dump_json(payload))
     return EXIT_OK
 
@@ -669,7 +660,6 @@ def _add_common(sp, fmt_choices, default_fmt, depth_default=0):
     sp.add_argument("--x", help="first parameter, rational p/q or decimal")
     sp.add_argument("--y", help="second parameter, rational p/q or decimal")
     sp.add_argument("--depth", type=int, default=depth_default, help="orbit depth")
-    sp.add_argument("--backend", choices=("exact", "float"), help="arithmetic backend")
     sp.add_argument("--out", help="output path (default stdout)")
     sp.add_argument("--format", choices=fmt_choices, default=default_fmt)
 

@@ -97,10 +97,6 @@ class OrientedEdge:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
 
-    @staticmethod
-    def from_rationals(tail: Rational, head: Rational) -> "OrientedEdge":
-        return OrientedEdge((tail.n, tail.d), (head.n, head.d))
-
     @property
     def tail(self) -> Rational:
         return Rational(*self.p)

@@ -117,9 +117,6 @@ class FareyPattern:
     base_edge: OrientedEdge
     base_box: MarkedBox
 
-    def by_word(self) -> Dict[str, PatternGeodesic]:
-        return {g.word: g for g in self.geodesics}
-
     def edge_of(self, word: str) -> OrientedEdge:
         return word_apply(word, self.base_edge)
 

@@ -32,8 +32,10 @@ from .projective import (
     Scalar,
     cross_ratio,
     is_exact_scalar,
+    join,
     mat_mul,
     mat_transpose,
+    meet,
     transform_from_correspondence,
     triple_product,
 )
@@ -54,6 +56,13 @@ def _collinear(p, q, r) -> bool:
     )
     d = p0 * (q1 * r2 - q2 * r1) - p1 * (q0 * r2 - q2 * r0) + p2 * (q0 * r1 - q1 * r0)
     return d == 0 if exact else abs(float(d)) <= 1e-7
+
+
+def _same_up_to_flip(xs, ys, tol: float) -> bool:
+    """Pointwise projective equality of two sextuples, directly or after
+    the flip of the second, (s, t, u, a, b, c) -> (u, t, s, c, b, a)."""
+    flipped = (ys[2], ys[1], ys[0], ys[5], ys[4], ys[3])
+    return any(all(p.same(q, tol) for p, q in zip(xs, zs)) for zs in (ys, flipped))
 
 
 @dataclass(frozen=True)
@@ -88,10 +97,7 @@ class MarkedBox:
 
     def same_box(self, other: "MarkedBox", tol: float = DEFAULT_TOL) -> bool:
         """Equality of marked boxes, modulo the flip identification."""
-        direct = all(p.same(q, tol) for p, q in zip(self.sextuple(), other.sextuple()))
-        if direct:
-            return True
-        return all(p.same(q, tol) for p, q in zip(self.sextuple(), other.flip().sextuple()))
+        return _same_up_to_flip(self.sextuple(), other.sextuple(), tol)
 
 
 @dataclass(frozen=True)
@@ -114,14 +120,9 @@ class DualMarkedBox:
     def sextuple(self) -> Tuple[ProjLine, ...]:
         return (self.S, self.T, self.U, self.A, self.B, self.C)
 
-    def flip(self) -> "DualMarkedBox":
-        return DualMarkedBox(self.U, self.T, self.S, self.C, self.B, self.A)
-
     def same_dual(self, other: "DualMarkedBox") -> bool:
-        direct = all(p.same(q) for p, q in zip(self.sextuple(), other.sextuple()))
-        if direct:
-            return True
-        return all(p.same(q) for p, q in zip(self.sextuple(), other.flip().sextuple()))
+        """Equality of dual marked boxes, modulo the flip identification."""
+        return _same_up_to_flip(self.sextuple(), other.sextuple(), DEFAULT_TOL)
 
 
 def model_box(p: Scalar, q: Scalar) -> MarkedBox:
@@ -146,18 +147,18 @@ def model_box(p: Scalar, q: Scalar) -> MarkedBox:
 
 
 def top_flag(m: MarkedBox) -> Flag:
-    return Flag(m.t, m.s.join(m.u))
+    return Flag(m.t, join(m.s, m.u))
 
 def bottom_flag(m: MarkedBox) -> Flag:
-    return Flag(m.b, m.a.join(m.c))
+    return Flag(m.b, join(m.a, m.c))
 
 
 def _hexagon_points(m: MarkedBox):
     """The three interior hexagon points, collinear on the cross axis."""
     try:
-        a2 = m.t.join(m.a).meet(m.u.join(m.b))
-        b2 = m.s.join(m.a).meet(m.u.join(m.c))
-        c2 = m.t.join(m.c).meet(m.s.join(m.b))
+        a2 = meet(join(m.t, m.a), join(m.u, m.b))
+        b2 = meet(join(m.s, m.a), join(m.u, m.c))
+        c2 = meet(join(m.t, m.c), join(m.s, m.b))
     except (CoincidentPoints, CoincidentLines) as e:
         raise DegenerateBox(f"hexagon construction degenerates: {e}")
     return a2, b2, c2
@@ -189,7 +190,7 @@ def apply_word_box(word: str, m: MarkedBox) -> MarkedBox:
 
 def raw_invariant(m: MarkedBox) -> Tuple[Scalar, Scalar]:
     """Ordered invariant pair before the flip identification."""
-    zeta = m.s.join(m.u).meet(m.c.join(m.a))
+    zeta = meet(join(m.s, m.u), join(m.c, m.a))
     x = cross_ratio(m.s, m.t, m.u, zeta)
     y = cross_ratio(m.a, m.b, m.c, zeta)
     return x, y
@@ -202,12 +203,12 @@ def doppelganger(m: MarkedBox) -> DualMarkedBox:
     result is a marked box in the dual plane.
     """
     return DualMarkedBox(
-        m.c.join(m.t),
-        m.s.join(m.u),
-        m.a.join(m.t),
-        m.s.join(m.b),
-        m.a.join(m.c),
-        m.u.join(m.b),
+        join(m.c, m.t),
+        join(m.s, m.u),
+        join(m.a, m.t),
+        join(m.s, m.b),
+        join(m.a, m.c),
+        join(m.u, m.b),
     )
 
 

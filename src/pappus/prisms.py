@@ -395,8 +395,8 @@ class PrismReport:
 class AdjacencyReport:
     word: str
     child_word: str
-    line_offset: float
-    point_offset: float
+    inflection_line_offset: float
+    inflection_point_offset: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -405,32 +405,7 @@ class BendingReport:
     y: float
     depth: int
     prisms: Tuple[PrismReport, ...]
-    adjacencies: Tuple[AdjacencyReport, ...]
-
-    def as_dict(self) -> Dict:
-        return {
-            "x": self.x,
-            "y": self.y,
-            "depth": self.depth,
-            "prisms": [
-                {
-                    "word": p.word,
-                    "triple_invariant": p.triple_invariant,
-                    "distances": list(p.distances),
-                    "collinearity_residuals": list(p.collinearity_residuals),
-                }
-                for p in self.prisms
-            ],
-            "adjacent_pairs": [
-                {
-                    "word": a.word,
-                    "child_word": a.child_word,
-                    "inflection_line_offset": a.line_offset,
-                    "inflection_point_offset": a.point_offset,
-                }
-                for a in self.adjacencies
-            ],
-        }
+    adjacent_pairs: Tuple[AdjacencyReport, ...]
 
 
 def bending_report(x, y, depth: int) -> BendingReport:
@@ -438,8 +413,8 @@ def bending_report(x, y, depth: int) -> BendingReport:
 
     Adjacent prisms share a flat; the offsets compare their inflection
     points in the shared flat's coordinates, along the medial axis
-    (line_offset, zero when the inflection lines coincide) and along
-    the singular axis (point_offset).
+    (inflection_line_offset, zero when the inflection lines coincide)
+    and along the singular axis (inflection_point_offset).
     """
     boxes = dict(pattern_boxes(x, y, depth))
     prisms: Dict[str, Prism] = {w: prism_of_triangle(m) for w, m in boxes.items()}
@@ -456,7 +431,7 @@ def bending_report(x, y, depth: int) -> BendingReport:
                 collinearity_residuals=tuple(item.collinearity_residual for item in d3),
             )
         )
-    adjacencies = []
+    adjacent_pairs = []
     for w in boxes:
         for letter, slot in (("t", 1), ("b", 2)):
             child = w + letter
@@ -467,12 +442,12 @@ def bending_report(x, y, depth: int) -> BendingReport:
                 raise ConsistencyFailure("adjacent prisms do not share a flat")
             a_p, b_p = shared.metric_coords(data[w][slot].point)
             a_c, b_c = shared.metric_coords(data[child][0].point)
-            adjacencies.append(
+            adjacent_pairs.append(
                 AdjacencyReport(
                     word=w,
                     child_word=child,
-                    line_offset=abs(a_p - a_c),
-                    point_offset=b_p - b_c,
+                    inflection_line_offset=abs(a_p - a_c),
+                    inflection_point_offset=b_p - b_c,
                 )
             )
     return BendingReport(
@@ -480,7 +455,7 @@ def bending_report(x, y, depth: int) -> BendingReport:
         y=float(y),
         depth=depth,
         prisms=tuple(reports),
-        adjacencies=tuple(adjacencies),
+        adjacent_pairs=tuple(adjacent_pairs),
     )
 
 

@@ -177,13 +177,11 @@ def _image(cls, v: Sequence[Scalar], exact: bool):
 
 
 class ProjPoint(HomVec):
-    def join(self, other: "ProjPoint") -> "ProjLine":
-        return join(self, other)
+    """Point of the projective plane."""
 
 
 class ProjLine(HomVec):
-    def meet(self, other: "ProjLine") -> "ProjPoint":
-        return meet(self, other)
+    """Line of the projective plane, i.e. a point of the dual plane."""
 
 
 def _near_zero(v: Sequence[float], scale: float) -> bool:
@@ -355,33 +353,9 @@ def mat_inv(m: Mat) -> Mat:
     return mat_scale(mat_adjugate(m), 1.0 / d)
 
 
-def mat_is_proportional(a: Mat, b: Mat) -> bool:
-    """True when a = c*b for a nonzero scalar c."""
-    flat_a = [x for row in a for x in row]
-    flat_b = [x for row in b for x in row]
-    exact = all(is_exact_scalar(x) for x in flat_a + flat_b)
-    if exact:
-        for i in range(9):
-            for j in range(9):
-                if flat_a[i] * flat_b[j] != flat_a[j] * flat_b[i]:
-                    return False
-        return any(x != 0 for x in flat_a) and any(x != 0 for x in flat_b)
-    fa = [float(x) for x in flat_a]
-    fb = [float(x) for x in flat_b]
-    na = math.sqrt(sum(x * x for x in fa))
-    nb = math.sqrt(sum(x * x for x in fb))
-    if na == 0 or nb == 0:
-        return False
-    fa = [x / na for x in fa]
-    fb = [x / nb for x in fb]
-    dot = sum(x * y for x, y in zip(fa, fb))
-    sign = 1.0 if dot >= 0 else -1.0
-    return max(abs(x - sign * y) for x, y in zip(fa, fb)) <= DEFAULT_TOL * 100
-
-
 @dataclass(frozen=True)
 class ProjMap:
-    """Invertible projective transformation acting on points and lines."""
+    """Invertible projective transformation acting on points."""
 
     m: Mat
     exact: bool = field(compare=False)
@@ -397,23 +371,6 @@ class ProjMap:
 
     def apply_point(self, p: ProjPoint) -> ProjPoint:
         return _image(ProjPoint, mat_vec(self.m, p.v), self.exact and p.exact)
-
-    def apply_line(self, l: ProjLine) -> ProjLine:
-        # lines push forward by the inverse transpose
-        return _image(ProjLine, mat_vec(mat_transpose(mat_inv(self.m)), l.v), self.exact and l.exact)
-
-    def apply_flag(self, f: Flag) -> Flag:
-        return Flag(self.apply_point(f.point), self.apply_line(f.line))
-
-    def compose(self, other: "ProjMap") -> "ProjMap":
-        """self after other."""
-        return ProjMap(mat_mul(self.m, other.m))
-
-    def inverse(self) -> "ProjMap":
-        return ProjMap(mat_inv(self.m))
-
-    def same(self, other: "ProjMap") -> bool:
-        return mat_is_proportional(self.m, other.m)
 
 
 @dataclass(frozen=True)
@@ -447,10 +404,6 @@ class Polarity:
 
     def line_to_point(self, l: ProjLine) -> ProjPoint:
         return _image(ProjPoint, mat_vec(mat_inv(self.q), l.v), self.exact and l.exact)
-
-    def apply_flag(self, f: Flag) -> Flag:
-        """Flag image: the input line maps to the point, the input point to the line."""
-        return Flag(self.line_to_point(f.line), self.point_to_line(f.point))
 
 
 def standard_polarity(exact: bool = True) -> Polarity:

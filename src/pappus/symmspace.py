@@ -31,6 +31,7 @@ from .projective import (
     NonElliptic,
     PappusError,
     is_elliptic,
+    join,
 )
 
 
@@ -150,10 +151,6 @@ class XPoint:
         return bool(np.max(np.abs(self.m - other.m)) <= tol * max(1.0, float(np.max(np.abs(self.m)))))
 
 
-def identity_point() -> XPoint:
-    return XPoint(np.eye(3))
-
-
 def metric_d(e1: XPoint, e2: XPoint) -> float:
     ell = np.linalg.cholesky(e1.m)
     w = np.linalg.solve(ell, e2.m)
@@ -228,13 +225,6 @@ class XGeodesic:
         if getattr(self, "_eig") is None:
             object.__setattr__(self, "_eig", jacobi_eigh(self.direction))
         return self._eig
-
-    def same_unoriented(self, other: "XGeodesic") -> bool:
-        if not self.base.same(other.base, 1e-8):
-            return False
-        d = float(np.max(np.abs(self.direction - other.direction)))
-        dr = float(np.max(np.abs(self.direction + other.direction)))
-        return min(d, dr) <= 1e-8
 
 
 def geodesic_point(gamma: XGeodesic, tau: float) -> XPoint:
@@ -387,7 +377,7 @@ def flat_from_triangle(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint) -> Flat:
     binv = np.linalg.inv(b)
     verts = (p1, p2, p3)
     # sides[k] joins the two vertices other than k
-    sides = tuple(verts[(k + 1) % 3].join(verts[(k + 2) % 3]) for k in range(3))
+    sides = tuple(join(verts[(k + 1) % 3], verts[(k + 2) % 3]) for k in range(3))
     return Flat(verts, sides, b, binv)
 
 

@@ -63,9 +63,9 @@ def test_rationals_are_reduced_and_hashable():
 
 
 def test_edges_exist_only_between_farey_neighbors():
-    OrientedEdge.from_rationals(Rational(1, 3), Rational(1, 2))
+    OrientedEdge((1, 3), (1, 2))
     with pytest.raises(NotAdjacent):
-        OrientedEdge.from_rationals(Rational(1, 3), Rational(2, 3))
+        OrientedEdge((1, 3), (2, 3))
 
 
 @pytest.mark.parametrize("depth", range(6))

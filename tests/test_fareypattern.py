@@ -131,7 +131,7 @@ def test_coincident_geodesics_rejected_by_the_dichotomy():
 
 def test_sampled_distances_separate_distinct_flats():
     pat = build_pattern(X, Y, 2)
-    by_word = pat.by_word()
+    by_word = {g.word: g for g in pat.geodesics}
     fa = by_word[""].flat
     fb = by_word["tt"].flat
     d = min_distance_flats(fa, fb)
