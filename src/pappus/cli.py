@@ -33,6 +33,7 @@ import numpy as np
 
 from .projective import (
     Flag,
+    HomVec,
     PappusError,
     ProjMap,
     is_elliptic,
@@ -173,7 +174,7 @@ def _emit(cfg: RunConfig, text: str) -> None:
 
 
 def _fmt_scalar(v) -> str:
-    return str(v) if isinstance(v, (int, Fraction)) else repr(float(v))
+    return str(v) if isinstance(v, (str, int, Fraction)) else repr(float(v))
 
 
 def _fmt_rational(r) -> str:
@@ -181,7 +182,7 @@ def _fmt_rational(r) -> str:
 
 
 def _jsonable_scalar(v):
-    return str(v) if isinstance(v, Fraction) else float(v)
+    return str(v) if isinstance(v, (str, Fraction)) else float(v)
 
 
 def _dump_json(obj) -> str:
@@ -193,8 +194,18 @@ def _dump_json(obj) -> str:
 _COORD_NAMES = [f"{pt}{k}" for pt in "stuabc" for k in range(3)]
 
 
+def _coords(h: HomVec) -> list:
+    """Printed coordinates: a float vector's stored floats, an exact one's
+    entries n/first reduced by one gcd, the text of ``Fraction(n, first)``."""
+    if not h.exact:
+        return list(h.v)
+    first = h.v[0] or h.v[1] or h.v[2]
+    return [str(n // g) if (g := math.gcd(n, first)) == first else f"{n // g}/{first // g}"
+            for n in h.v]
+
+
 def _box_coords(m: MarkedBox):
-    return [c for p in (m.s, m.t, m.u, m.a, m.b, m.c) for c in p.coords]
+    return [c for p in (m.s, m.t, m.u, m.a, m.b, m.c) for c in _coords(p)]
 
 
 def _check_positive(**options) -> None:
@@ -312,8 +323,8 @@ def cmd_limitset(args) -> int:
         lines = ["word,px,py,pz,lx,ly,lz,farey_tail,farey_head"]
         for lf in flags:
             cells = [lf.word or "-"]
-            cells += [_fmt_scalar(c) for c in lf.flag.point.coords]
-            cells += [_fmt_scalar(c) for c in lf.flag.line.coords]
+            cells += [_fmt_scalar(c) for c in _coords(lf.flag.point)]
+            cells += [_fmt_scalar(c) for c in _coords(lf.flag.line)]
             cells += [_fmt_rational(lf.edge.tail), _fmt_rational(lf.edge.head)]
             lines.append(",".join(cells))
         _emit(cfg, "\n".join(lines) + "\n")
@@ -326,8 +337,8 @@ def cmd_limitset(args) -> int:
 
 def _flag_json(flag: Flag):
     return {
-        "point": [_jsonable_scalar(c) for c in flag.point.coords],
-        "line": [_jsonable_scalar(c) for c in flag.line.coords],
+        "point": [_jsonable_scalar(c) for c in _coords(flag.point)],
+        "line": [_jsonable_scalar(c) for c in _coords(flag.line)],
     }
 
 
@@ -562,9 +573,8 @@ def _suite_pattern(rng: random.Random) -> List[Dict]:
     worst_member = 0.0
     flags_ok = True
     for g in pat.geodesics:
-        c = g.flat.basis.T @ g.fixed_point.m @ g.flat.basis
-        off = math.sqrt(2.0 * (c[0, 1] ** 2 + c[0, 2] ** 2 + c[1, 2] ** 2))
-        worst_member = max(worst_member, off / float(np.sqrt((c * c).sum())))
+        _, off, norm = g.flat.frame(g.fixed_point.m)
+        worst_member = max(worst_member, off / norm)
         fwd = boundary_ray_class(g.geodesic, 1)
         bwd = boundary_ray_class(g.geodesic, -1)
         flags_ok = flags_ok and isinstance(fwd, FlagClass) and isinstance(bwd, FlagClass)

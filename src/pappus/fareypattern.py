@@ -63,7 +63,6 @@ _MEDIAL_VELOCITY = (1.0, -1.0, 0.0)
 
 @dataclass(frozen=True, eq=False)
 class PatternGeodesic:
-    box: MarkedBox
     word: str
     flat: Flat
     fixed_point: XPoint
@@ -79,7 +78,6 @@ def geodesic_of_box(m: MarkedBox, word: str = "") -> PatternGeodesic:
         raise FixedPointOffFlat("polarity point misses the box flat")
     gamma = flat_geodesic(flat, p, _MEDIAL_VELOCITY)
     return PatternGeodesic(
-        box=m,
         word=word,
         flat=flat,
         fixed_point=p,

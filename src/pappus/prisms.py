@@ -25,9 +25,12 @@ from .projective import (
     PappusError,
     Polarity,
     ProjMap,
-    ProjPoint,
+    dot3,
     is_exact_scalar,
-    mat_vec,
+    mat_adjugate,
+    mat_det,
+    mat_mul,
+    mat_scale,
     triple_product,
 )
 from .markedbox import (
@@ -96,71 +99,28 @@ def triple_invariant(x, y) -> float:
 
 # --- stabilizing polarities ----------------------------------------------------
 
-def _nullspace_exact(rows: List[List[Fraction]]) -> List[List[Fraction]]:
-    m = [list(r) for r in rows]
-    ncols = 6
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for ri, pc in enumerate(pivots):
-            v[pc] = -m[ri][fc]
-        basis.append(v)
-    return basis
-
-
-def _nullspace_float(rows: List[List[float]]) -> List[List[float]]:
-    a = np.array(rows, dtype=float)
-    _, s, vt = np.linalg.svd(a)
-    tol = max(a.shape) * (s[0] if len(s) else 1.0) * 1e-12
-    null = [vt[i] for i in range(6) if i >= len(s) or s[i] <= tol]
-    return [list(map(float, v)) for v in null]
-
-
-def _sym_from_params(p) -> Tuple[Tuple, Tuple, Tuple]:
-    q00, q01, q02, q11, q12, q22 = p
-    return ((q00, q01, q02), (q01, q11, q12), (q02, q12, q22))
-
-
-def _swap_rows(u, w) -> List[List]:
-    """Rows of cross(q u, w) = 0 in the six symmetric unknowns."""
-    zero = u[0] * 0
-    qu = (
-        (u[0], u[1], u[2], zero, zero, zero),
-        (zero, u[0], zero, u[1], u[2], zero),
-        (zero, zero, u[0], zero, u[1], u[2]),
-    )
-    rows = []
-    for a, b, wa, wb in ((1, 2, w[2], w[1]), (2, 0, w[0], w[2]), (0, 1, w[1], w[0])):
-        rows.append([qu[a][k] * wa - qu[b][k] * wb for k in range(6)])
-    return rows
-
-
 _TRANSPOSITIONS = ((1, 0, 2), (0, 2, 1), (2, 1, 0))
 
 
 def stabilizing_polarities(flags: Sequence[Flag]) -> Tuple[Polarity, Polarity, Polarity]:
     """The three polarities carrying a generic flag triple to itself.
 
-    Each acts by one transposition of the flags; returned in the order
+    Each acts by one transposition pi of the flags; returned in the order
     swap(0,1), swap(1,2), swap(2,0), so entry j stabilizes the flat
     bounded by the j-th flag pair of a prism.
+
+    Closed form on the stored triples, with P = [p0 p1 p2], f the flag pi
+    fixes and s, t the two it swaps:
+
+        q = [d0 l_pi(0) | d1 l_pi(1) | d2 l_pi(2)] adj(P),
+        d_s = (p_s.l_f)(p_f.l_s),  d_t = (p_t.l_f)(p_f.l_t),  d_f = (p_f.l_t)(p_f.l_s).
+
+    q p_k is a multiple of l_pi(k), and these weights make P'qP, hence q,
+    symmetric.  Rescaling a point or line rescales q as a whole, so an
+    exact q is divided by the last nonzero entry of (q00, q01, q02, q11,
+    q12, q22): the entry a reduced-echelon solution of the six symmetric
+    unknowns sets to 1, so q is the rational matrix elimination gives.  A
+    float q is divided by its largest |entry| and symmetrized.
     """
     if len(flags) != 3:
         raise DegenerateTriple("need exactly three flags")
@@ -168,29 +128,25 @@ def stabilizing_polarities(flags: Sequence[Flag]) -> Tuple[Polarity, Polarity, P
     xi = triple_product(flags)
     if (xi == 1 or xi == -1) if exact else min(abs(float(xi) - 1.0), abs(float(xi) + 1.0)) < 1e-9:
         raise UnityTripleProduct("flag triple has unity triple product")
+    pts = tuple(f.point.v for f in flags)
+    lns = tuple(f.line.v for f in flags)
+    # q is symmetric, so it is built as its transpose adj(P)' [d_k l_pi(k) rows]
+    adj_pt = mat_adjugate(pts)
     out = []
     for perm in _TRANSPOSITIONS:
-        rows = []
-        for k in range(3):
-            u = flags[k].point.v
-            w = flags[perm[k]].line.v
-            rows.append(_swap_rows(u, w))
-        flat_rows = [r for block in rows for r in block]
+        fix = next(k for k in range(3) if perm[k] == k)
+        d = [dot3(pts[k], lns[fix]) * dot3(pts[fix], lns[k]) for k in range(3)]
+        d[fix] = dot3(pts[fix], lns[(fix + 1) % 3]) * dot3(pts[fix], lns[(fix + 2) % 3])
+        q = mat_mul(adj_pt, tuple(tuple(d[k] * x for x in lns[perm[k]]) for k in range(3)))
+        if mat_det(q) == 0:
+            raise DegenerateTriple("flag points collinear, lines concurrent or a pairing zero")
         if exact:
-            basis = _nullspace_exact([[Fraction(v) for v in r] for r in flat_rows])
+            last = next(x for x in (q[2][2], q[1][2], q[1][1], q[0][2], q[0][1], q[0][0]) if x != 0)
+            q = mat_scale(q, Fraction(1, last))
         else:
-            basis = _nullspace_float([[float(v) for v in r] for r in flat_rows])
-        if len(basis) != 1:
-            raise DegenerateTriple(
-                f"polarity solution space has dimension {len(basis)}"
-            )
-        q = _sym_from_params(basis[0])
-        pol = Polarity(q)
-        for k in range(3):
-            img = mat_vec(q, flags[k].point.v)
-            if not ProjPoint(img).same(ProjPoint(flags[perm[k]].line.v), 1e-7):
-                raise DegenerateTriple("solved polarity misses a flag image")
-        out.append(pol)
+            top = 2 * max(abs(x) for row in q for x in row)
+            q = tuple(tuple((q[i][j] + q[j][i]) / top for j in range(3)) for i in range(3))
+        out.append(Polarity(q))
     return tuple(out)
 
 
@@ -233,9 +189,8 @@ def inflection_point(psi: Polarity, flat: Flat) -> XPoint:
     positive diagonal form with those absolute entries.
     """
     q = _polarity_matrix(psi)
-    c = flat.basis.T @ q @ flat.basis
-    off = math.sqrt(2.0 * (c[0, 1] ** 2 + c[0, 2] ** 2 + c[1, 2] ** 2))
-    if off > 1e-8 * float(np.sqrt((c * c).sum())):
+    c, off, norm = flat.frame(q)
+    if off > 1e-8 * norm:
         raise NoFixedPointInFlat("polarity does not stabilize this flat")
     d = np.abs(np.diag(c))
     if d.min() <= 0:
@@ -259,7 +214,6 @@ def inflection_line(flat: Flat, p: XPoint) -> XGeodesic:
 @dataclass(frozen=True, eq=False)
 class InflectionData:
     flat: Flat
-    polarity: Polarity
     point: XPoint
     line: XGeodesic
     medial_point: XPoint
@@ -275,7 +229,6 @@ def _inflection_for(flat: Flat, psi: Polarity, box: MarkedBox) -> InflectionData
     a_i, b_i = flat.metric_coords(pt)
     return InflectionData(
         flat=flat,
-        polarity=psi,
         point=pt,
         line=line,
         medial_point=medial,
@@ -473,7 +426,6 @@ class ConeMesh:
     vertices: List[Tuple[float, float, float, float, float, float]]
     pieces: List[List[List[int]]]
     faces: List[Tuple[int, int, int, int]]
-    apex: XPoint
 
 
 def _flatten_sym(s: np.ndarray) -> Tuple[float, ...]:
@@ -511,7 +463,7 @@ def cone_fill_sample(p: Prism, triangle: Sequence[XGeodesic], d: float, n: int,
         for i in range(n - 1):
             for k in range(n - 1):
                 faces.append((grid[i][k], grid[i + 1][k], grid[i + 1][k + 1], grid[i][k + 1]))
-    return ConeMesh(vertices=vertices, pieces=pieces, faces=faces, apex=apex)
+    return ConeMesh(vertices=vertices, pieces=pieces, faces=faces)
 
 
 def mesh_to_obj(mesh: ConeMesh) -> str:

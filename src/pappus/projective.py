@@ -16,12 +16,15 @@ primitive integer triple (denominators cleared, divided by the gcd,
 first nonzero entry positive), so joins, meets and zero tests run on
 plain Python ints, whose size grows with the depth of a construction;
 a float vector gets unit Euclidean norm with a positive first nonzero
-coordinate.  Two accessors give the first-nonzero-is-one normal form
-that output formats print: ``coords`` as ``Fraction`` entries,
-``floats()`` as correctly rounded floats.  Operations on a mix of exact
-and float vectors read the exact ones through ``floats()``; maps and
-polarities multiply the stored ``v``, and their images are exact when
-both the matrix and the vector are.
+coordinate.  Consumers compute on the stored ``v``; ``floats()`` gives
+the first-nonzero-is-one form as correctly rounded floats.  Operations
+on a mix of exact and float vectors read the exact ones through
+``floats()``; maps and polarities multiply ``v`` (a polarity images a
+line through the adjugate of its matrix), and their images are exact
+when both the matrix and the vector are.  The only scale that reaches
+``transform_from_correspondence``'s map is its fourth point's, read
+first-nonzero-is-one, so the map and the polarities built from it are
+the same rational matrices whatever representatives are stored.
 """
 
 from __future__ import annotations
@@ -137,18 +140,9 @@ class HomVec:
         object.__setattr__(self, "v", _exact_canonical(v) if exact else _float_canonical(v))
         object.__setattr__(self, "exact", exact)
 
-    @property
-    def coords(self) -> Triple:
-        """Exact: ``Fraction`` entries with the first nonzero one equal to 1.
-        Float: the stored unit-norm triple."""
-        if not self.exact:
-            return self.v
-        a, b, c = self.v
-        first = a or b or c
-        return Fraction(a, first), Fraction(b, first), Fraction(c, first)
-
     def floats(self) -> Tuple[float, float, float]:
-        """Float triple; for an exact vector each entry is ``float()`` of ``coords``."""
+        """Float triple; an exact vector is read with its first nonzero entry
+        1, each entry the correctly rounded ratio of two ints."""
         if not self.exact:
             return self.v
         a, b, c = self.v
@@ -403,7 +397,8 @@ class Polarity:
         return _image(ProjLine, mat_vec(self.q, p.v), self.exact and p.exact)
 
     def line_to_point(self, l: ProjLine) -> ProjPoint:
-        return _image(ProjPoint, mat_vec(mat_inv(self.q), l.v), self.exact and l.exact)
+        # adj(q) is det(q) q^-1: the same point, and no inverse to build
+        return _image(ProjPoint, mat_vec(mat_adjugate(self.q), l.v), self.exact and l.exact)
 
 
 def standard_polarity(exact: bool = True) -> Polarity:
@@ -441,13 +436,15 @@ def transform_from_correspondence(src, dst) -> ProjMap:
     if len(src) != 4 or len(dst) != 4:
         raise DegenerateQuadruple("need exactly four source and four target points")
 
-    # coords, not the integer triples: the scale of the map (and of every
-    # polarity matrix built from it) stays that of the first-nonzero-is-one form
+    # A diag(A^-1 p4) ignores the scales of p1..p3; reading an exact p4
+    # first-nonzero-is-one fixes the scale of the map and of its polarities
     def simplex_map(quad) -> Mat:
-        cols = tuple(p.coords for p in quad[:3])
+        cols = tuple(p.v for p in quad[:3])
         a = mat_transpose(cols)
+        v4 = quad[3].v
+        first = (v4[0] or v4[1] or v4[2]) if quad[3].exact else 1
         try:
-            c = mat_vec(mat_inv(a), quad[3].coords)
+            c = tuple(x / first for x in mat_vec(mat_inv(a), v4))
         except SingularMap:
             raise DegenerateQuadruple("three of the four points are collinear")
         exact = all(p.exact for p in quad)

@@ -31,7 +31,6 @@ from .projective import (
     NonElliptic,
     PappusError,
     is_elliptic,
-    join,
 )
 
 
@@ -189,11 +188,11 @@ def polarity_fixed_point(delta: Polarity) -> XPoint:
     if not is_elliptic(delta):
         raise NonElliptic("fixed point requires an elliptic polarity")
     q = _polarity_matrix(delta)
-    w, _ = jacobi_eigh(q)
-    if w[0] < 0:
+    # the form is definite, so its sign is the sign of any diagonal entry
+    if q[0, 0] < 0:
         q = -q
     p = XPoint(q)
-    if not duality_action(delta, p).same(p, 1e-10):
+    if not _polarity_push(q, p).same(p, 1e-10):
         raise NumericalFailure("fixed point residual too large")
     return p
 
@@ -314,30 +313,33 @@ class Flat:
     """
 
     vertices: Tuple[ProjPoint, ProjPoint, ProjPoint]
-    sides: Tuple[ProjLine, ProjLine, ProjLine]
     basis: np.ndarray
     basis_inv: np.ndarray
 
-    def __init__(self, vertices, sides, basis, basis_inv):
+    def __init__(self, vertices, basis, basis_inv):
         basis = np.array(basis, dtype=float)
         basis_inv = np.array(basis_inv, dtype=float)
         basis.flags.writeable = False
         basis_inv.flags.writeable = False
         object.__setattr__(self, "vertices", tuple(vertices))
-        object.__setattr__(self, "sides", tuple(sides))
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "basis_inv", basis_inv)
 
-    def contains(self, e: XPoint, tol: float = 1e-10) -> bool:
-        c = self.basis.T @ e.m @ self.basis
+    def frame(self, s: np.ndarray) -> Tuple[np.ndarray, float, float]:
+        """C = B' s B with the norms of its off-diagonal part and of C;
+        the form s lies on the flat when the first norm is 0."""
+        c = self.basis.T @ s @ self.basis
         off = math.sqrt(2.0 * (c[0, 1] ** 2 + c[0, 2] ** 2 + c[1, 2] ** 2))
-        return off <= tol * float(np.sqrt((c * c).sum()))
+        return c, off, float(np.sqrt((c * c).sum()))
+
+    def contains(self, e: XPoint, tol: float = 1e-10) -> bool:
+        _, off, norm = self.frame(e.m)
+        return off <= tol * norm
 
     def log_coords(self, e: XPoint) -> np.ndarray:
-        c = self.basis.T @ e.m @ self.basis
+        c, off, norm = self.frame(e.m)
         d = np.diag(c)
-        off = math.sqrt(2.0 * (c[0, 1] ** 2 + c[0, 2] ** 2 + c[1, 2] ** 2))
-        if d.min() <= 0 or off > 1e-8 * float(np.sqrt((c * c).sum())):
+        if d.min() <= 0 or off > 1e-8 * norm:
             raise PointOffFlat("point is not on the flat")
         u = np.log(d)
         return u - u.mean()
@@ -374,11 +376,7 @@ def flat_from_triangle(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint) -> Flat:
     det = float(np.linalg.det(b))
     if abs(det) < 1e-12:
         raise CollinearVertices("triangle vertices are collinear")
-    binv = np.linalg.inv(b)
-    verts = (p1, p2, p3)
-    # sides[k] joins the two vertices other than k
-    sides = tuple(join(verts[(k + 1) % 3], verts[(k + 2) % 3]) for k in range(3))
-    return Flat(verts, sides, b, binv)
+    return Flat((p1, p2, p3), b, np.linalg.inv(b))
 
 
 def flat_geodesic(flat: Flat, base: XPoint, velocity: Sequence[float]) -> XGeodesic:

@@ -3,12 +3,15 @@
 import hashlib
 import json
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from pappus.cli import main
+from pappus.cli import _coords, main
+from pappus.projective import HomVec
 
 SCHEMA = json.loads((Path(__file__).resolve().parents[1] / "docs" / "schema.json").read_text())
 
@@ -84,9 +87,11 @@ PINNED_OUTPUTS = {
     ("prism", "--x", "3/10", "--y", "2/5", "--depth", "2"):
         "454ae8944ad439a866483180fb136d294f87b5f15a7923f8c6471507e21267f4",
     # float-backend, obj, distances and verify outputs, pinned before the
-    # per-call thresholds became module constants
+    # per-call thresholds became module constants; verify re-pinned when the
+    # float swap polarities became a closed formula, which moved its one
+    # float-prism residual, prism.collinearity_residual, from 1.2e-14 to 3.9e-15
     ("verify", "--suite", "all"):
-        "428e51c50db9b648304dad74895b769fca3df903e5a82a26a5d63a87b8e2905d",
+        "5328ea00bd64c01aa8be4d037476d6f09e3f3feee8411bf486ade1cf89085834",
     ("prism", "--x", "3/10", "--y", "2/5", "--format", "obj", "--cone", "0.3", "--samples", "24"):
         "45eb65605c20edc92f37c2bf9e7643b31fb0e66c6a7016cb60d217239249e0f8",
     ("pattern", "--x", "3/10", "--y", "2/5", "--depth", "2", "--distances"):
@@ -102,6 +107,12 @@ PINNED_OUTPUTS = {
         "df8b57ebe7b215796785d939684aeafbb07294c1e90b0f53f2bc2ca0b4c457bd",
     ("pattern", "--x", "0.3", "--y", "0.4", "--depth", "2"):
         "9f5fe60e5be598978f4ed8e749ca282b00994b0bc96964cce4c22db9b10932b3",
+    # exact prism and pattern at the tall pair, pinned before the swap
+    # polarities became a closed formula and the printer read the int triple
+    ("prism", "--x", "17/41", "--y", "5/37", "--depth", "3"):
+        "710ada89362dd56383520c18404bd059f7ac2d1663352d32342b8d8435f394fb",
+    ("pattern", "--x", "17/41", "--y", "5/37", "--depth", "4"):
+        "c050f40250e296543f5d5bec381ee19409eeedd04db05a33aa08bacc0ef60708",
 }
 
 # a test id is the command and its last option; other changes refer to the
@@ -115,6 +126,15 @@ def test_output_bytes_match_pinned_hashes(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_OUTPUTS[argv]
+
+
+@given(st.tuples(*[st.integers(-10**30, 10**30)] * 3))
+@settings(deadline=None, max_examples=200)
+def test_exact_coordinates_print_as_their_fractions(t):
+    assume(any(t))
+    h = HomVec(t)
+    first = next(n for n in h.v if n)
+    assert _coords(h) == [str(Fraction(n, first)) for n in h.v]
 
 
 def test_limitset_svg_is_wellformed_xml(capsys):
@@ -154,6 +174,23 @@ def test_prism_json_schema(capsys):
     jsonschema.validate(doc, SCHEMA)
     assert len(doc["prisms"]) == 3
     assert len(doc["adjacent_pairs"]) == 2
+
+
+def _numbers(doc):
+    if isinstance(doc, dict):
+        return [n for k in sorted(doc) for n in _numbers(doc[k])]
+    if isinstance(doc, list):
+        return [n for item in doc for n in _numbers(item)]
+    return [doc] if isinstance(doc, float) else []
+
+
+def test_float_prism_report_matches_the_exact_one(capsys):
+    # 3/8 and 9/16 are floats exactly, so the two backends answer the same question
+    _, exact, _ = run(capsys, "prism", "--x", "3/8", "--y", "9/16", "--depth", "4")
+    _, floating, _ = run(capsys, "prism", "--x", "0.375", "--y", "0.5625", "--depth", "4")
+    a, b = _numbers(json.loads(exact)), _numbers(json.loads(floating))
+    assert len(a) == len(b) > 200
+    assert max(abs(u - v) for u, v in zip(a, b)) < 1e-12
 
 
 def test_prism_obj_mesh(capsys):

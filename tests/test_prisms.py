@@ -6,9 +6,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from pappus.projective import ProjPoint, SingularMap, mat_mul, triple_product
-from pappus.markedbox import OutOfRange, op_i, order3_transform, top_flag
+from pappus.projective import (
+    ProjPoint, SingularMap, cross3, mat_det, mat_mul, mat_vec, triple_product,
+)
+from pappus.markedbox import OutOfRange, apply_word_box, op_i, order3_transform, top_flag
 from pappus.symmspace import (
     PointClass,
     boundary_ray_class,
@@ -21,6 +24,7 @@ from pappus.prisms import (
     DiagonalLocus,
     UnityTripleProduct,
     bending_report,
+    stabilizing_polarities,
     cone_fill_sample,
     inflection_point,
     mesh_to_obj,
@@ -66,6 +70,29 @@ def test_stabilizing_polarities_swap_the_flag_pairs():
             assert img_pt.same(prism.flags[perm[k]].point, 1e-9)
 
 
+unit_rationals = st.fractions(min_value=0, max_value=1, max_denominator=60).filter(
+    lambda v: 0 < v < 1)
+
+
+@given(unit_rationals, unit_rationals, st.text(alphabet="itb", max_size=4))
+@settings(deadline=None, max_examples=150)
+def test_exact_swap_polarities_are_exact_symmetric_and_normalized(x, y, word):
+    # x(1-x) = y(1-y) is the unity triple product locus of the whole orbit
+    assume(x != y and x + y != 1)
+    m = apply_word_box(word, base_box(x, y))
+    flags = tuple(top_flag(b) for b in (op_i(m), *m_children(m)))
+    perms = ((1, 0, 2), (0, 2, 1), (2, 1, 0))
+    for psi, perm in zip(stabilizing_polarities(flags), perms):
+        q = psi.q
+        assert psi.exact and mat_det(q) != 0
+        assert all(q[i][j] == q[j][i] for i in range(3) for j in range(3))
+        for k in range(3):
+            image = mat_vec(q, flags[k].point.v)
+            assert cross3(image, flags[perm[k]].line.v) == (0, 0, 0)
+        params = (q[0][0], q[0][1], q[0][2], q[1][1], q[1][2], q[2][2])
+        assert [v for v in params if v != 0][-1] == 1
+
+
 def test_two_reflections_compose_to_order_three():
     prism = prism_of_triangle(base_box(X, Y))
     a = np.array([[float(v) for v in r] for r in prism.polarities[0].q])
@@ -91,7 +118,6 @@ def m_children(m):
 
 
 def test_degenerate_flag_count_rejected():
-    from pappus.prisms import stabilizing_polarities
     m = base_box(X, Y)
     with pytest.raises(DegenerateTriple):
         stabilizing_polarities((top_flag(m), top_flag(m)))

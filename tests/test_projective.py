@@ -40,11 +40,9 @@ def test_exact_canonical_form_scales_first_nonzero_to_one():
     p = HomVec((Fraction(0), Fraction(3), Fraction(-6)))
     assert p.exact
     assert p.v == (0, 1, -2) and all(type(x) is int for x in p.v)
-    assert p.coords == (Fraction(0), Fraction(1), Fraction(-2))
-    assert all(type(x) is Fraction for x in p.coords)
     q = HomVec((Fraction(-3, 4), Fraction(1, 6), 0))
     assert q.v == (9, -2, 0) and math.gcd(*q.v) == 1
-    assert q.coords == (Fraction(1), Fraction(-2, 9), Fraction(0))
+    assert p.floats() == (0.0, 1.0, -2.0) and q.floats() == (1.0, -2 / 9, 0.0)
     assert not HomVec((0.0, 3.0, -6.0)).exact
 
 
@@ -65,9 +63,7 @@ def test_exact_vectors_are_scale_free_primitive_integer_triples(t, scale):
     assert v.exact and all(type(x) is int for x in v.v)
     assert math.gcd(*v.v) == 1 and next(x for x in v.v if x != 0) > 0
     first = next(Fraction(x) for x in t if x != 0)
-    old = tuple(Fraction(x) / first for x in t)
-    assert v.coords == old
-    assert [x.hex() for x in v.floats()] == [float(x).hex() for x in old]
+    assert [x.hex() for x in v.floats()] == [float(Fraction(x) / first).hex() for x in t]
 
 
 def test_same_ignores_scale():
