@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .projective import (
-    DEFAULT_TOL,
     CoincidentLines,
     CoincidentPoints,
+    DegenerateQuadruple,
     Flag,
     Polarity,
     ProjectiveError,
@@ -31,6 +31,8 @@ from .projective import (
     ProjPoint,
     Scalar,
     cross_ratio,
+    dot3,
+    frame_rows,
     is_exact_scalar,
     join,
     mat_mul,
@@ -54,15 +56,19 @@ def _collinear(p, q, r) -> bool:
     (p0, p1, p2), (q0, q1, q2), (r0, r1, r2) = (
         (p.v, q.v, r.v) if exact else (p.floats(), q.floats(), r.floats())
     )
-    d = p0 * (q1 * r2 - q2 * r1) - p1 * (q0 * r2 - q2 * r0) + p2 * (q0 * r1 - q1 * r0)
-    return d == 0 if exact else abs(float(d)) <= 1e-7
+    n0, n1, n2 = q1 * r2 - q2 * r1, q2 * r0 - q0 * r2, q0 * r1 - q1 * r0
+    d = p0 * n0 + p1 * n1 + p2 * n2
+    if exact:
+        return d == 0
+    # the sine of p's angle to the plane of q and r is at most 1e-7
+    return d * d <= 1e-14 * (n0 * n0 + n1 * n1 + n2 * n2) * (p0 * p0 + p1 * p1 + p2 * p2)
 
 
-def _same_up_to_flip(xs, ys, tol: float) -> bool:
+def _same_up_to_flip(xs, ys) -> bool:
     """Pointwise projective equality of two sextuples, directly or after
     the flip of the second, (s, t, u, a, b, c) -> (u, t, s, c, b, a)."""
     flipped = (ys[2], ys[1], ys[0], ys[5], ys[4], ys[3])
-    return any(all(p.same(q, tol) for p, q in zip(xs, zs)) for zs in (ys, flipped))
+    return any(all(p.same(q) for p, q in zip(xs, zs)) for zs in (ys, flipped))
 
 
 @dataclass(frozen=True)
@@ -92,12 +98,9 @@ class MarkedBox:
     def sextuple(self) -> Tuple[ProjPoint, ...]:
         return (self.s, self.t, self.u, self.a, self.b, self.c)
 
-    def flip(self) -> "MarkedBox":
-        return MarkedBox(self.u, self.t, self.s, self.c, self.b, self.a)
-
-    def same_box(self, other: "MarkedBox", tol: float = DEFAULT_TOL) -> bool:
+    def same_box(self, other: "MarkedBox") -> bool:
         """Equality of marked boxes, modulo the flip identification."""
-        return _same_up_to_flip(self.sextuple(), other.sextuple(), tol)
+        return _same_up_to_flip(self.sextuple(), other.sextuple())
 
 
 @dataclass(frozen=True)
@@ -122,7 +125,7 @@ class DualMarkedBox:
 
     def same_dual(self, other: "DualMarkedBox") -> bool:
         """Equality of dual marked boxes, modulo the flip identification."""
-        return _same_up_to_flip(self.sextuple(), other.sextuple(), DEFAULT_TOL)
+        return _same_up_to_flip(self.sextuple(), other.sextuple())
 
 
 def model_box(p: Scalar, q: Scalar) -> MarkedBox:
@@ -212,10 +215,6 @@ def doppelganger(m: MarkedBox) -> DualMarkedBox:
     )
 
 
-def map_box(g: ProjMap, m: MarkedBox) -> MarkedBox:
-    return MarkedBox(*(g.apply_point(p) for p in m.sextuple()))
-
-
 def polarity_box_to_dual(delta: Polarity, m: MarkedBox) -> DualMarkedBox:
     return DualMarkedBox(*(delta.point_to_line(p) for p in m.sextuple()))
 
@@ -224,31 +223,35 @@ def polarity_dual_to_box(delta: Polarity, d: DualMarkedBox) -> MarkedBox:
     return MarkedBox(*(delta.line_to_point(line) for line in d.sextuple()))
 
 
-def _model_params(m: MarkedBox) -> Tuple[Scalar, Scalar]:
-    x, y = raw_invariant(m)
-    return 2 * x - 1, 1 - 2 * y
-
-
 def box_polarity(m: MarkedBox) -> Polarity:
     """The polarity swapping a marked box with its involution image.
 
-    In model coordinates with marked parameters (p, q) the matrix is
-    [[1, -p, -q], [-p, 1, pq], [-q, pq, 1]], definite exactly when the
-    box is convex; a general box is first normalized onto the model via
-    its corner quadruple, and the matrix pulls back as N^T m N.
+    Closed form on the corner triples: ``frame_rows`` carries s, u, a, c
+    to the standard frame by rows rho_k, and there t and b give the model
+    parameters p = (x + y)/(y - x) and q = (z - 2x')/z, with
+    (x, y, x', z) = (rho_1.t, rho_2.t, rho_1.b, rho_3.b); the box is
+    convex iff |p| < 1 and |q| < 1.  The matrix is rho' K rho, where
+    K = [[2(1+p), 0, -(1-q)(1+p)], [0, 2(1-p), -(1-q)(1-p)],
+    [-(1-q)(1+p), -(1-q)(1-p), 2(1-q)]] is the model form
+    [[1, -p, -q], [-p, 1, pq], [-q, pq, 1]] in the model corners' frame.
+    So this is N' m N for the box's normalization N onto the model, and
+    the frame's one scale (c read first-nonzero-is-one) keeps an exact
+    box's rational matrix independent of the stored representatives.
     """
-    p, q = _model_params(m)
-    model = model_box(p, q) if abs(p) < 1 and abs(q) < 1 else None
-    if model is None:
+    try:
+        rho = frame_rows((m.s, m.u, m.a, m.c))
+        t, b = m.t.v, m.b.v
+        x, y = dot3(rho[0], t), dot3(rho[1], t)
+        x2, z = dot3(rho[0], b), dot3(rho[2], b)
+        p, q = (x + y) / (y - x), (z - 2 * x2) / z
+    except (DegenerateQuadruple, ZeroDivisionError):  # a corner or marked point on the edges' meet
+        raise DegenerateBox("box polarity needs a convex box") from None
+    if not (abs(p) < 1 and abs(q) < 1):
         raise DegenerateBox("box polarity needs a convex box")
-    n = transform_from_correspondence(
-        (m.s, m.u, m.a, m.c), (model.s, model.u, model.a, model.c)
-    )
-    if not (n.apply_point(m.t).same(model.t, 1e-7) and n.apply_point(m.b).same(model.b, 1e-7)):
-        raise DegenerateBox("box does not normalize onto the model frame")
-    mm = ((1 + 0 * p, -p, -q), (-p, 1 + 0 * p, p * q), (-q, p * q, 1 + 0 * p))
-    qmat = mat_mul(mat_transpose(n.m), mat_mul(mm, n.m))
-    return Polarity(qmat)
+    k = ((2 * (1 + p), 0, -(1 - q) * (1 + p)),
+         (0, 2 * (1 - p), -(1 - q) * (1 - p)),
+         (-(1 - q) * (1 + p), -(1 - q) * (1 - p), 2 * (1 - q)))
+    return Polarity(mat_mul(mat_transpose(rho), mat_mul(k, rho)))
 
 
 def box_triple_product(m: MarkedBox) -> Scalar:
@@ -262,23 +265,11 @@ def box_triple_product(m: MarkedBox) -> Scalar:
 
 
 def order3_transform(m: MarkedBox) -> ProjMap:
-    """Projective map of order three cycling t(M) -> b(M) -> i(M) -> t(M)."""
-    tb, bb, ib = op_t(m), op_b(m), op_i(m)
-
-    def corners(box: MarkedBox):
-        return (box.s, box.u, box.a, box.c)
-
-    candidates = []
-    for target in (bb, bb.flip()):
-        try:
-            g = transform_from_correspondence(corners(tb), corners(target))
-        except ProjectiveError:
-            continue
-        candidates.append(g)
-    for g in candidates:
-        if map_box(g, tb).same_box(bb, 1e-7) and map_box(g, bb).same_box(ib, 1e-7):
-            return g
-    raise DegenerateBox("no order-3 symmetry carries t(M) to b(M) to i(M)")
+    """Projective map of order three cycling t(M) -> b(M) -> i(M) -> t(M):
+    the one sending t(M)'s corners to b(M)'s, scaled by the corners c of
+    t(M) and b(M) as ``frame_rows`` scales a frame."""
+    tb, bb = op_t(m), op_b(m)
+    return transform_from_correspondence((tb.s, tb.u, tb.a, tb.c), (bb.s, bb.u, bb.a, bb.c))
 
 
 def _expand_chunk(rows: Sequence[Tuple[str, MarkedBox]]) -> List[Tuple[str, MarkedBox]]:

@@ -196,6 +196,10 @@ def inflection_point(psi: Polarity, flat: Flat) -> XPoint:
     if d.min() <= 0:
         raise NoFixedPointInFlat("degenerate diagonal form")
     p = XPoint(flat.basis_inv.T @ np.diag(d) @ flat.basis_inv)
+    # not an identity: in the flat basis, entry (i, j) of q p^-1 q - p is
+    # (s_i + s_j) c_ij to first order in the off-diagonal of c, with
+    # s = sign(diag(c)), so this holds c to about 1e-10 where the test
+    # above allows 1e-8
     if not _polarity_push(q, p).same(p, 1e-10):
         raise NoFixedPointInFlat("fixed point residual too large")
     return p

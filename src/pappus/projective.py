@@ -8,9 +8,9 @@ either backend:
 * float: 64-bit floats, decided by tolerance (``DEFAULT_TOL``, relative,
   unless a check names its own).
 
-A vector's, map's or polarity's backend is decided once, when it is
-built, and kept in its ``exact`` field: a vector reads its entries, a
-matrix its determinant (a float as soon as any entry is one).
+A vector's or polarity's backend is decided once, when it is built,
+and kept in its ``exact`` field: a vector reads its entries, a
+polarity its determinant (a float as soon as any entry is one).
 Canonical forms differ per backend: an exact vector is stored as a
 primitive integer triple (denominators cleared, divided by the gcd,
 first nonzero entry positive), so joins, meets and zero tests run on
@@ -19,12 +19,13 @@ a float vector gets unit Euclidean norm with a positive first nonzero
 coordinate.  Consumers compute on the stored ``v``; ``floats()`` gives
 the first-nonzero-is-one form as correctly rounded floats.  Operations
 on a mix of exact and float vectors read the exact ones through
-``floats()``; maps and polarities multiply ``v`` (a polarity images a
-line through the adjugate of its matrix), and their images are exact
-when both the matrix and the vector are.  The only scale that reaches
-``transform_from_correspondence``'s map is its fourth point's, read
-first-nonzero-is-one, so the map and the polarities built from it are
-the same rational matrices whatever representatives are stored.
+``floats()``; polarities multiply ``v`` (a line is imaged through the
+adjugate), and their images are exact when both matrix and vector are.
+``frame_rows`` is the one map from a quadruple to the standard frame,
+scaled by its fourth point read first-nonzero-is-one, so its rational
+matrix does not depend on the representatives stored; the box polarity
+is built on it, and ``transform_from_correspondence`` (the order-3
+symmetry of a marked box) composes two of them.
 """
 
 from __future__ import annotations
@@ -349,22 +350,15 @@ def mat_inv(m: Mat) -> Mat:
 
 @dataclass(frozen=True)
 class ProjMap:
-    """Invertible projective transformation acting on points."""
+    """Invertible projective transformation, as its matrix acting on points."""
 
     m: Mat
-    exact: bool = field(compare=False)
 
     def __init__(self, m):
         mm = mat_from_rows(m)
-        d = mat_det(mm)
-        exact = is_exact_scalar(d)
-        if (exact and d == 0) or (not exact and abs(float(d)) == 0.0):
+        if mat_det(mm) == 0:
             raise SingularMap("projective map must be invertible")
         object.__setattr__(self, "m", mm)
-        object.__setattr__(self, "exact", exact)
-
-    def apply_point(self, p: ProjPoint) -> ProjPoint:
-        return _image(ProjPoint, mat_vec(self.m, p.v), self.exact and p.exact)
 
 
 @dataclass(frozen=True)
@@ -425,35 +419,33 @@ def is_elliptic(delta: Polarity) -> bool:
     return bool((w > DEFAULT_TOL).all() or (w < -DEFAULT_TOL).all())
 
 
-def transform_from_correspondence(src, dst) -> ProjMap:
-    """Unique projective map sending one general-position quadruple to another.
+def frame_rows(quad) -> Mat:
+    """The map sending a general-position quadruple p1..p4 to the frame
+    e1, e2, e3, f (1, 1, 1), as its rows rho_k = f r_k / (r_k.p4) with
+    r = (p2 x p3, p3 x p1, p1 x p2).
 
-    Classical column scaling: with A = [p1 p2 p3] and A c = p4, the map
-    A diag(c) sends the standard simplex points and (1,1,1) to the
-    quadruple; the answer is the destination map composed with the
-    inverse of the source map.
+    f is the first nonzero entry of an exact p4 (1 on floats).  That fixes
+    the map's one scale, so an exact quadruple gives the same rational
+    matrix whatever representatives are stored.  By Cramer's rule
+    p4 = sum_k (r_k.p4 / det) p_k, and the quadruple is degenerate when
+    det = p1.r_1 or a weight is zero.
     """
+    p1, p2, p3, p4 = (p.v for p in quad)
+    rows = (cross3(p2, p3), cross3(p3, p1), cross3(p1, p2))
+    det, dots = dot3(p1, rows[0]), tuple(dot3(r, p4) for r in rows)
+    if all(p.exact for p in quad):
+        degenerate = det == 0 or 0 in dots
+    else:
+        degenerate = abs(det) <= 1e-12 or any(abs(d) <= 1e-12 * abs(det) for d in dots)
+    if degenerate:
+        raise DegenerateQuadruple("three of the four points are collinear")
+    f = Fraction(p4[0] or p4[1] or p4[2]) if quad[3].exact else 1
+    return tuple(tuple(f * e / d for e in r) for r, d in zip(rows, dots))
+
+
+def transform_from_correspondence(src, dst) -> ProjMap:
+    """Unique projective map sending one general-position quadruple to
+    another: the source's frame map, then the inverse of the target's."""
     if len(src) != 4 or len(dst) != 4:
         raise DegenerateQuadruple("need exactly four source and four target points")
-
-    # A diag(A^-1 p4) ignores the scales of p1..p3; reading an exact p4
-    # first-nonzero-is-one fixes the scale of the map and of its polarities
-    def simplex_map(quad) -> Mat:
-        cols = tuple(p.v for p in quad[:3])
-        a = mat_transpose(cols)
-        v4 = quad[3].v
-        first = (v4[0] or v4[1] or v4[2]) if quad[3].exact else 1
-        try:
-            c = tuple(x / first for x in mat_vec(mat_inv(a), v4))
-        except SingularMap:
-            raise DegenerateQuadruple("three of the four points are collinear")
-        exact = all(p.exact for p in quad)
-        for x in c:
-            bad = x == 0 if exact else abs(float(x)) <= 1e-12
-            if bad:
-                raise DegenerateQuadruple("three of the four points are collinear")
-        return mat_transpose(tuple(tuple(x * ci for x in col) for col, ci in zip(cols, c)))
-
-    ms = simplex_map(tuple(src))
-    md = simplex_map(tuple(dst))
-    return ProjMap(mat_mul(md, mat_inv(ms)))
+    return ProjMap(mat_mul(mat_inv(frame_rows(dst)), frame_rows(src)))

@@ -189,12 +189,7 @@ def polarity_fixed_point(delta: Polarity) -> XPoint:
         raise NonElliptic("fixed point requires an elliptic polarity")
     q = _polarity_matrix(delta)
     # the form is definite, so its sign is the sign of any diagonal entry
-    if q[0, 0] < 0:
-        q = -q
-    p = XPoint(q)
-    if not _polarity_push(q, p).same(p, 1e-10):
-        raise NumericalFailure("fixed point residual too large")
-    return p
+    return XPoint(-q if q[0, 0] < 0 else q)
 
 
 # --- geodesics ---------------------------------------------------------------

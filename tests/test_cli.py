@@ -89,9 +89,10 @@ PINNED_OUTPUTS = {
     # float-backend, obj, distances and verify outputs, pinned before the
     # per-call thresholds became module constants; verify re-pinned when the
     # float swap polarities became a closed formula, which moved its one
-    # float-prism residual, prism.collinearity_residual, from 1.2e-14 to 3.9e-15
+    # float-prism residual, prism.collinearity_residual, from 1.2e-14 to 3.9e-15,
+    # and again when the box polarity did, which moved it to 3.4e-15
     ("verify", "--suite", "all"):
-        "5328ea00bd64c01aa8be4d037476d6f09e3f3feee8411bf486ade1cf89085834",
+        "c8be9100f046cb7e6953bf691d361a6dcec4a2ac3ddb0db6cdec560bf860bdf9",
     ("prism", "--x", "3/10", "--y", "2/5", "--format", "obj", "--cone", "0.3", "--samples", "24"):
         "45eb65605c20edc92f37c2bf9e7643b31fb0e66c6a7016cb60d217239249e0f8",
     ("pattern", "--x", "3/10", "--y", "2/5", "--depth", "2", "--distances"):
@@ -105,8 +106,10 @@ PINNED_OUTPUTS = {
     # a p/q next to a decimal runs on the float backend, as two decimals do
     ("orbit", "--x", "3/10", "--y", "0.4", "--format", "json", "--depth", "3"):
         "df8b57ebe7b215796785d939684aeafbb07294c1e90b0f53f2bc2ca0b4c457bd",
+    # re-pinned when the box polarity became a closed formula on the corner
+    # triples: its float numbers moved by at most 3.5e-14
     ("pattern", "--x", "0.3", "--y", "0.4", "--depth", "2"):
-        "9f5fe60e5be598978f4ed8e749ca282b00994b0bc96964cce4c22db9b10932b3",
+        "1554e2f5d98f33c0b96f0316603de247a0f4edf8a1525c24b937ea66923d22e9",
     # exact prism and pattern at the tall pair, pinned before the swap
     # polarities became a closed formula and the printer read the int triple
     ("prism", "--x", "17/41", "--y", "5/37", "--depth", "3"):
@@ -191,6 +194,19 @@ def test_float_prism_report_matches_the_exact_one(capsys):
     a, b = _numbers(json.loads(exact)), _numbers(json.loads(floating))
     assert len(a) == len(b) > 200
     assert max(abs(u - v) for u, v in zip(a, b)) < 1e-12
+
+
+def test_float_pattern_matches_the_exact_one(capsys):
+    # the geodesics' numbers in X; flags print as fractions on one backend
+    # and as unit vectors on the other, so they are left out
+    _, exact, _ = run(capsys, "pattern", "--x", "3/8", "--y", "9/16", "--depth", "4")
+    _, floating, _ = run(capsys, "pattern", "--x", "0.375", "--y", "0.5625", "--depth", "4")
+    a, b = ([_numbers({k: g[k] for k in ("direction", "fixed_point", "flat_basis")})
+             for g in json.loads(out)["geodesics"]] for out in (exact, floating))
+    assert len(a) == len(b) == 2 ** 5 - 1
+    u, v = sum(a, []), sum(b, [])
+    assert len(u) == len(v) > 800
+    assert max(abs(s - t) for s, t in zip(u, v)) < 1e-11
 
 
 def test_prism_obj_mesh(capsys):

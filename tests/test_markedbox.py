@@ -5,21 +5,32 @@ involution is the identity as a box even though the raw sextuple comes
 back reversed.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pappus.projective import join, mat_det, mat_mul
+from pappus.projective import (
+    ProjPoint,
+    cross3,
+    dot3,
+    join,
+    mat_det,
+    mat_inv,
+    mat_mul,
+    mat_transpose,
+    mat_vec,
+)
 from pappus.markedbox import (
     DegenerateBox,
+    MarkedBox,
     OutOfRange,
     apply_word_box,
     bottom_flag,
     box_polarity,
     box_triple_product,
     doppelganger,
-    map_box,
     model_box,
     op_b,
     op_i,
@@ -35,6 +46,7 @@ from pappus.fareypattern import base_box
 
 unit_interval = st.fractions(min_value=Fraction(1, 20), max_value=Fraction(19, 20),
                              max_denominator=24)
+itb_words = st.text(alphabet="itb", max_size=5)
 
 
 @given(unit_interval, unit_interval)
@@ -53,7 +65,7 @@ def test_generator_relations_hold_exactly(x, y):
 def test_involution_squared_is_the_flip_of_the_sextuple():
     m = base_box(Fraction(3, 10), Fraction(2, 5))
     twice = op_i(op_i(m))
-    assert twice.sextuple() == m.flip().sextuple()
+    assert twice.sextuple() == (m.u, m.t, m.s, m.c, m.b, m.a)
     assert twice.same_box(m)
 
 
@@ -128,6 +140,38 @@ def test_box_polarity_determinant_and_pairing(p, q):
     assert polarity_dual_to_box(delta, doppelganger(m)).same_box(op_i(m))
 
 
+def _normalization(src, dst):
+    """Classical column scaling, written apart from the library's frame
+    map: with A = [p1 p2 p3] and A w = p4, read first-nonzero-is-one, the
+    map A diag(w) sends the standard frame onto a quadruple; the answer
+    is the target's map after the inverse of the source's."""
+    def simplex_map(quad):
+        a = mat_transpose(tuple(p.v for p in quad[:3]))
+        v4 = quad[3].v
+        first = v4[0] or v4[1] or v4[2]
+        w = [x / first for x in mat_vec(mat_inv(a), v4)]
+        return tuple(tuple(e * wk for e, wk in zip(row, w)) for row in a)
+    return mat_mul(simplex_map(dst), mat_inv(simplex_map(src)))
+
+
+def _reference_polarity(m):
+    """N' m N: the model form pulled back along the map N taking the box's
+    corners onto the model box with the same invariant."""
+    x, y = raw_invariant(m)
+    p, q = 2 * x - 1, 1 - 2 * y
+    model = model_box(p, q)
+    n = _normalization((m.s, m.u, m.a, m.c), (model.s, model.u, model.a, model.c))
+    form = ((1, -p, -q), (-p, 1, p * q), (-q, p * q, 1))
+    return mat_mul(mat_transpose(n), mat_mul(form, n))
+
+
+@given(unit_interval, unit_interval, itb_words)
+@settings(deadline=None, max_examples=60)
+def test_box_polarity_is_the_model_form_pulled_back(x, y, word):
+    m = apply_word_box(word, base_box(x, y))
+    assert box_polarity(m).q == _reference_polarity(m)
+
+
 def test_box_polarity_is_an_involution_on_points():
     m = base_box(Fraction(3, 10), Fraction(2, 5))
     delta = box_polarity(m)
@@ -138,8 +182,6 @@ def test_box_polarity_is_an_involution_on_points():
 def _non_convex_box():
     # move the top marked point along its edge but outside the segment
     m = base_box(Fraction(1, 3), Fraction(1, 2))
-    from pappus.markedbox import MarkedBox
-    from pappus.projective import ProjPoint
     s, t, u, a, b, c = m.sextuple()
     outside = ProjPoint((Fraction(3), Fraction(1), Fraction(0)))
     return MarkedBox(s, outside, u, a, b, c)
@@ -148,6 +190,14 @@ def _non_convex_box():
 def test_box_polarity_needs_a_convex_box():
     with pytest.raises(DegenerateBox):
         box_polarity(_non_convex_box())
+    # a marked point or a corner on the meet (1, 0, 0) of the two edges
+    # zeroes a denominator of the closed form
+    m = model_box(Fraction(1, 3), Fraction(1, 2))
+    meet_point = ProjPoint((1, 0, 0))
+    for box in (MarkedBox(m.s, meet_point, m.u, m.a, m.b, m.c),
+                MarkedBox(m.s, m.t, meet_point, m.a, m.b, m.c)):
+        with pytest.raises(DegenerateBox):
+            box_polarity(box)
 
 
 def test_convexity_predicate():
@@ -155,15 +205,23 @@ def test_convexity_predicate():
         model_box(Fraction(3, 2), Fraction(0))
 
 
-def test_order3_transform_cycles_the_three_children():
-    m = base_box(Fraction(3, 10), Fraction(2, 5))
+def _mapped(g, box):
+    return MarkedBox(*(ProjPoint(mat_vec(g, p.v)) for p in box.sextuple()))
+
+
+@given(unit_interval, unit_interval, itb_words)
+@settings(deadline=None, max_examples=40)
+def test_order3_transform_cycles_the_three_children(x, y, word):
+    m = apply_word_box(word, base_box(x, y))
     g = order3_transform(m)
     bi, bt, bb = op_i(m), op_t(m), op_b(m)
-    assert map_box(g, bi).same_box(bt)
-    assert map_box(g, bt).same_box(bb)
-    assert map_box(g, bb).same_box(bi)
+    assert _mapped(g.m, bi).same_box(bt)
+    assert _mapped(g.m, bt).same_box(bb)
+    assert _mapped(g.m, bb).same_box(bi)
     g3 = mat_mul(g.m, mat_mul(g.m, g.m))
     assert all(g3[i][j] == (g3[0][0] if i == j else 0) for i in range(3) for j in range(3))
+    # the exact scale is the classical one, fixed by the corners c
+    assert g.m == _normalization((bt.s, bt.u, bt.a, bt.c), (bb.s, bb.u, bb.a, bb.c))
 
 
 def test_orbit_counts_and_word_layout():
@@ -179,6 +237,25 @@ def test_orbit_counts_and_word_layout():
     assert len(level3) == 16
     assert all(not w.startswith("i") for w in level3[:8])
     assert all(w.startswith("i") for w in level3[8:])
+
+
+def test_float_boxes_track_the_exact_ones_level_by_level():
+    # 3/8 and 9/16 are floats exactly, so both walks start from one box; the
+    # float walk used to stop at depth 12 on an absolute collinearity test
+    depth = 12
+    exact = orbit_enumerate(base_box(Fraction(3, 8), Fraction(9, 16)), depth)
+    floating = orbit_enumerate(base_box(0.375, 0.5625), depth)
+    assert len(exact) == len(floating) == 2 ** (depth + 2) - 2
+    worst = [0.0] * (depth + 1)
+    for (w, me), (v, mf) in zip(exact, floating):
+        assert w == v
+        level = len(w) - w.startswith("i")
+        for pe, pf in zip(me.sextuple(), mf.sextuple()):
+            e = pe.floats()
+            sine = max(abs(x) for x in cross3(e, pf.v)) / math.sqrt(dot3(e, e))
+            worst[level] = max(worst[level], sine)
+    # the float error grows with the conditioning, under 3x per level
+    assert all(worst[k] <= 1e-15 * 3 ** k for k in range(depth + 1)), worst
 
 
 def test_orbit_members_share_the_invariant_class_up_to_rotation():

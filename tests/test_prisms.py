@@ -193,8 +193,8 @@ def test_translation_fixes_the_marked_square_points():
     T = translation_T(X, Y)
     top = ProjPoint((X, 1, 1))
     bottom = ProjPoint((1 - Y, Fraction(0), 1))
-    assert T.apply_point(top).same(top)
-    assert T.apply_point(bottom).same(bottom)
+    assert ProjPoint(mat_vec(T.m, top.v)).same(top)
+    assert ProjPoint(mat_vec(T.m, bottom.v)).same(bottom)
 
 
 def test_order3_axis_is_singular_with_central_fixed_point():

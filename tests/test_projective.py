@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from pappus.projective import (
     CoincidentLines,
     CoincidentPoints,
+    DegenerateQuadruple,
     Flag,
     HomVec,
     NotCollinear,
@@ -18,11 +19,13 @@ from pappus.projective import (
     ProjPoint,
     SingularMap,
     cross_ratio,
+    frame_rows,
     incident,
     is_elliptic,
     join,
     mat_det,
     mat_inv,
+    mat_vec,
     meet,
     standard_polarity,
     transform_from_correspondence,
@@ -122,10 +125,9 @@ def test_cross_ratio_is_a_projective_invariant(a, b, c, d, e, f, g, h, i):
          (Fraction(g), Fraction(h), Fraction(i)))
     if mat_det(m) == 0:
         return
-    g_map = ProjMap(m)
     pts = [frac_point(0, 0, 1), frac_point(1, 0, 1), frac_point(3, 0, 1), frac_point(1, 0, 0)]
     before = cross_ratio(*pts)
-    imgs = [g_map.apply_point(p) for p in pts]
+    imgs = [ProjPoint(mat_vec(m, p.v)) for p in pts]
     assert cross_ratio(*imgs) == before
 
 
@@ -150,14 +152,12 @@ def test_triple_product_permutation_behavior():
 def test_triple_product_projective_invariance():
     f1, f2, f3 = _sample_flags()
     val = triple_product((f1, f2, f3))
-    g = ProjMap(((Fraction(2), Fraction(1), Fraction(0)),
-                 (Fraction(0), Fraction(1), Fraction(1)),
-                 (Fraction(1), Fraction(0), Fraction(3))))
+    g = ((2, 1, 0), (0, 1, 1), (1, 0, 3))
     # a flag's line moves as the join of two moved points on it
     moved = []
     for f, other in ((f1, frac_point(1, 1, 1)), (f2, frac_point(2, 1, 1)), (f3, frac_point(1, 2, 1))):
-        p = g.apply_point(f.point)
-        moved.append(Flag(p, join(p, g.apply_point(other))))
+        p = ProjPoint(mat_vec(g, f.point.v))
+        moved.append(Flag(p, join(p, ProjPoint(mat_vec(g, other.v)))))
     assert triple_product(moved) == val
 
 
@@ -166,7 +166,19 @@ def test_transform_from_correspondence_hits_all_four_points():
     dst = (frac_point(1, 2, 1), frac_point(0, 1, 1), frac_point(1, 0, 1), frac_point(2, 1, 1))
     g = transform_from_correspondence(src, dst)
     for s, d in zip(src, dst):
-        assert g.apply_point(s).same(d)
+        assert ProjPoint(mat_vec(g.m, s.v)).same(d)
+
+
+def test_frame_rows_send_the_quadruple_to_the_standard_frame():
+    quad = (frac_point(1, 2, 1), frac_point(0, 1, 1), frac_point(1, 0, 1), frac_point(2, 1, 1))
+    rho = frame_rows(quad)
+    for k, p in enumerate(quad[:3]):
+        image = mat_vec(rho, p.v)
+        assert image[k] != 0 and all(image[j] == 0 for j in range(3) if j != k)
+    # the stored fourth point is (2, 1, 1): f = 2 fixes the one scale
+    assert mat_vec(rho, quad[3].v) == (2, 2, 2)
+    with pytest.raises(DegenerateQuadruple):
+        frame_rows((quad[0], quad[1], frac_point(1, 3, 2), quad[3]))
 
 
 def test_transform_rejects_degenerate_quadruple():
@@ -205,17 +217,16 @@ def test_mat_det_exact():
 
 
 def test_maps_and_polarities_fix_their_backend_at_construction():
-    g = ProjMap(((1, 2, 0), (0, 1, 1), (1, 0, 1)))
-    # one float entry makes the determinant, and so the map and its inverse, float
-    mixed = ProjMap(((1, 2, 0), (0, 1.0, 1), (1, 0, 1)))
-    assert g.exact and not mixed.exact
-    assert all(type(x) is Fraction for row in mat_inv(g.m) for x in row)
-    assert all(type(x) is float for row in mat_inv(mixed.m) for x in row)
+    g = ((1, 2, 0), (0, 1, 1), (1, 0, 1))
+    # one float entry makes the determinant, and so the inverse, float
+    mixed = ((1, 2, 0), (0, 1.0, 1), (1, 0, 1))
+    assert all(type(x) is Fraction for row in mat_inv(g) for x in row)
+    assert all(type(x) is float for row in mat_inv(mixed) for x in row)
     p, pf = frac_point(3, -1, 2), ProjPoint((3.0, -1.0, 2.0))
     line = join(p, frac_point(1, 1, 1))
     # an image is exact when both the matrix and the vector are
-    assert g.apply_point(p).exact
-    assert not (g.apply_point(pf).exact or mixed.apply_point(p).exact)
+    assert HomVec(mat_vec(g, p.v)).exact
+    assert not (HomVec(mat_vec(g, pf.v)).exact or HomVec(mat_vec(mixed, p.v)).exact)
     exact, floating = standard_polarity(), standard_polarity(exact=False)
     assert exact.exact and not floating.exact
     assert exact.line_to_point(line).exact and exact.point_to_line(p).exact
