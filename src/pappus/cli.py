@@ -25,7 +25,7 @@ import os
 import random
 import sys
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
@@ -127,47 +127,29 @@ def _depth_cap() -> int:
     return cap
 
 
-@dataclass
-class RunConfig:
-    x: object = None
-    y: object = None
-    depth: int = 0
-    backend: str = "exact"
-    out: Optional[str] = None
-    fmt: str = "json"
-
-
-def _build_config(args, formats: Sequence[str], need_params: bool = True) -> RunConfig:
-    cfg = RunConfig()
-    if need_params:
-        if args.x is None or args.y is None:
-            raise ConfigError("--x and --y are required")
-        x, x_exact = _parse_scalar(args.x)
-        y, y_exact = _parse_scalar(args.y)
-        backend = "exact" if x_exact and y_exact else "float"
-        if backend == "float":
-            if not (x_exact or y_exact):
-                print("warning: decimal input uses the float backend", file=sys.stderr)
-            x, y = float(x), float(y)
-        if not (0 < x < 1 and 0 < y < 1):
-            raise ConfigError("x and y must lie strictly between 0 and 1")
-        cfg.x, cfg.y, cfg.backend = x, y, backend
+def _params(args):
+    """(x, y, backend, depth) from --x, --y and --depth, checked in that order."""
+    if args.x is None or args.y is None:
+        raise ConfigError("--x and --y are required")
+    x, x_exact = _parse_scalar(args.x)
+    y, y_exact = _parse_scalar(args.y)
+    backend = "exact" if x_exact and y_exact else "float"
+    if backend == "float":
+        if not (x_exact or y_exact):
+            print("warning: decimal input uses the float backend", file=sys.stderr)
+        x, y = float(x), float(y)
+    if not (0 < x < 1 and 0 < y < 1):
+        raise ConfigError("x and y must lie strictly between 0 and 1")
     depth = getattr(args, "depth", 0)
     cap = _depth_cap()
     if depth < 0 or depth > cap:
         raise ConfigError(f"depth must be in [0, {cap}]")
-    cfg.depth = depth
-    fmt = args.format
-    if fmt not in formats:
-        raise ConfigError(f"format {fmt!r} not supported here (use one of {', '.join(formats)})")
-    cfg.fmt = fmt
-    cfg.out = args.out
-    return cfg
+    return x, y, backend, depth
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.out:
-        with open(cfg.out, "w", newline="\n") as fh:
+def _emit(out: Optional[str], text: str) -> None:
+    if out:
+        with open(out, "w", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -215,26 +197,26 @@ def _check_positive(**options) -> None:
 
 
 def cmd_orbit(args) -> int:
-    cfg = _build_config(args, formats=("csv", "json"))
+    x, y, backend, depth = _params(args)
     workers = args.workers
     _check_positive(workers=workers)
     with (multiprocessing.Pool(workers) if workers > 1 else nullcontext()) as pool:
-        boxes = orbit_enumerate(base_box(cfg.x, cfg.y), cfg.depth, pool, workers)
-    if cfg.fmt == "csv":
+        boxes = orbit_enumerate(base_box(x, y), depth, pool, workers)
+    if args.format == "csv":
         lines = ["word," + ",".join(_COORD_NAMES) + ",x,y"]
         for word, m in boxes:
             inv = raw_invariant(m)
             cells = [word or "-"] + [_fmt_scalar(c) for c in _box_coords(m)]
             cells += [_fmt_scalar(inv[0]), _fmt_scalar(inv[1])]
             lines.append(",".join(cells))
-        _emit(cfg, "\n".join(lines) + "\n")
+        _emit(args.out, "\n".join(lines) + "\n")
     else:
         payload = {
             "command": "orbit",
-            "x": _jsonable_scalar(cfg.x),
-            "y": _jsonable_scalar(cfg.y),
-            "depth": cfg.depth,
-            "backend": cfg.backend,
+            "x": _jsonable_scalar(x),
+            "y": _jsonable_scalar(y),
+            "depth": depth,
+            "backend": backend,
             "boxes": [
                 {
                     "word": word,
@@ -244,7 +226,7 @@ def cmd_orbit(args) -> int:
                 for word, m in boxes
             ],
         }
-        _emit(cfg, _dump_json(payload))
+        _emit(args.out, _dump_json(payload))
     return EXIT_OK
 
 
@@ -314,12 +296,12 @@ def _limitset_svg(flags, window: float) -> str:
 
 
 def cmd_limitset(args) -> int:
-    cfg = _build_config(args, formats=("svg", "csv"))
+    x, y, _, depth = _params(args)
     workers = args.workers
     _check_positive(window=args.window, workers=workers)
     with (multiprocessing.Pool(workers) if workers > 1 else nullcontext()) as pool:
-        flags = limit_set_flags(cfg.x, cfg.y, cfg.depth, pool, workers)
-    if cfg.fmt == "csv":
+        flags = limit_set_flags(x, y, depth, pool, workers)
+    if args.format == "csv":
         lines = ["word,px,py,pz,lx,ly,lz,farey_tail,farey_head"]
         for lf in flags:
             cells = [lf.word or "-"]
@@ -327,9 +309,9 @@ def cmd_limitset(args) -> int:
             cells += [_fmt_scalar(c) for c in _coords(lf.flag.line)]
             cells += [_fmt_rational(lf.edge.tail), _fmt_rational(lf.edge.head)]
             lines.append(",".join(cells))
-        _emit(cfg, "\n".join(lines) + "\n")
+        _emit(args.out, "\n".join(lines) + "\n")
     else:
-        _emit(cfg, _limitset_svg(flags, args.window))
+        _emit(args.out, _limitset_svg(flags, args.window))
     return EXIT_OK
 
 
@@ -371,9 +353,9 @@ def _distance_summary(pat, window: float, samples: int) -> Dict:
 
 
 def cmd_pattern(args) -> int:
-    cfg = _build_config(args, formats=("json",))
+    x, y, backend, depth = _params(args)
     _check_positive(window=args.window, samples=args.samples)
-    pat = build_pattern(cfg.x, cfg.y, cfg.depth)
+    pat = build_pattern(x, y, depth)
     records = []
     for g in pat.geodesics:
         e = pat.edge_of(g.word)
@@ -390,22 +372,21 @@ def cmd_pattern(args) -> int:
         )
     payload = {
         "command": "pattern",
-        "x": _jsonable_scalar(cfg.x),
-        "y": _jsonable_scalar(cfg.y),
-        "depth": cfg.depth,
-        "backend": cfg.backend,
+        "x": _jsonable_scalar(x),
+        "y": _jsonable_scalar(y),
+        "depth": depth,
+        "backend": backend,
         "geodesics": records,
     }
     if args.distances:
         payload["distances"] = _distance_summary(pat, args.window, args.samples)
-    _emit(cfg, _dump_json(payload))
+    _emit(args.out, _dump_json(payload))
     return EXIT_OK
 
 
 # --- character variety -------------------------------------------------------------
 
 def cmd_charvar(args) -> int:
-    cfg = _build_config(args, formats=("csv",), need_params=False)
     grid = args.grid
     _check_positive(grid=grid)
     lines = ["x,y,triple_invariant"]
@@ -414,7 +395,7 @@ def cmd_charvar(args) -> int:
             x = i / (grid + 1)
             y = j / (grid + 1)
             lines.append(f"{x!r},{y!r},{triple_invariant(x, y)!r}")
-    _emit(cfg, "\n".join(lines) + "\n")
+    _emit(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -425,26 +406,26 @@ _MESH_OPTIONS = {"cone": 0.0, "window": 2.0, "samples": 9}
 
 
 def cmd_prism(args) -> int:
-    cfg = _build_config(args, formats=("json", "obj"))
+    x, y, _, depth = _params(args)
     # an option the chosen format does not read is refused, not ignored
     given = vars(args)
-    for name in ("depth",) if cfg.fmt == "obj" else _MESH_OPTIONS:
+    for name in ("depth",) if args.format == "obj" else _MESH_OPTIONS:
         if name in given:
-            raise ConfigError(f"--{name} does not apply to --format {cfg.fmt}")
-    if cfg.fmt == "obj":
+            raise ConfigError(f"--{name} does not apply to --format {args.format}")
+    if args.format == "obj":
         cone, window, samples = (given.get(name, default) for name, default in _MESH_OPTIONS.items())
         _check_positive(window=window, samples=samples)
         if samples < 2:
             raise ConfigError("--samples must be at least 2 for the obj mesh")
-        m = base_box(cfg.x, cfg.y)
+        m = base_box(x, y)
         prism = prism_of_triangle(m)
         triangle = [geodesic_of_box(b).geodesic for b in prism.boxes]
         mesh = cone_fill_sample(prism, triangle, cone, samples, window=window)
-        _emit(cfg, mesh_to_obj(mesh))
+        _emit(args.out, mesh_to_obj(mesh))
         return EXIT_OK
-    report = bending_report(cfg.x, cfg.y, cfg.depth)
+    report = bending_report(x, y, depth)
     payload = {"command": "prism", **asdict(report)}
-    _emit(cfg, _dump_json(payload))
+    _emit(args.out, _dump_json(payload))
     return EXIT_OK
 
 
@@ -659,19 +640,17 @@ def cmd_verify(args) -> int:
     for name in names:
         checks.extend(_SUITES[name](rng))
     passed = all(c["passed"] for c in checks)
-    cfg = RunConfig(out=args.out)
-    _emit(cfg, _dump_json({"command": "verify", "suite": suite, "passed": passed, "checks": checks}))
+    _emit(args.out, _dump_json({"command": "verify", "suite": suite, "passed": passed, "checks": checks}))
     return EXIT_OK if passed else EXIT_VERIFY
 
 
 # --- argument parsing -----------------------------------------------------------------
 
-def _add_common(sp, fmt_choices, default_fmt, depth_default=0):
+def _add_common(sp, depth_default=0):
     sp.add_argument("--x", help="first parameter, rational p/q or decimal")
     sp.add_argument("--y", help="second parameter, rational p/q or decimal")
     sp.add_argument("--depth", type=int, default=depth_default, help="orbit depth")
     sp.add_argument("--out", help="output path (default stdout)")
-    sp.add_argument("--format", choices=fmt_choices, default=default_fmt)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -682,18 +661,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("orbit", help="enumerate the two-sided box orbit")
-    _add_common(sp, ("csv", "json"), "csv")
+    _add_common(sp)
+    sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--workers", type=int, default=1, help="parallel expansion processes")
     sp.set_defaults(func=cmd_orbit)
 
     sp = sub.add_parser("limitset", help="limit-set flags as svg or csv")
-    _add_common(sp, ("svg", "csv"), "svg")
+    _add_common(sp)
+    sp.add_argument("--format", choices=("svg", "csv"), default="svg")
     sp.add_argument("--window", type=float, default=4.0, help="half width of the svg viewport")
     sp.add_argument("--workers", type=int, default=1, help="parallel expansion processes")
     sp.set_defaults(func=cmd_limitset)
 
     sp = sub.add_parser("pattern", help="geodesic pattern records as json")
-    _add_common(sp, ("json",), "json")
+    _add_common(sp)
     sp.add_argument("--distances", action="store_true", help="add pairwise minimum distances")
     sp.add_argument("--window", type=float, default=3.0, help="parameter window for sampling")
     sp.add_argument("--samples", type=int, default=15, help="samples per geodesic")
@@ -702,13 +683,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("charvar", help="grid of the orbit invariant")
     sp.add_argument("--grid", type=int, default=41, help="samples per axis")
     sp.add_argument("--out", help="output path (default stdout)")
-    sp.add_argument("--format", choices=("csv",), default="csv")
     sp.set_defaults(func=cmd_charvar)
 
     sp = sub.add_parser("prism", help="bending report (json, reads --depth) or cone mesh (obj)")
     # unset options stay out of the namespace, so cmd_prism can refuse
     # the ones the chosen format does not read
-    _add_common(sp, ("json", "obj"), "json", depth_default=argparse.SUPPRESS)
+    _add_common(sp, depth_default=argparse.SUPPRESS)
+    sp.add_argument("--format", choices=("json", "obj"), default="json")
     sp.add_argument("--cone", type=float, default=argparse.SUPPRESS,
                     help="obj only: apex offset along the symmetry axis (default 0)")
     sp.add_argument("--window", type=float, default=argparse.SUPPRESS,

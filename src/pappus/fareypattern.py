@@ -108,28 +108,14 @@ def pattern_boxes(x, y, depth: int, pool=None, workers: int = 1) -> List[Tuple[s
 
 @dataclass(frozen=True, eq=False)
 class FareyPattern:
-    x: object
-    y: object
-    depth: int
     geodesics: Tuple[PatternGeodesic, ...]
-    base_edge: OrientedEdge
-    base_box: MarkedBox
 
     def edge_of(self, word: str) -> OrientedEdge:
-        return word_apply(word, self.base_edge)
+        return word_apply(word, default_base_edge())
 
 
 def build_pattern(x, y, depth: int) -> FareyPattern:
-    pairs = pattern_boxes(x, y, depth)
-    geods = tuple(geodesic_of_box(m, w) for w, m in pairs)
-    return FareyPattern(
-        x=x,
-        y=y,
-        depth=depth,
-        geodesics=geods,
-        base_edge=default_base_edge(),
-        base_box=pairs[0][1],
-    )
+    return FareyPattern(tuple(geodesic_of_box(m, w) for w, m in pattern_boxes(x, y, depth)))
 
 
 def one_end_asymptotic(g1: PatternGeodesic, g2: PatternGeodesic) -> bool:
@@ -241,9 +227,9 @@ def fold_limit_flags(rows: Sequence[Tuple[str, MarkedBox]]) -> List[LimitFlag]:
     seen: Dict[Rational, LimitFlag] = {}
     for word, box in rows:
         e = edges[word] = word_apply(word[-1], edges[word[:-1]]) if word else default_base_edge()
-        for vertex, flag in ((e.tail, top_flag(box)), (e.head, bottom_flag(box))):
+        for vertex, flag_of in ((e.tail, top_flag), (e.head, bottom_flag)):
             if vertex not in seen:
-                seen[vertex] = LimitFlag(vertex=vertex, flag=flag, word=word, edge=e)
+                seen[vertex] = LimitFlag(vertex=vertex, flag=flag_of(box), word=word, edge=e)
     return sorted(seen.values(), key=lambda lf: lf.vertex.circular_key())
 
 

@@ -53,7 +53,6 @@ from .symmspace import (
     LineClass,
     NotPositiveDefinite,
     PointClass,
-    flat_geodesic,
     geodesic_between,
     geodesic_point,
     metric_d,
@@ -205,21 +204,9 @@ def inflection_point(psi: Polarity, flat: Flat) -> XPoint:
     return p
 
 
-# singular velocity in flat coordinates: both flag axes shrink, the
-# meet axis grows, so the forward end is the meet vertex in P
-_SINGULAR_VELOCITY = (1.0, 1.0, -2.0)
-
-
-def inflection_line(flat: Flat, p: XPoint) -> XGeodesic:
-    """Singular geodesic of the flat through p, oriented line-end to point-end."""
-    return flat_geodesic(flat, p, _SINGULAR_VELOCITY)
-
-
 @dataclass(frozen=True, eq=False)
 class InflectionData:
-    flat: Flat
     point: XPoint
-    line: XGeodesic
     medial_point: XPoint
     signed_distance: float
     collinearity_residual: float
@@ -227,14 +214,11 @@ class InflectionData:
 
 def _inflection_for(flat: Flat, psi: Polarity, box: MarkedBox) -> InflectionData:
     pt = inflection_point(psi, flat)
-    line = inflection_line(flat, pt)
     medial = polarity_fixed_point(box_polarity(box))
     a_m, b_m = flat.metric_coords(medial)
     a_i, b_i = flat.metric_coords(pt)
     return InflectionData(
-        flat=flat,
         point=pt,
-        line=line,
         medial_point=medial,
         signed_distance=b_i - b_m,
         collinearity_residual=abs(a_i - a_m),

@@ -35,8 +35,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Tuple, Union
 
-import numpy as np
-
 Scalar = Union[int, Fraction, float]
 Triple = Tuple[Scalar, Scalar, Scalar]
 
@@ -404,19 +402,14 @@ def standard_polarity(exact: bool = True) -> Polarity:
 def is_elliptic(delta: Polarity) -> bool:
     """True when the symmetric matrix of the polarity is definite.
 
-    Exact backend: sign pattern of leading principal minors.  Float
-    backend: signs of the eigenvalues.
+    Sign pattern of the leading principal minors, on both backends; the
+    test reads signs only, so it does not depend on the matrix's scale.
     """
     q = delta.q
-    if delta.exact:
-        m1 = q[0][0]
-        m2 = q[0][0] * q[1][1] - q[0][1] * q[1][0]
-        m3 = mat_det(q)
-        pos = m1 > 0 and m2 > 0 and m3 > 0
-        neg = m1 < 0 and m2 > 0 and m3 < 0
-        return pos or neg
-    w = np.linalg.eigvalsh(np.array([[float(x) for x in row] for row in q]))
-    return bool((w > DEFAULT_TOL).all() or (w < -DEFAULT_TOL).all())
+    m1 = q[0][0]
+    m2 = q[0][0] * q[1][1] - q[0][1] * q[1][0]
+    m3 = mat_det(q)
+    return bool(m2 > 0 and ((m1 > 0 and m3 > 0) or (m1 < 0 and m3 < 0)))
 
 
 def frame_rows(quad) -> Mat:

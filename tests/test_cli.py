@@ -287,11 +287,17 @@ def test_config_errors_exit_two(capsys):
         ("prism", *xy, "--format", "obj", "--depth", "0", "--cone", "0.3"),
     ):
         assert run(capsys, *argv)[0] == 2, argv
-    # the spelling of --x/--y picks the backend, so there is no --backend
-    for option in (("--tol", "1e-9"), ("--backend", "exact")):
+    # the spelling of --x/--y picks the backend, so there is no --backend;
+    # pattern prints json and charvar csv, so neither takes --format
+    for argv in (
+        ("orbit", *xy, "--tol", "1e-9"),
+        ("orbit", *xy, "--backend", "exact"),
+        ("pattern", *xy, "--format", "json"),
+        ("charvar", "--format", "csv"),
+    ):
         with pytest.raises(SystemExit) as exc:
-            run(capsys, "orbit", "--x", "3/10", "--y", "2/5", *option)
-        assert exc.value.code == 2
+            run(capsys, *argv)
+        assert exc.value.code == 2, argv
 
 
 def test_geometry_errors_exit_three(capsys):
@@ -308,3 +314,5 @@ def test_depth_cap_env_override(monkeypatch, capsys):
     assert over[0] == 2
     monkeypatch.setenv("PAPPUS_MAX_DEPTH", "soup")
     assert run(capsys, "orbit", "--x", "3/10", "--y", "2/5")[0] == 2
+    # charvar reads no depth, so it does not read the cap either
+    assert run(capsys, "charvar", "--grid", "2")[0] == 0

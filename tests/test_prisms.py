@@ -15,6 +15,7 @@ from pappus.markedbox import OutOfRange, apply_word_box, op_i, order3_transform,
 from pappus.symmspace import (
     PointClass,
     boundary_ray_class,
+    flat_geodesic,
     geodesic_point,
     metric_d,
 )
@@ -39,6 +40,10 @@ X, Y = Fraction(3, 10), Fraction(2, 5)
 
 # measured once from this implementation and frozen as a regression pin
 INFLECTION_DIST = 0.44850658873134785
+
+# the inflection line's velocity in flat coordinates: both flag axes shrink
+# and the meet axis grows, so its forward end is the meet vertex in P
+SINGULAR_VELOCITY = (1.0, 1.0, -2.0)
 
 
 def test_triple_invariant_formula_and_domain():
@@ -140,16 +145,18 @@ def test_within_prism_inflection_distances_agree():
     ds = [abs(item.signed_distance) for item in data]
     for d in ds:
         assert d == pytest.approx(INFLECTION_DIST, rel=1e-9)
-    for item in data:
+    for j, item in enumerate(data):
         assert item.collinearity_residual < 1e-9
         # inflection point sits on its own singular line at parameter zero
-        assert metric_d(geodesic_point(item.line, 0.0), item.point) < 1e-10
+        line = flat_geodesic(prism.flats[j], item.point, SINGULAR_VELOCITY)
+        assert metric_d(geodesic_point(line, 0.0), item.point) < 1e-10
 
 
 def test_inflection_line_is_singular_not_medial():
     prism = prism_of_triangle(base_box(X, Y))
     item = prism_inflection_data(prism)[0]
-    fwd = boundary_ray_class(item.line, 1)
+    line = flat_geodesic(prism.flats[0], item.point, SINGULAR_VELOCITY)
+    fwd = boundary_ray_class(line, 1)
     assert isinstance(fwd, PointClass)
 
 

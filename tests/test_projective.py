@@ -207,6 +207,13 @@ def test_ellipticity_detects_definiteness():
                       (Fraction(0), Fraction(1), Fraction(0)),
                       (Fraction(0), Fraction(0), Fraction(-1))))
     assert not is_elliptic(indef)
+    # a float form is definite at any scale: the test reads signs, not
+    # eigenvalues against an absolute threshold
+    eps = 1e-12
+    diag = lambda a, b, c: Polarity(((a, 0.0, 0.0), (0.0, b, 0.0), (0.0, 0.0, c)))
+    assert is_elliptic(diag(eps, eps, eps))
+    assert is_elliptic(diag(-eps, -eps, -eps))
+    assert not is_elliptic(diag(eps, eps, -eps))
 
 
 def test_mat_det_exact():
