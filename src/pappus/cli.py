@@ -114,21 +114,8 @@ def _parse_scalar(text: str):
         raise ConfigError(f"bad number {text!r}") from None
 
 
-def _depth_cap() -> int:
-    raw = os.environ.get("PAPPUS_MAX_DEPTH")
-    if raw is None:
-        return DEFAULT_MAX_DEPTH
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"PAPPUS_MAX_DEPTH is not an integer: {raw!r}") from None
-    if cap < 0:
-        raise ConfigError("PAPPUS_MAX_DEPTH must be nonnegative")
-    return cap
-
-
 def _params(args):
-    """(x, y, backend, depth) from --x, --y and --depth, checked in that order."""
+    """(x, y, backend) from --x and --y, checked in that order."""
     if args.x is None or args.y is None:
         raise ConfigError("--x and --y are required")
     x, x_exact = _parse_scalar(args.x)
@@ -140,11 +127,22 @@ def _params(args):
         x, y = float(x), float(y)
     if not (0 < x < 1 and 0 < y < 1):
         raise ConfigError("x and y must lie strictly between 0 and 1")
-    depth = getattr(args, "depth", 0)
-    cap = _depth_cap()
+    return x, y, backend
+
+
+def _depth(depth: int) -> int:
+    """--depth checked against the PAPPUS_MAX_DEPTH cap, which only a
+    command that reads a depth reads."""
+    raw = os.environ.get("PAPPUS_MAX_DEPTH", str(DEFAULT_MAX_DEPTH))
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ConfigError(f"PAPPUS_MAX_DEPTH is not an integer: {raw!r}") from None
+    if cap < 0:
+        raise ConfigError("PAPPUS_MAX_DEPTH must be nonnegative")
     if depth < 0 or depth > cap:
         raise ConfigError(f"depth must be in [0, {cap}]")
-    return x, y, backend, depth
+    return depth
 
 
 def _emit(out: Optional[str], text: str) -> None:
@@ -197,7 +195,8 @@ def _check_positive(**options) -> None:
 
 
 def cmd_orbit(args) -> int:
-    x, y, backend, depth = _params(args)
+    x, y, backend = _params(args)
+    depth = _depth(args.depth)
     workers = args.workers
     _check_positive(workers=workers)
     with (multiprocessing.Pool(workers) if workers > 1 else nullcontext()) as pool:
@@ -296,7 +295,8 @@ def _limitset_svg(flags, window: float) -> str:
 
 
 def cmd_limitset(args) -> int:
-    x, y, _, depth = _params(args)
+    x, y, _ = _params(args)
+    depth = _depth(args.depth)
     workers = args.workers
     _check_positive(window=args.window, workers=workers)
     with (multiprocessing.Pool(workers) if workers > 1 else nullcontext()) as pool:
@@ -353,7 +353,8 @@ def _distance_summary(pat, window: float, samples: int) -> Dict:
 
 
 def cmd_pattern(args) -> int:
-    x, y, backend, depth = _params(args)
+    x, y, backend = _params(args)
+    depth = _depth(args.depth)
     _check_positive(window=args.window, samples=args.samples)
     pat = build_pattern(x, y, depth)
     records = []
@@ -406,9 +407,11 @@ _MESH_OPTIONS = {"cone": 0.0, "window": 2.0, "samples": 9}
 
 
 def cmd_prism(args) -> int:
-    x, y, _, depth = _params(args)
-    # an option the chosen format does not read is refused, not ignored
+    x, y, _ = _params(args)
     given = vars(args)
+    # the obj mesh reads no depth, so it does not read the cap either
+    depth = _depth(given.get("depth", 0)) if args.format == "json" else None
+    # an option the chosen format does not read is refused, not ignored
     for name in ("depth",) if args.format == "obj" else _MESH_OPTIONS:
         if name in given:
             raise ConfigError(f"--{name} does not apply to --format {args.format}")

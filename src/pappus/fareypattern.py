@@ -44,10 +44,6 @@ class PatternError(PappusError):
     pass
 
 
-class FixedPointOffFlat(PatternError):
-    """Internal consistency failure: the polarity point left its flat."""
-
-
 def flat_of_box(m: MarkedBox) -> Flat:
     """Flat of a box: vertices (top point, bottom point, top line ^ bottom line)."""
     t_line = join(m.s, m.u)
@@ -74,8 +70,6 @@ class PatternGeodesic:
 def geodesic_of_box(m: MarkedBox, word: str = "") -> PatternGeodesic:
     flat = flat_of_box(m)
     p = polarity_fixed_point(box_polarity(m))
-    if not flat.contains(p, 1e-10):
-        raise FixedPointOffFlat("polarity point misses the box flat")
     gamma = flat_geodesic(flat, p, _MEDIAL_VELOCITY)
     return PatternGeodesic(
         word=word,

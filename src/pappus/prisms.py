@@ -9,6 +9,13 @@ geodesics through them orthogonal to the medial direction are the
 inflection lines, and the signed offset between each flat's medial
 geodesic and its inflection point is the bending parameter reported
 here.
+
+A flat's box polarity (fixed point: the medial point) and swap polarity
+(fixed point: the inflection point) are diagonal in its vertex frame
+(t, b, top line ^ bottom line): one sends t and b to the bottom and top
+lines, the other trades the flat's two flags.  So the report reads both
+points off the diagonal (``Flat.log_diagonal``, exact on exact input)
+and builds no point of X.
 """
 
 from __future__ import annotations
@@ -46,6 +53,8 @@ from .markedbox import (
 )
 from .fareypattern import flat_of_box, pattern_boxes
 from .symmspace import (
+    FLAT_AXIS_MEDIAL,
+    FLAT_AXIS_SINGULAR,
     Flat,
     XGeodesic,
     XPoint,
@@ -56,7 +65,6 @@ from .symmspace import (
     geodesic_between,
     geodesic_point,
     metric_d,
-    polarity_fixed_point,
     _polarity_push,
     _polarity_matrix,
 )
@@ -71,10 +79,6 @@ class DegenerateTriple(PrismError):
 
 
 class UnityTripleProduct(PrismError):
-    pass
-
-
-class NoFixedPointInFlat(PrismError):
     pass
 
 
@@ -181,29 +185,6 @@ def prism_of_triangle(m: MarkedBox) -> Prism:
     )
 
 
-def inflection_point(psi: Polarity, flat: Flat) -> XPoint:
-    """Unique fixed point on a flat of the reflection induced by psi.
-
-    The polarity diagonalizes in the flat basis; the fixed point is the
-    positive diagonal form with those absolute entries.
-    """
-    q = _polarity_matrix(psi)
-    c, off, norm = flat.frame(q)
-    if off > 1e-8 * norm:
-        raise NoFixedPointInFlat("polarity does not stabilize this flat")
-    d = np.abs(np.diag(c))
-    if d.min() <= 0:
-        raise NoFixedPointInFlat("degenerate diagonal form")
-    p = XPoint(flat.basis_inv.T @ np.diag(d) @ flat.basis_inv)
-    # not an identity: in the flat basis, entry (i, j) of q p^-1 q - p is
-    # (s_i + s_j) c_ij to first order in the off-diagonal of c, with
-    # s = sign(diag(c)), so this holds c to about 1e-10 where the test
-    # above allows 1e-8
-    if not _polarity_push(q, p).same(p, 1e-10):
-        raise NoFixedPointInFlat("fixed point residual too large")
-    return p
-
-
 @dataclass(frozen=True, eq=False)
 class InflectionData:
     point: XPoint
@@ -212,23 +193,24 @@ class InflectionData:
     collinearity_residual: float
 
 
-def _inflection_for(flat: Flat, psi: Polarity, box: MarkedBox) -> InflectionData:
-    pt = inflection_point(psi, flat)
-    medial = polarity_fixed_point(box_polarity(box))
-    a_m, b_m = flat.metric_coords(medial)
-    a_i, b_i = flat.metric_coords(pt)
-    return InflectionData(
-        point=pt,
-        medial_point=medial,
-        signed_distance=b_i - b_m,
-        collinearity_residual=abs(a_i - a_m),
-    )
+def _slot_logs(p: Prism, j: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Log-coordinates on flat j of its inflection point, the fixed point of
+    the swap polarity, and of its medial point, the box polarity's."""
+    flat = p.flats[j]
+    return flat.log_diagonal(p.polarities[j]), flat.log_diagonal(box_polarity(p.boxes[j]))
+
+
+def _plane_coords(u: np.ndarray) -> Tuple[float, float]:
+    """Metric plane coordinates (medial, singular) of flat log-coordinates."""
+    return float(u @ FLAT_AXIS_MEDIAL) / 2.0, float(u @ FLAT_AXIS_SINGULAR) / 2.0
 
 
 def prism_inflection_data(p: Prism) -> Tuple[InflectionData, InflectionData, InflectionData]:
-    return tuple(
-        _inflection_for(p.flats[j], p.polarities[j], p.boxes[j]) for j in range(3)
-    )
+    def item(flat: Flat, u_psi: np.ndarray, u_q: np.ndarray) -> InflectionData:
+        a, b = _plane_coords(u_psi - u_q)
+        return InflectionData(flat.point_from_log(u_psi), flat.point_from_log(u_q), b, abs(a))
+
+    return tuple(item(p.flats[j], *_slot_logs(p, j)) for j in range(3))
 
 
 # --- the translation matrix in the square frame --------------------------------
@@ -359,17 +341,16 @@ def bending_report(x, y, depth: int) -> BendingReport:
     """
     boxes = dict(pattern_boxes(x, y, depth))
     prisms: Dict[str, Prism] = {w: prism_of_triangle(m) for w, m in boxes.items()}
-    data = {w: prism_inflection_data(pr) for w, pr in prisms.items()}
+    logs = {w: tuple(_slot_logs(pr, j) for j in range(3)) for w, pr in prisms.items()}
     reports = []
     for w in boxes:
-        inv = triple_invariant(*raw_invariant(boxes[w]))
-        d3 = data[w]
+        coords = [_plane_coords(u_psi - u_q) for u_psi, u_q in logs[w]]
         reports.append(
             PrismReport(
                 word=w,
-                triple_invariant=inv,
-                distances=tuple(item.signed_distance for item in d3),
-                collinearity_residuals=tuple(item.collinearity_residual for item in d3),
+                triple_invariant=triple_invariant(*raw_invariant(boxes[w])),
+                distances=tuple(b for _, b in coords),
+                collinearity_residuals=tuple(abs(a) for a, _ in coords),
             )
         )
     adjacent_pairs = []
@@ -379,16 +360,17 @@ def bending_report(x, y, depth: int) -> BendingReport:
             if child not in prisms:
                 continue
             shared = prisms[w].flats[slot]
+            # the same flat, so the child's swap polarity 0 is read on its frame
             if not shared.same_flat(prisms[child].flats[0]):
                 raise ConsistencyFailure("adjacent prisms do not share a flat")
-            a_p, b_p = shared.metric_coords(data[w][slot].point)
-            a_c, b_c = shared.metric_coords(data[child][0].point)
+            u_child = shared.log_diagonal(prisms[child].polarities[0])
+            a, b = _plane_coords(logs[w][slot][0] - u_child)
             adjacent_pairs.append(
                 AdjacencyReport(
                     word=w,
                     child_word=child,
-                    inflection_line_offset=abs(a_p - a_c),
-                    inflection_point_offset=b_p - b_c,
+                    inflection_line_offset=abs(a),
+                    inflection_point_offset=b,
                 )
             )
     return BendingReport(

@@ -30,7 +30,9 @@ from .projective import (
     ProjPoint,
     NonElliptic,
     PappusError,
+    dot3,
     is_elliptic,
+    mat_vec,
 )
 
 
@@ -327,9 +329,25 @@ class Flat:
         off = math.sqrt(2.0 * (c[0, 1] ** 2 + c[0, 2] ** 2 + c[1, 2] ** 2))
         return c, off, float(np.sqrt((c * c).sum()))
 
-    def contains(self, e: XPoint, tol: float = 1e-10) -> bool:
-        _, off, norm = self.frame(e.m)
-        return off <= tol * norm
+    def log_diagonal(self, psi: Polarity) -> np.ndarray:
+        """Centered u_k = log|v_k' q v_k / v_k' v_k| over the vertices v_k:
+        the log-coordinates of psi's fixed point when psi is diagonal in the
+        vertex frame, as the flat's box polarity and a prism's swap polarity
+        of the flat are, so nothing off the diagonal is read.  On exact input
+        q's denominators are cleared and each u_k - u_0 is the log of a
+        correctly rounded int quotient, whatever the height of the ints."""
+        if psi.exact and all(v.exact for v in self.vertices):
+            den = math.lcm(*(x.denominator for row in psi.q for x in row))
+            q = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in psi.q)
+            vs = tuple(v.v for v in self.vertices)
+        else:
+            q, vs = _polarity_matrix(psi), tuple(self.basis.T)
+        diag = [(dot3(v, mat_vec(q, v)), dot3(v, v)) for v in vs]
+        if any(a == 0 for a, _ in diag):
+            raise PointOffFlat("polarity has no fixed point on the flat: a vertex is isotropic")
+        a0, w0 = diag[0]
+        u = np.array([math.log(abs(a * w0 / (a0 * w))) for a, w in diag])
+        return u - u.mean()
 
     def log_coords(self, e: XPoint) -> np.ndarray:
         c, off, norm = self.frame(e.m)
@@ -346,10 +364,6 @@ class Flat:
     def point_at(self, a: float, b: float) -> XPoint:
         """Point at metric plane coordinates (a, b)."""
         return self.point_from_log(2.0 * a * FLAT_AXIS_MEDIAL + 2.0 * b * FLAT_AXIS_SINGULAR)
-
-    def metric_coords(self, e: XPoint) -> Tuple[float, float]:
-        u = self.log_coords(e)
-        return float(u @ FLAT_AXIS_MEDIAL) / 2.0, float(u @ FLAT_AXIS_SINGULAR) / 2.0
 
     def same_flat(self, other: "Flat") -> bool:
         used = set()

@@ -84,15 +84,20 @@ PINNED_OUTPUTS = {
         "72c3705e4e5accbc51f9d8c8ca3b88019fcfcd4add35dafb8355990a0bde5bef",
     ("pattern", "--x", "3/10", "--y", "2/5", "--depth", "3"):
         "683c60963384ffe151b58c61e9f8d499b1bf3d1d37abbe99c734e154c9cb8a9e",
+    # this and the tall pair's prism report below re-pinned when the report
+    # came to read each flat's inflection and medial points off the exact
+    # diagonal of the polarities in the flat's vertex frame: their numbers
+    # moved by at most 1.7e-14 here and 1.0e-11 there, toward the exact values
     ("prism", "--x", "3/10", "--y", "2/5", "--depth", "2"):
-        "454ae8944ad439a866483180fb136d294f87b5f15a7923f8c6471507e21267f4",
+        "c3a78309a1050757062fb1691a095bb44834226ac75a8eb51b764feffb7c7770",
     # float-backend, obj, distances and verify outputs, pinned before the
     # per-call thresholds became module constants; verify re-pinned when the
     # float swap polarities became a closed formula, which moved its one
     # float-prism residual, prism.collinearity_residual, from 1.2e-14 to 3.9e-15,
-    # and again when the box polarity did, which moved it to 3.4e-15
+    # again when the box polarity did, which moved it to 3.4e-15, and again
+    # when the report read the flats' diagonals, which moved it to 4.8e-15
     ("verify", "--suite", "all"):
-        "c8be9100f046cb7e6953bf691d361a6dcec4a2ac3ddb0db6cdec560bf860bdf9",
+        "93e181837e3f9ef35bb021f61d0e9d0dff3b0c474de6ba4f77fdd8d24d894e8a",
     ("prism", "--x", "3/10", "--y", "2/5", "--format", "obj", "--cone", "0.3", "--samples", "24"):
         "45eb65605c20edc92f37c2bf9e7643b31fb0e66c6a7016cb60d217239249e0f8",
     ("pattern", "--x", "3/10", "--y", "2/5", "--depth", "2", "--distances"):
@@ -111,9 +116,10 @@ PINNED_OUTPUTS = {
     ("pattern", "--x", "0.3", "--y", "0.4", "--depth", "2"):
         "1554e2f5d98f33c0b96f0316603de247a0f4edf8a1525c24b937ea66923d22e9",
     # exact prism and pattern at the tall pair, pinned before the swap
-    # polarities became a closed formula and the printer read the int triple
+    # polarities became a closed formula and the printer read the int triple;
+    # the prism report re-pinned with the one at (3/10, 2/5) above
     ("prism", "--x", "17/41", "--y", "5/37", "--depth", "3"):
-        "710ada89362dd56383520c18404bd059f7ac2d1663352d32342b8d8435f394fb",
+        "067940faf0865b31e90706642fd655f7e83c4097dc8924759f2739e3981128ee",
     ("pattern", "--x", "17/41", "--y", "5/37", "--depth", "4"):
         "c050f40250e296543f5d5bec381ee19409eeedd04db05a33aa08bacc0ef60708",
 }
@@ -314,5 +320,10 @@ def test_depth_cap_env_override(monkeypatch, capsys):
     assert over[0] == 2
     monkeypatch.setenv("PAPPUS_MAX_DEPTH", "soup")
     assert run(capsys, "orbit", "--x", "3/10", "--y", "2/5")[0] == 2
-    # charvar reads no depth, so it does not read the cap either
+    # charvar and the obj mesh read no depth, so they do not read the cap either
     assert run(capsys, "charvar", "--grid", "2")[0] == 0
+    monkeypatch.setenv("PAPPUS_MAX_DEPTH", "-1")
+    xy = ("--x", "3/10", "--y", "2/5")
+    assert run(capsys, "prism", *xy, "--format", "obj", "--samples", "2")[0] == 0
+    assert run(capsys, "prism", *xy)[0] == 2
+    assert run(capsys, "prism", *xy, "--depth", "0")[0] == 2

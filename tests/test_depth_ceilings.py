@@ -3,18 +3,23 @@
 Each case is a command at the first depth where a float check stops or
 used to stop it, run through ``cli.main`` in-process.  The float
 ``orbit`` and ``limitset`` runs stopped on an absolute collinearity
-threshold and pass now.  The rest are strict xfails, so the exact
-certificates that replace their float tests have to flip them: the
-``prism`` runs stop on the fixed-point residual in ``inflection_point``
-(which holds the flat's off-diagonal form to about 1e-10), the
-``pattern`` runs on the float on-flat test in ``geodesic_of_box``.
+threshold; the ``prism`` runs on a float re-check of the identity that
+each flat's polarities are diagonal in its vertex frame, which the
+report now reads off the exact diagonal instead; the ``pattern`` runs on
+a float on-flat test that repeated the one in ``Flat.log_coords``.  All
+of these pass now.  The one strict xfail is the tall ``pattern`` at
+depth 7, which still stops on ``PointOffFlat`` in ``Flat.log_coords``:
+the fixed point's float error grows through ``XPoint``'s determinant
+normalization and the Jacobi solve for p^(-1/2).
 """
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from pappus.cli import main
+from pappus.prisms import bending_report
 
 # 17/41 and 5/37 in their shortest decimal spelling, i.e. the float backend
 TALL_FLOAT = ("--x", repr(17 / 41), "--y", repr(5 / 37))
@@ -46,7 +51,6 @@ def test_tall_float_limitset_reaches_depth_ten(capsys):
     assert floating.count("<circle") == exact.count("<circle") > 2 ** 9
 
 
-@pytest.mark.xfail(strict=True, reason="NoFixedPointInFlat: the fixed-point residual in inflection_point")
 @pytest.mark.parametrize("xy, depth", [
     (("--x", "3/10", "--y", "2/5"), 5),
     (("--x", "3/10", "--y", "5/14"), 4),
@@ -57,12 +61,25 @@ def test_prism_report_reaches_depth(capsys, xy, depth):
     assert len(doc["adjacent_pairs"]) == 2 ** (depth + 1) - 2
 
 
-@pytest.mark.xfail(strict=True, reason="FixedPointOffFlat: the float on-flat test in geodesic_of_box")
 @pytest.mark.parametrize("xy, depth", [
     (("--x", "3/10", "--y", "2/5"), 7),
-    (("--x", "17/41", "--y", "5/37"), 7),
     (("--x", "17/41", "--y", "5/37"), 6),
-], ids=["pattern_d7", "pattern_d7_tall", "pattern_d6_tall"])
+    pytest.param(("--x", "17/41", "--y", "5/37"), 7, marks=pytest.mark.xfail(
+        strict=True, reason="PointOffFlat in Flat.log_coords")),
+], ids=["pattern_d7", "pattern_d6_tall", "pattern_d7_tall"])
 def test_pattern_reaches_depth(capsys, xy, depth):
     doc = json.loads(run(capsys, "pattern", *xy, "--depth", str(depth)))
     assert len(doc["geodesics"]) == 2 ** (depth + 1) - 1
+
+
+def test_bending_data_is_a_character_invariant_at_depth_six():
+    # quarter-rotated parameters: the same character, so the same multiset
+    # of |distances|; both patterns' collinearity residuals are 0 in exact
+    # arithmetic and read on the flats' exact diagonals
+    rep_a = bending_report(Fraction(3, 10), Fraction(2, 5), 6)
+    rep_b = bending_report(Fraction(3, 5), Fraction(3, 10), 6)
+    da, db = (sorted(abs(d) for p in rep.prisms for d in p.distances) for rep in (rep_a, rep_b))
+    assert len(da) == len(db) == 3 * (2 ** 7 - 1)
+    assert max(abs(u - v) for u, v in zip(da, db)) < 1e-12
+    for rep in (rep_a, rep_b):
+        assert max(r for p in rep.prisms for r in p.collinearity_residuals) <= 1e-13

@@ -61,7 +61,8 @@ def test_pattern_counts_and_words():
 def test_geodesic_record_structure():
     m = base_box(X, Y)
     g = geodesic_of_box(m)
-    assert g.flat.contains(g.fixed_point, 1e-10)
+    _, off, norm = g.flat.frame(g.fixed_point.m)
+    assert off <= 1e-10 * norm
     assert flags_same(g.top, top_flag(m), 0.0)
     assert flags_same(g.bottom, bottom_flag(m), 0.0)
 

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from pappus.projective import (
-    ProjPoint, SingularMap, cross3, mat_det, mat_mul, mat_vec, triple_product,
+    ProjPoint, SingularMap, cross3, dot3, mat_det, mat_mul, mat_vec, triple_product,
 )
-from pappus.markedbox import OutOfRange, apply_word_box, op_i, order3_transform, top_flag
+from pappus.markedbox import (
+    OutOfRange, apply_word_box, box_polarity, op_i, order3_transform, top_flag,
+)
 from pappus.symmspace import (
     PointClass,
     boundary_ray_class,
@@ -27,7 +29,6 @@ from pappus.prisms import (
     bending_report,
     stabilizing_polarities,
     cone_fill_sample,
-    inflection_point,
     mesh_to_obj,
     order3_axis,
     prism_inflection_data,
@@ -280,8 +281,26 @@ def test_cone_mesh_and_obj_export():
         assert all(1 <= i <= len(mesh.vertices) for i in idx)
 
 
-def test_inflection_point_rejects_foreign_flat():
-    from pappus.prisms import NoFixedPointInFlat
+def _off_diagonal(flat, psi):
+    """Entries (0, 1), (0, 2), (1, 2) of V'QV over the flat's stored vertex triples."""
+    vs = [v.v for v in flat.vertices]
+    return [dot3(vs[i], mat_vec(psi.q, vs[k])) for i, k in ((0, 1), (0, 2), (1, 2))]
+
+
+@given(unit_rationals, unit_rationals, st.text(alphabet="tb", max_size=3))
+@settings(deadline=None, max_examples=60)
+def test_flat_polarities_are_diagonal_in_the_vertex_frame(x, y, word):
+    # the identity Flat.log_diagonal reads the bending data off: on every flat
+    # of a prism, the box polarity of the flat's box and the swap polarity of
+    # the flat are diagonal in the flat's vertex frame, exactly
+    assume(x != y and x + y != 1)
+    prism = prism_of_triangle(apply_word_box(word, base_box(x, y)))
+    for j in range(3):
+        for psi in (box_polarity(prism.boxes[j]), prism.polarities[j]):
+            assert psi.exact
+            assert _off_diagonal(prism.flats[j], psi) == [0, 0, 0]
+
+
+def test_swap_polarity_is_not_diagonal_on_a_foreign_flat():
     prism = prism_of_triangle(base_box(X, Y))
-    with pytest.raises(NoFixedPointInFlat):
-        inflection_point(prism.polarities[0], prism.flats[1])
+    assert any(c != 0 for c in _off_diagonal(prism.flats[1], prism.polarities[0]))

@@ -11,7 +11,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pappus.projective import ProjMap, ProjPoint
+from pappus.projective import Polarity, ProjMap, ProjPoint
+from pappus.markedbox import box_polarity
 from pappus.symmspace import (
     CollinearVertices,
     FlagClass,
@@ -32,6 +33,7 @@ from pappus.symmspace import (
     group_action,
     jacobi_eigh,
     metric_d,
+    polarity_fixed_point,
 )
 from pappus.fareypattern import base_box, flat_of_box
 
@@ -156,11 +158,28 @@ def test_flat_membership_and_log_coordinates_roundtrip():
     for _ in range(10):
         u = RNG.uniform(-1.5, 1.5, size=3)
         p = f.point_from_log(u - u.mean())
-        assert f.contains(p, 1e-9)
+        _, off, norm = f.frame(p.m)
+        assert off <= 1e-9 * norm
         back = f.log_coords(p)
         assert np.max(np.abs(back - (u - u.mean()))) < 1e-9
     with pytest.raises(PointOffFlat):
         f.log_coords(random_spd())
+
+
+def test_log_diagonal_reads_the_diagonal_of_a_flat_polarity():
+    exact = flat_from_triangle(ProjPoint((1, 0, 0)), ProjPoint((0, 1, 0)), ProjPoint((0, 0, 1)))
+    want = np.log([2.0, 8.0, 0.5])
+    want -= want.mean()
+    for f, q in ((unit_triangle_flat(), ((2.0, 0.0, 0.0), (0.0, -8.0, 0.0), (0.0, 0.0, 0.5))),
+                 (exact, ((2, 0, 0), (0, -8, 0), (0, 0, Fraction(1, 2))))):
+        assert np.max(np.abs(f.log_diagonal(Polarity(q)) - want)) < 1e-15
+    # on a box's flat, the box polarity's diagonal is its fixed point's chart
+    m = base_box(Fraction(3, 10), Fraction(2, 5))
+    f = flat_of_box(m)
+    u = f.log_diagonal(box_polarity(m))
+    assert np.max(np.abs(u - f.log_coords(polarity_fixed_point(box_polarity(m))))) < 1e-12
+    with pytest.raises(PointOffFlat):
+        exact.log_diagonal(Polarity(((0, 1, 0), (1, 0, 0), (0, 0, 1))))
 
 
 def test_flat_chart_is_isometric():
@@ -177,7 +196,8 @@ def test_flat_geodesics_stay_in_the_flat_at_unit_speed():
     p = f.point_at(0.3, -0.2)
     gamma = flat_geodesic(f, p, (1.0, -1.0, 0.0))
     for t in (-2.0, -0.5, 0.7, 1.8):
-        assert f.contains(geodesic_point(gamma, t), 1e-9)
+        _, off, norm = f.frame(geodesic_point(gamma, t).m)
+        assert off <= 1e-9 * norm
     d = metric_d(geodesic_point(gamma, -1.0), geodesic_point(gamma, 1.5))
     assert abs(d - 2.5) < 1e-9
 
