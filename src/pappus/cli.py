@@ -18,6 +18,7 @@ configuration, 3 for degenerate geometry, 1 for a failed verification,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import multiprocessing
@@ -64,9 +65,11 @@ from .symmspace import (
     XPoint,
     boundary_ray_class,
     duality_action,
+    flat_distances,
     geodesic_point,
     group_action,
     metric_d,
+    plane_log,
 )
 from .fareypattern import (
     build_pattern,
@@ -74,7 +77,6 @@ from .fareypattern import (
     geodesic_of_box,
     limit_set_flags,
     one_end_asymptotic,
-    _pairwise_min,
 )
 from .prisms import (
     bending_report,
@@ -329,26 +331,22 @@ def _matrix_json(m: np.ndarray):
 
 
 def _distance_summary(pat, window: float, samples: int) -> Dict:
-    geos = pat.geodesics
-    taus = np.linspace(-window, window, samples)
-    clouds = [
-        [geodesic_point(g.geodesic, float(t)).m for t in taus] for g in geos
+    """Sampled minimum distance between every two pattern geodesics, each sampled on
+    its flat's line fixed_log + plane_log(tau, 0); one ``flat_distances`` call a pair."""
+    line = plane_log(np.linspace(-window, window, samples), 0.0)
+    clouds = [(g, g.fixed_log + line) for g in pat.geodesics]
+    pairs = [
+        {"words": [ga.word or "-", gb.word or "-"],
+         "min": float(flat_distances(ga.flat, ua, gb.flat, ub).min())}
+        for (ga, ua), (gb, ub) in itertools.combinations(clouds, 2)
     ]
-    pairs = []
-    global_min = None
-    for i in range(len(geos)):
-        for j in range(i + 1, len(geos)):
-            _, d = _pairwise_min(clouds[i], clouds[j])
-            entry = {"words": [geos[i].word or "-", geos[j].word or "-"], "min": d}
-            pairs.append(entry)
-            if global_min is None or d < global_min["min"]:
-                global_min = entry
     return {
         "window": window,
         "samples": samples,
         "pairs": pairs,
         "all_positive": all(p["min"] > 0 for p in pairs),
-        "min": global_min,
+        # the first pair at the smallest minimum, or None for a single geodesic
+        "min": min(pairs, key=lambda p: p["min"], default=None),
     }
 
 

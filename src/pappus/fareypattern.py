@@ -29,12 +29,12 @@ from .markedbox import (
 from .fareycomb import OrientedEdge, Rational, default_base_edge, word_apply
 from .symmspace import (
     Flat,
-    NumericalFailure,
     XGeodesic,
     XPoint,
+    flat_distances,
     flat_from_triangle,
     flat_geodesic,
-    metric_d,
+    plane_log,
     polarity_fixed_point,
 )
 from .projective import join, meet
@@ -62,6 +62,7 @@ class PatternGeodesic:
     word: str
     flat: Flat
     fixed_point: XPoint
+    fixed_log: np.ndarray  # fixed_point in the flat; the geodesic is fixed_log + plane_log(tau, 0)
     geodesic: XGeodesic
     top: Flag
     bottom: Flag
@@ -70,12 +71,13 @@ class PatternGeodesic:
 def geodesic_of_box(m: MarkedBox, word: str = "") -> PatternGeodesic:
     flat = flat_of_box(m)
     p = polarity_fixed_point(box_polarity(m))
-    gamma = flat_geodesic(flat, p, _MEDIAL_VELOCITY)
+    u0 = flat.log_coords(p)
     return PatternGeodesic(
         word=word,
         flat=flat,
         fixed_point=p,
-        geodesic=gamma,
+        fixed_log=u0,
+        geodesic=flat_geodesic(flat, p, u0, _MEDIAL_VELOCITY),
         top=top_flag(m),
         bottom=bottom_flag(m),
     )
@@ -126,22 +128,6 @@ def one_end_asymptotic(g1: PatternGeodesic, g2: PatternGeodesic) -> bool:
 
 # --- separation evidence ------------------------------------------------------
 
-def _pairwise_min(mats_a: Sequence[np.ndarray], mats_b: Sequence[np.ndarray]):
-    a = np.stack(mats_a)
-    b = np.stack(mats_b)
-    ell = np.linalg.cholesky(a)
-    rhs = np.broadcast_to(b[None], (a.shape[0], b.shape[0], 3, 3))
-    x = np.linalg.solve(ell[:, None], rhs)
-    w = np.linalg.solve(ell[:, None], np.transpose(x, (0, 1, 3, 2)))
-    w = (w + np.transpose(w, (0, 1, 3, 2))) / 2.0
-    mu = np.linalg.eigvalsh(w)
-    if not mu[..., 0].min() > 0:
-        raise NumericalFailure("generalized eigenvalues not positive")
-    d = 0.5 * np.sqrt((np.log(mu) ** 2).sum(axis=-1))
-    i, j = np.unravel_index(int(np.argmin(d)), d.shape)
-    return (int(i), int(j)), float(d[i, j])
-
-
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -179,24 +165,20 @@ def _descend(f, start: List[float], step: float):
 
 
 def min_distance_flats(f1: Flat, f2: Flat) -> float:
-    """Sampled minimum distance between two flats (4-parameter grid of 7 x 7 x 7 x 7)."""
-    samples = 7
-    grid = np.linspace(-2.0, 2.0, samples)
-    pa = [f1.point_at(float(a), float(b)).m for a in grid for b in grid]
-    pb = [f2.point_at(float(a), float(b)).m for a in grid for b in grid]
-    (i, j), best = _pairwise_min(pa, pb)
-    if best < 1e-15:
+    """Sampled minimum distance between two flats: their 7 x 7 plane grids over [-2, 2]^2
+    in one ``flat_distances`` call, then a descent from the closest pair, one call a step."""
+    grid = np.linspace(-2.0, 2.0, 7)
+    a, b = np.repeat(grid, 7), np.tile(grid, 7)
+    plane = plane_log(a, b)
+    d = flat_distances(f1, plane, f2, plane)
+    i, j = np.unravel_index(int(np.argmin(d)), d.shape)
+    if d[i, j] < 1e-15:
         return 0.0
-    step = float(grid[1] - grid[0])
-    start = [
-        float(grid[i // samples]), float(grid[i % samples]),
-        float(grid[j // samples]), float(grid[j % samples]),
-    ]
 
     def f(v):
-        return metric_d(f1.point_at(v[0], v[1]), f2.point_at(v[2], v[3]))
+        return float(flat_distances(f1, plane_log(v[0], v[1])[None], f2, plane_log(v[2], v[3])[None])[0, 0])
 
-    return min(best, _descend(f, start, step))
+    return min(float(d[i, j]), _descend(f, [a[i], b[i], a[j], b[j]], grid[1] - grid[0]))
 
 
 # --- limit set ----------------------------------------------------------------

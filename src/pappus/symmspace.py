@@ -30,6 +30,7 @@ from .projective import (
     ProjPoint,
     NonElliptic,
     PappusError,
+    cross3,
     dot3,
     is_elliptic,
     mat_vec,
@@ -300,6 +301,11 @@ FLAT_AXIS_MEDIAL = np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0)
 FLAT_AXIS_SINGULAR = np.array([1.0, 1.0, -2.0]) / math.sqrt(6.0)
 
 
+def plane_log(a, b) -> np.ndarray:
+    """Log-coordinates of the flat point at metric plane coordinates (a, b), on a last axis."""
+    return np.multiply.outer(2.0 * a, FLAT_AXIS_MEDIAL) + np.multiply.outer(2.0 * b, FLAT_AXIS_SINGULAR)
+
+
 @dataclass(frozen=True, eq=False)
 class Flat:
     """Totally geodesic plane spanned by a triangle of directions.
@@ -363,7 +369,7 @@ class Flat:
 
     def point_at(self, a: float, b: float) -> XPoint:
         """Point at metric plane coordinates (a, b)."""
-        return self.point_from_log(2.0 * a * FLAT_AXIS_MEDIAL + 2.0 * b * FLAT_AXIS_SINGULAR)
+        return self.point_from_log(plane_log(a, b))
 
     def same_flat(self, other: "Flat") -> bool:
         used = set()
@@ -379,24 +385,37 @@ class Flat:
         return True
 
 
+def flat_distances(f1: Flat, u1: np.ndarray, f2: Flat, u2: np.ndarray) -> np.ndarray:
+    """n x m distances between points u1 (n x 3) of f1 and u2 (m x 3) of f2, in centered
+    log-coordinates.  A point of a flat is B^-T D B^-1 with D = diag(e^u), so by affine
+    invariance the distance is sqrt(sum log^2 s) over the singular values s of
+    D1^(-1/2) C D2^(1/2), C = B1' B2^-T scaled to |det C| = 1; no point of X is formed."""
+    c = np.linalg.solve(f2.basis, f1.basis).T  # rounds better than a product with basis_inv
+    c = c / np.cbrt(abs(np.linalg.det(c)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = c * np.exp((u2[None, :, None, :] - u1[:, None, :, None]) / 2.0)
+    s = np.linalg.svd(m, compute_uv=False) if np.isfinite(m).all() else np.zeros(1)
+    if not s.min() > 0:
+        raise NumericalFailure("singular values of the flats' relative frame not finite and positive")
+    return np.sqrt((np.log(s) ** 2).sum(axis=-1))
+
+
 def flat_from_triangle(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint) -> Flat:
-    cols = [_float_triple(p) for p in (p1, p2, p3)]
-    b = np.column_stack(cols)
-    det = float(np.linalg.det(b))
-    if abs(det) < 1e-12:
+    b = np.column_stack([_float_triple(p) for p in (p1, p2, p3)])
+    exact = p1.exact and p2.exact and p3.exact
+    if dot3(p1.v, cross3(p2.v, p3.v)) == 0 if exact else abs(np.linalg.det(b)) < 1e-12:
         raise CollinearVertices("triangle vertices are collinear")
     return Flat((p1, p2, p3), b, np.linalg.inv(b))
 
 
-def flat_geodesic(flat: Flat, base: XPoint, velocity: Sequence[float]) -> XGeodesic:
-    """Unit-speed geodesic inside a flat with given log-diagonal velocity."""
+def flat_geodesic(flat: Flat, base: XPoint, u0: np.ndarray, velocity: Sequence[float]) -> XGeodesic:
+    """Unit-speed geodesic inside a flat with given log-diagonal velocity through base (u0 in the flat)."""
     w = np.asarray(velocity, dtype=float)
     w = w - w.mean()
     n = float(np.linalg.norm(w))
     if n < 1e-12:
         raise ZeroDirection("flat velocity vanishes")
     w = 2.0 * w / n
-    u0 = flat.log_coords(base)
     _, half_inv = base._powers()
     k = np.diag(np.exp(u0 / 2.0)) @ flat.basis_inv @ half_inv
     lam = k.T @ np.diag(-w / 2.0) @ k

@@ -101,7 +101,7 @@ PINNED_OUTPUTS = {
     ("prism", "--x", "3/10", "--y", "2/5", "--format", "obj", "--cone", "0.3", "--samples", "24"):
         "45eb65605c20edc92f37c2bf9e7643b31fb0e66c6a7016cb60d217239249e0f8",
     ("pattern", "--x", "3/10", "--y", "2/5", "--depth", "2", "--distances"):
-        "b528e3359cf7b93a36ebd59866a8cf02cfeca733dedb883c32add74212a441c0",
+        "f367099f249d5682d6b24bf5a379777cc0769fc207c86c69bb04dbbff2dda297",
     ("orbit", "--depth", "5", "--x", "0.3", "--y", "0.4"):
         "ac2a25e7e1eef15f2ef32c0be3337f77f4defdfce1d4bb1e5962c1b79d62ffdb",
     ("limitset", "--x", "3/10", "--y", "2/5", "--depth", "5"):

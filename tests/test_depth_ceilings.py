@@ -6,8 +6,12 @@ used to stop it, run through ``cli.main`` in-process.  The float
 threshold; the ``prism`` runs on a float re-check of the identity that
 each flat's polarities are diagonal in its vertex frame, which the
 report now reads off the exact diagonal instead; the ``pattern`` runs on
-a float on-flat test that repeated the one in ``Flat.log_coords``.  All
-of these pass now.  The one strict xfail is the tall ``pattern`` at
+a float on-flat test that repeated the one in ``Flat.log_coords``; and
+``pattern --distances`` on a Cholesky of each pair of sample matrices,
+whose generalized eigenvalues stopped being positive at depth 6: the
+summary now measures each pair of geodesics in the two flats' relative
+frame, from log-coordinates, without forming a sample matrix.  All of
+these pass now.  The one strict xfail is the tall ``pattern`` at
 depth 7, which still stops on ``PointOffFlat`` in ``Flat.log_coords``:
 the fixed point's float error grows through ``XPoint``'s determinant
 normalization and the Jacobi solve for p^(-1/2).
@@ -70,6 +74,13 @@ def test_prism_report_reaches_depth(capsys, xy, depth):
 def test_pattern_reaches_depth(capsys, xy, depth):
     doc = json.loads(run(capsys, "pattern", *xy, "--depth", str(depth)))
     assert len(doc["geodesics"]) == 2 ** (depth + 1) - 1
+
+
+def test_pattern_distances_reach_depth_six(capsys):
+    argv = ("pattern", "--x", "3/10", "--y", "2/5", "--depth", "6", "--distances")
+    summary = json.loads(run(capsys, *argv))["distances"]
+    assert len(summary["pairs"]) == (2 ** 7 - 1) * (2 ** 7 - 2) // 2
+    assert summary["all_positive"]
 
 
 def test_bending_data_is_a_character_invariant_at_depth_six():

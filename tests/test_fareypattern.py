@@ -15,8 +15,8 @@ import pytest
 from pappus.fareycomb import default_base_edge, word_apply
 from pappus.markedbox import box_polarity, op_i, orbit_enumerate, top_flag, bottom_flag
 from pappus.symmspace import (
+    FLAT_AXIS_MEDIAL,
     FlagClass,
-    NumericalFailure,
     boundary_ray_class,
     duality_action,
     geodesic_point,
@@ -25,7 +25,6 @@ from pappus.symmspace import (
 )
 from pappus.fareypattern import (
     PatternError,
-    _pairwise_min,
     base_box,
     build_pattern,
     geodesic_of_box,
@@ -140,10 +139,16 @@ def test_sampled_distances_separate_distinct_flats():
     assert min_distance_flats(fa, fa) < 1e-9
 
 
-def test_pairwise_min_rejects_non_positive_generalized_eigenvalues():
-    # the log of a negative eigenvalue would be NaN, which is not JSON
-    with pytest.raises(NumericalFailure):
-        _pairwise_min([np.eye(3)], [np.diag([1.0, 1.0, -1.0])])
+def test_the_distance_summary_samples_the_exported_geodesic():
+    # pattern --distances measures the line fixed_log + 2 tau FLAT_AXIS_MEDIAL
+    # of each flat; it is the exported geodesic up to the float error of its
+    # point, which grows with the point's condition number
+    for g in build_pattern(X, Y, 3).geodesics:
+        for t in np.linspace(-3.0, 3.0, 15):
+            on_line = g.flat.point_from_log(g.fixed_log + 2.0 * t * FLAT_AXIS_MEDIAL).m
+            exported = geodesic_point(g.geodesic, t).m
+            rel = np.max(np.abs(on_line - exported)) / np.max(np.abs(exported))
+            assert rel < 1e-13 * np.linalg.cond(exported)
 
 
 def test_one_walk_serves_the_pattern_and_the_limit_fold():

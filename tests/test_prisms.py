@@ -149,14 +149,16 @@ def test_within_prism_inflection_distances_agree():
     for j, item in enumerate(data):
         assert item.collinearity_residual < 1e-9
         # inflection point sits on its own singular line at parameter zero
-        line = flat_geodesic(prism.flats[j], item.point, SINGULAR_VELOCITY)
+        flat = prism.flats[j]
+        line = flat_geodesic(flat, item.point, flat.log_coords(item.point), SINGULAR_VELOCITY)
         assert metric_d(geodesic_point(line, 0.0), item.point) < 1e-10
 
 
 def test_inflection_line_is_singular_not_medial():
     prism = prism_of_triangle(base_box(X, Y))
     item = prism_inflection_data(prism)[0]
-    line = flat_geodesic(prism.flats[0], item.point, SINGULAR_VELOCITY)
+    flat = prism.flats[0]
+    line = flat_geodesic(flat, item.point, flat.log_coords(item.point), SINGULAR_VELOCITY)
     fwd = boundary_ray_class(line, 1)
     assert isinstance(fwd, PointClass)
 

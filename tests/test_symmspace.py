@@ -1,8 +1,9 @@
 """Unit-ellipsoid space: metric, geodesics, flats, boundary classes.
 
-Distances are checked two ways: the matrix-level routine under test
-against a direct log-eigenvalue formula on diagonal pairs, and the
-hand-rolled Jacobi eigensolver against numpy's.
+Distances are checked three ways: the matrix-level routine under test
+against a direct log-eigenvalue formula on diagonal pairs, the
+hand-rolled Jacobi eigensolver against numpy's, and the flat distance
+kernel, which forms no matrix of X, against the matrix-level routine.
 """
 
 import math
@@ -12,13 +13,14 @@ import numpy as np
 import pytest
 
 from pappus.projective import Polarity, ProjMap, ProjPoint
-from pappus.markedbox import box_polarity
+from pappus.markedbox import apply_word_box, box_polarity
 from pappus.symmspace import (
     CollinearVertices,
     FlagClass,
     Generic,
     LineClass,
     NotPositiveDefinite,
+    NumericalFailure,
     PointClass,
     PointOffFlat,
     XGeodesic,
@@ -26,6 +28,7 @@ from pappus.symmspace import (
     ZeroDirection,
     boundary_ray_class,
     duality_action,
+    flat_distances,
     flat_from_triangle,
     flat_geodesic,
     geodesic_between,
@@ -35,7 +38,7 @@ from pappus.symmspace import (
     metric_d,
     polarity_fixed_point,
 )
-from pappus.fareypattern import base_box, flat_of_box
+from pappus.fareypattern import base_box, build_pattern, flat_of_box
 
 RNG = np.random.default_rng(20260816)
 
@@ -153,6 +156,15 @@ def test_flat_from_collinear_triangle_rejected():
         flat_from_triangle(a, b, c)
 
 
+def test_exact_triangles_are_decided_by_their_triple_product():
+    # unit float columns of this thin depth-12 flat have |det| 2.3e-13, under
+    # the float test's 1e-12, but its exact vertices are not collinear
+    f = flat_of_box(apply_word_box("tbtbtbtbtbtb", base_box(Fraction(17, 41), Fraction(5, 37))))
+    assert np.isfinite(f.basis_inv).all()
+    with pytest.raises(CollinearVertices):
+        flat_from_triangle(ProjPoint((1, 0, 0)), ProjPoint((0, 1, 0)), ProjPoint((1, 1, 0)))
+
+
 def test_flat_membership_and_log_coordinates_roundtrip():
     f = unit_triangle_flat()
     for _ in range(10):
@@ -191,10 +203,38 @@ def test_flat_chart_is_isometric():
         assert abs(d - math.hypot(a1 - a2, b1 - b2)) < 1e-9
 
 
+def random_logs(n):
+    u = RNG.uniform(-2.0, 2.0, size=(n, 3))
+    return u - u.mean(axis=1, keepdims=True)
+
+
+def test_flat_distances_match_the_metric_on_pattern_flats():
+    geos = build_pattern(Fraction(3, 10), Fraction(2, 5), 3).geodesics
+    for ga, gb in ((geos[0], geos[5]), (geos[3], geos[12])):
+        u1, u2 = random_logs(4), random_logs(5)
+        d = flat_distances(ga.flat, u1, gb.flat, u2)
+        assert d.shape == (4, 5)
+        for i, j in np.ndindex(d.shape):
+            ref = metric_d(ga.flat.point_from_log(u1[i]), gb.flat.point_from_log(u2[j]))
+            assert abs(d[i, j] - ref) <= 1e-10 * ref
+    f = geos[7].flat
+    u = random_logs(3)
+    assert np.max(np.abs(np.diag(flat_distances(f, u, f, u)))) < 1e-14
+
+
+def test_flat_distances_reject_log_coordinates_out_of_range():
+    # the log of an infinite or zero singular value would be NaN or infinite,
+    # which is not JSON
+    f = unit_triangle_flat()
+    for far in ([-1600.0, 800.0, 800.0], [1600.0, -800.0, -800.0]):
+        with pytest.raises(NumericalFailure):
+            flat_distances(f, np.array([far]), f, np.zeros((1, 3)))
+
+
 def test_flat_geodesics_stay_in_the_flat_at_unit_speed():
     f = unit_triangle_flat()
     p = f.point_at(0.3, -0.2)
-    gamma = flat_geodesic(f, p, (1.0, -1.0, 0.0))
+    gamma = flat_geodesic(f, p, f.log_coords(p), (1.0, -1.0, 0.0))
     for t in (-2.0, -0.5, 0.7, 1.8):
         _, off, norm = f.frame(geodesic_point(gamma, t).m)
         assert off <= 1e-9 * norm
@@ -204,7 +244,7 @@ def test_flat_geodesics_stay_in_the_flat_at_unit_speed():
 
 def test_boundary_class_of_medial_directions_is_a_flag():
     f = unit_triangle_flat()
-    gamma = flat_geodesic(f, f.point_at(0.0, 0.0), (1.0, -1.0, 0.0))
+    gamma = flat_geodesic(f, f.point_at(0.0, 0.0), np.zeros(3), (1.0, -1.0, 0.0))
     fwd = boundary_ray_class(gamma, 1)
     bwd = boundary_ray_class(gamma, -1)
     assert isinstance(fwd, FlagClass) and isinstance(bwd, FlagClass)
@@ -214,7 +254,7 @@ def test_boundary_class_of_singular_directions_splits_point_line():
     # shrinking two axes together leaves a single fat axis: a point class;
     # the reverse end fattens two axes and leaves a line class
     f = unit_triangle_flat()
-    gamma = flat_geodesic(f, f.point_at(0.0, 0.0), (1.0, 1.0, -2.0))
+    gamma = flat_geodesic(f, f.point_at(0.0, 0.0), np.zeros(3), (1.0, 1.0, -2.0))
     assert isinstance(boundary_ray_class(gamma, 1), PointClass)
     assert isinstance(boundary_ray_class(gamma, -1), LineClass)
 
