@@ -6,6 +6,8 @@ ellipsoids, and exports the resulting pattern of medial geodesics, its
 limit-set flags, and the prism bending data.
 """
 
+from importlib import import_module
+
 from .projective import (
     CoincidentLines,
     CoincidentPoints,
@@ -37,6 +39,7 @@ from .markedbox import (
     MarkedBox,
     OutOfRange,
     apply_word_box,
+    base_box,
     bottom_flag,
     box_polarity,
     box_triple_product,
@@ -47,15 +50,18 @@ from .markedbox import (
     op_t,
     orbit_enumerate,
     order3_transform,
+    pattern_boxes,
     polarity_box_to_dual,
     polarity_dual_to_box,
     raw_invariant,
     tb_tree,
     top_flag,
+    triple_invariant,
 )
 from .fareycomb import (
     INF,
     FareyError,
+    LimitFlag,
     NotAdjacent,
     OrientedEdge,
     Rational,
@@ -63,70 +69,42 @@ from .fareycomb import (
     edge_b,
     edge_i,
     edge_t,
+    fold_limit_flags,
+    limit_set_flags,
     word_apply,
 )
-from .symmspace import (
-    CollinearVertices,
-    ConvergenceFailure,
-    Flat,
-    FlagClass,
-    Generic,
-    LineClass,
-    NotPositiveDefinite,
-    NumericalFailure,
-    PointClass,
-    PointOffFlat,
-    SymmSpaceError,
-    XGeodesic,
-    XPoint,
-    ZeroDirection,
-    boundary_ray_class,
-    duality_action,
-    flat_from_triangle,
-    flat_geodesic,
-    geodesic_between,
-    geodesic_point,
-    group_action,
-    jacobi_eigh,
-    metric_d,
-    polarity_fixed_point,
-)
-from .fareypattern import (
-    FareyPattern,
-    LimitFlag,
-    PatternError,
-    PatternGeodesic,
-    base_box,
-    build_pattern,
-    flat_of_box,
-    fold_limit_flags,
-    geodesic_of_box,
-    limit_set_flags,
-    min_distance_flats,
-    one_end_asymptotic,
-    pattern_boxes,
-)
-from .prisms import (
-    AdjacencyReport,
-    BendingReport,
-    ConeMesh,
-    ConsistencyFailure,
-    DegenerateTriple,
-    DiagonalLocus,
-    InflectionData,
-    Prism,
-    PrismError,
-    PrismReport,
-    UnityTripleProduct,
-    bending_report,
-    cone_fill_sample,
-    mesh_to_obj,
-    order3_axis,
-    prism_inflection_data,
-    prism_of_triangle,
-    stabilizing_polarities,
-    translation_T,
-    triple_invariant,
-)
+# Float geometry in X loads numpy, so its names are imported on first access
+# (PEP 562): ``pappus.XPoint`` works, and a program that reads only the exact
+# layers never imports numpy.
+_LAZY = {
+    "symmspace": (
+        "CollinearVertices", "ConvergenceFailure", "Flat", "FlagClass", "Generic",
+        "LineClass", "NotPositiveDefinite", "NumericalFailure", "PointClass",
+        "PointOffFlat", "SymmSpaceError", "XGeodesic", "XPoint", "ZeroDirection",
+        "boundary_ray_class", "duality_action", "flat_from_triangle", "flat_geodesic",
+        "geodesic_between", "geodesic_point", "group_action", "jacobi_eigh", "metric_d",
+        "polarity_fixed_point",
+    ),
+    "fareypattern": (
+        "FareyPattern", "PatternError", "PatternGeodesic", "build_pattern", "flat_of_box",
+        "geodesic_of_box", "min_distance_flats", "one_end_asymptotic",
+    ),
+    "prisms": (
+        "AdjacencyReport", "BendingReport", "ConeMesh", "ConsistencyFailure",
+        "DegenerateTriple", "DiagonalLocus", "InflectionData", "Prism", "PrismError",
+        "PrismReport", "UnityTripleProduct", "bending_report", "cone_fill_sample",
+        "mesh_to_obj", "order3_axis", "prism_inflection_data", "prism_of_triangle",
+        "stabilizing_polarities", "translation_T",
+    ),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __name__), name)
+
 
 __version__ = "0.1.0"

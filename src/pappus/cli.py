@@ -21,7 +21,6 @@ import argparse
 import itertools
 import json
 import math
-import multiprocessing
 import os
 import random
 import sys
@@ -30,20 +29,20 @@ from dataclasses import asdict
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
+# the exact layers only: numpy, symmspace, fareypattern and prisms are imported
+# inside the geometry commands and verify suites that read them, so orbit,
+# limitset and charvar start on the standard library
 from .projective import (
     Flag,
     HomVec,
     PappusError,
-    ProjMap,
     is_elliptic,
     mat_det,
-    standard_polarity,
 )
 from .markedbox import (
     MarkedBox,
     apply_word_box,
+    base_box,
     box_polarity,
     box_triple_product,
     doppelganger,
@@ -55,38 +54,11 @@ from .markedbox import (
     polarity_box_to_dual,
     polarity_dual_to_box,
     raw_invariant,
+    triple_invariant,
 )
 # criterion 11 and the benchmark tests import the enumerator and the fold by these names
 from .markedbox import _expand_chunk, orbit_enumerate as _orbit_rows
-from .fareypattern import fold_limit_flags as _fold_limit_flags
-from .symmspace import (
-    FlagClass,
-    XGeodesic,
-    XPoint,
-    boundary_ray_class,
-    duality_action,
-    flat_distances,
-    geodesic_point,
-    group_action,
-    metric_d,
-    plane_log,
-)
-from .fareypattern import (
-    build_pattern,
-    base_box,
-    geodesic_of_box,
-    limit_set_flags,
-    one_end_asymptotic,
-)
-from .prisms import (
-    bending_report,
-    cone_fill_sample,
-    mesh_to_obj,
-    prism_inflection_data,
-    prism_of_triangle,
-    translation_T,
-    triple_invariant,
-)
+from .fareycomb import fold_limit_flags as _fold_limit_flags, limit_set_flags
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -196,12 +168,22 @@ def _check_positive(**options) -> None:
             raise ConfigError(f"--{name} must be positive, got {value}")
 
 
+def _pool(workers: int):
+    """A pool of ``workers`` processes, or none for one worker; only a pool
+    imports multiprocessing."""
+    if workers == 1:
+        return nullcontext()
+    import multiprocessing
+
+    return multiprocessing.Pool(workers)
+
+
 def cmd_orbit(args) -> int:
     x, y, backend = _params(args)
     depth = _depth(args.depth)
     workers = args.workers
     _check_positive(workers=workers)
-    with (multiprocessing.Pool(workers) if workers > 1 else nullcontext()) as pool:
+    with _pool(workers) as pool:
         boxes = orbit_enumerate(base_box(x, y), depth, pool, workers)
     if args.format == "csv":
         lines = ["word," + ",".join(_COORD_NAMES) + ",x,y"]
@@ -301,7 +283,7 @@ def cmd_limitset(args) -> int:
     depth = _depth(args.depth)
     workers = args.workers
     _check_positive(window=args.window, workers=workers)
-    with (multiprocessing.Pool(workers) if workers > 1 else nullcontext()) as pool:
+    with _pool(workers) as pool:
         flags = limit_set_flags(x, y, depth, pool, workers)
     if args.format == "csv":
         lines = ["word,px,py,pz,lx,ly,lz,farey_tail,farey_head"]
@@ -326,13 +308,16 @@ def _flag_json(flag: Flag):
     }
 
 
-def _matrix_json(m: np.ndarray):
-    return [[float(v) for v in row] for row in np.asarray(m, dtype=float)]
+def _matrix_json(m):
+    return [[float(v) for v in row] for row in m]
 
 
 def _distance_summary(pat, window: float, samples: int) -> Dict:
     """Sampled minimum distance between every two pattern geodesics, each sampled on
     its flat's line fixed_log + plane_log(tau, 0); one ``flat_distances`` call a pair."""
+    import numpy as np
+    from .symmspace import flat_distances, plane_log
+
     line = plane_log(np.linspace(-window, window, samples), 0.0)
     clouds = [(g, g.fixed_log + line) for g in pat.geodesics]
     pairs = [
@@ -354,6 +339,8 @@ def cmd_pattern(args) -> int:
     x, y, backend = _params(args)
     depth = _depth(args.depth)
     _check_positive(window=args.window, samples=args.samples)
+    from .fareypattern import build_pattern
+
     pat = build_pattern(x, y, depth)
     records = []
     for g in pat.geodesics:
@@ -418,12 +405,17 @@ def cmd_prism(args) -> int:
         _check_positive(window=window, samples=samples)
         if samples < 2:
             raise ConfigError("--samples must be at least 2 for the obj mesh")
+        from .fareypattern import geodesic_of_box
+        from .prisms import cone_fill_sample, mesh_to_obj, prism_of_triangle
+
         m = base_box(x, y)
         prism = prism_of_triangle(m)
         triangle = [geodesic_of_box(b).geodesic for b in prism.boxes]
         mesh = cone_fill_sample(prism, triangle, cone, samples, window=window)
         _emit(args.out, mesh_to_obj(mesh))
         return EXIT_OK
+    from .prisms import bending_report
+
     report = bending_report(x, y, depth)
     payload = {"command": "prism", **asdict(report)}
     _emit(args.out, _dump_json(payload))
@@ -496,7 +488,9 @@ def _suite_duality(rng: random.Random) -> List[Dict]:
     return checks
 
 
-def _random_sl3(rng: np.random.Generator) -> np.ndarray:
+def _random_sl3(rng):
+    import numpy as np
+
     while True:
         g = rng.normal(size=(3, 3))
         d = np.linalg.det(g)
@@ -504,12 +498,18 @@ def _random_sl3(rng: np.random.Generator) -> np.ndarray:
             return g / np.cbrt(d)
 
 
-def _random_spd(rng: np.random.Generator) -> XPoint:
+def _random_spd(rng):
+    from .symmspace import XPoint
+
     g = _random_sl3(rng)
     return XPoint(g @ g.T)
 
 
 def _suite_metric(rng: random.Random) -> List[Dict]:
+    import numpy as np
+    from .projective import ProjMap, standard_polarity
+    from .symmspace import XGeodesic, duality_action, geodesic_point, group_action, metric_d
+
     nrng = np.random.default_rng(rng.randint(0, 2**32 - 1))
     checks = []
     worst_sym = 0.0
@@ -550,6 +550,10 @@ def _suite_metric(rng: random.Random) -> List[Dict]:
 
 
 def _suite_pattern(rng: random.Random) -> List[Dict]:
+    import numpy as np
+    from .fareypattern import build_pattern, geodesic_of_box, one_end_asymptotic
+    from .symmspace import FlagClass, boundary_ray_class, duality_action, geodesic_point
+
     checks = []
     pat = build_pattern(Fraction(3, 10), Fraction(2, 5), 2)
     worst_member = 0.0
@@ -591,6 +595,9 @@ def _suite_pattern(rng: random.Random) -> List[Dict]:
 
 
 def _suite_prism(rng: random.Random) -> List[Dict]:
+    import numpy as np
+    from .prisms import _plane_coords, _slot_logs, prism_of_triangle, translation_T
+
     checks = []
     worst_col = 0.0
     worst_eig = 0.0
@@ -605,8 +612,9 @@ def _suite_prism(rng: random.Random) -> List[Dict]:
         m = base_box(x, y)
         prism = prism_of_triangle(m)
         count_ok = count_ok and len(prism.polarities) == 3
-        for item in prism_inflection_data(prism):
-            worst_col = max(worst_col, item.collinearity_residual)
+        for j in range(3):
+            u_psi, u_q = _slot_logs(prism, j)
+            worst_col = max(worst_col, abs(_plane_coords(u_psi - u_q)[0]))
         t = translation_T(x, y)
         tm = np.array([[float(v) for v in row] for row in t.m])
         eig = np.sort(np.linalg.eigvals(tm).real)

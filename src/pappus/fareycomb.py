@@ -13,7 +13,9 @@ with [[0,-1],[1,0]], [[1,1],[0,1]], [[1,0],[1,1]], and the relations
 
     i^2 = 1, tit = b, bib = t, tibi = biti = 1, (it)^3 = (ib)^3 = 1
 
-hold, matching the marked-box operations letter for letter.
+hold, matching the marked-box operations letter for letter.  So a t/b
+word of boxes walks the Farey tree edge by edge, and the limit set of
+the one-sided orbit is folded here, one flag per Farey vertex.
 """
 
 from __future__ import annotations
@@ -21,9 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from .projective import PappusError
+from .projective import Flag, PappusError
+from .markedbox import MarkedBox, bottom_flag, pattern_boxes, top_flag
 
 
 class FareyError(PappusError):
@@ -133,3 +136,36 @@ def word_apply(word: str, e: OrientedEdge) -> OrientedEdge:
     for ch in word:
         e = _EDGE_OPS[ch](e)
     return e
+
+
+# --- limit set ----------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class LimitFlag:
+    vertex: Rational
+    flag: Flag
+    word: str
+    edge: OrientedEdge
+
+
+def fold_limit_flags(rows: Sequence[Tuple[str, MarkedBox]]) -> List[LimitFlag]:
+    """First-witness flag per Farey vertex over breadth-first (word, box) rows.
+
+    A row's edge is one letter applied to its parent word's edge, so the
+    parent row must come first.  The tail of the edge carries the box's
+    top flag and the head its bottom flag.  The flags come back in
+    circular order of their vertices.
+    """
+    edges: Dict[str, OrientedEdge] = {}
+    seen: Dict[Rational, LimitFlag] = {}
+    for word, box in rows:
+        e = edges[word] = word_apply(word[-1], edges[word[:-1]]) if word else default_base_edge()
+        for vertex, flag_of in ((e.tail, top_flag), (e.head, bottom_flag)):
+            if vertex not in seen:
+                seen[vertex] = LimitFlag(vertex=vertex, flag=flag_of(box), word=word, edge=e)
+    return sorted(seen.values(), key=lambda lf: lf.vertex.circular_key())
+
+
+def limit_set_flags(x, y, depth: int, pool=None, workers: int = 1) -> List[LimitFlag]:
+    """Flags of the one-sided orbit, one per Farey vertex, in circular order."""
+    return fold_limit_flags(pattern_boxes(x, y, depth, pool, workers))

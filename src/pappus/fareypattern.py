@@ -12,21 +12,13 @@ with i reverses the geodesic, so each geodesic is stored once, oriented.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .projective import Flag, PappusError
-from .markedbox import (
-    MarkedBox,
-    OutOfRange,
-    bottom_flag,
-    box_polarity,
-    model_box,
-    tb_tree,
-    top_flag,
-)
-from .fareycomb import OrientedEdge, Rational, default_base_edge, word_apply
+from .markedbox import MarkedBox, bottom_flag, box_polarity, pattern_boxes, top_flag
+from .fareycomb import OrientedEdge, default_base_edge, word_apply
 from .symmspace import (
     Flat,
     XGeodesic,
@@ -81,25 +73,6 @@ def geodesic_of_box(m: MarkedBox, word: str = "") -> PatternGeodesic:
         top=top_flag(m),
         bottom=bottom_flag(m),
     )
-
-
-def _check_params(x, y):
-    for v in (x, y):
-        if not (0 < v < 1):
-            raise OutOfRange("parameters must lie in (0,1)")
-
-
-def base_box(x, y) -> MarkedBox:
-    """Model box whose invariant pair is (x, y)."""
-    _check_params(x, y)
-    return model_box(2 * x - 1, 1 - 2 * y)
-
-
-def pattern_boxes(x, y, depth: int, pool=None, workers: int = 1) -> List[Tuple[str, MarkedBox]]:
-    """Breadth-first t/b words with their boxes, one per pattern geodesic."""
-    if depth < 0:
-        raise PatternError("depth must be nonnegative")
-    return tb_tree([("", base_box(x, y))], depth, pool, workers)
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,36 +152,3 @@ def min_distance_flats(f1: Flat, f2: Flat) -> float:
         return float(flat_distances(f1, plane_log(v[0], v[1])[None], f2, plane_log(v[2], v[3])[None])[0, 0])
 
     return min(float(d[i, j]), _descend(f, [a[i], b[i], a[j], b[j]], grid[1] - grid[0]))
-
-
-# --- limit set ----------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class LimitFlag:
-    vertex: Rational
-    flag: Flag
-    word: str
-    edge: OrientedEdge
-
-
-def fold_limit_flags(rows: Sequence[Tuple[str, MarkedBox]]) -> List[LimitFlag]:
-    """First-witness flag per Farey vertex over breadth-first (word, box) rows.
-
-    A row's edge is one letter applied to its parent word's edge, so the
-    parent row must come first.  The tail of the edge carries the box's
-    top flag and the head its bottom flag.  The flags come back in
-    circular order of their vertices.
-    """
-    edges: Dict[str, OrientedEdge] = {}
-    seen: Dict[Rational, LimitFlag] = {}
-    for word, box in rows:
-        e = edges[word] = word_apply(word[-1], edges[word[:-1]]) if word else default_base_edge()
-        for vertex, flag_of in ((e.tail, top_flag), (e.head, bottom_flag)):
-            if vertex not in seen:
-                seen[vertex] = LimitFlag(vertex=vertex, flag=flag_of(box), word=word, edge=e)
-    return sorted(seen.values(), key=lambda lf: lf.vertex.circular_key())
-
-
-def limit_set_flags(x, y, depth: int, pool=None, workers: int = 1) -> List[LimitFlag]:
-    """Flags of the one-sided orbit, one per Farey vertex, in circular order."""
-    return fold_limit_flags(pattern_boxes(x, y, depth, pool, workers))

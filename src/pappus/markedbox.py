@@ -16,6 +16,7 @@ so <i, t, b> is the free product of a 2-cycle and a 3-cycle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -149,6 +150,18 @@ def model_box(p: Scalar, q: Scalar) -> MarkedBox:
     )
 
 
+def _check_params(x, y):
+    for v in (x, y):
+        if not (0 < v < 1):
+            raise OutOfRange("parameters must lie in (0,1)")
+
+
+def base_box(x, y) -> MarkedBox:
+    """Model box whose invariant pair is (x, y)."""
+    _check_params(x, y)
+    return model_box(2 * x - 1, 1 - 2 * y)
+
+
 def top_flag(m: MarkedBox) -> Flag:
     return Flag(m.t, join(m.s, m.u))
 
@@ -264,6 +277,14 @@ def box_triple_product(m: MarkedBox) -> Scalar:
     return triple_product(flags)
 
 
+def triple_invariant(x, y) -> float:
+    """Orbit-level invariant |log(x(1-x) / y(1-y))| of the invariant pair
+    (x, y); zero at the center."""
+    _check_params(x, y)
+    ratio = (x * (1 - x)) / (y * (1 - y))
+    return abs(math.log(float(ratio)))
+
+
 def order3_transform(m: MarkedBox) -> ProjMap:
     """Projective map of order three cycling t(M) -> b(M) -> i(M) -> t(M):
     the one sending t(M)'s corners to b(M)'s, scaled by the corners c of
@@ -312,3 +333,11 @@ def orbit_enumerate(m: MarkedBox, depth: int, pool=None,
     if depth < 0:
         raise OutOfRange("depth must be nonnegative")
     return tb_tree([("", m), ("i", op_i(m))], depth, pool, workers)
+
+
+def pattern_boxes(x, y, depth: int, pool=None, workers: int = 1) -> List[Tuple[str, MarkedBox]]:
+    """The one-sided orbit of ``base_box(x, y)``: breadth-first t/b words with
+    their boxes, one per pattern geodesic."""
+    if depth < 0:
+        raise OutOfRange("depth must be nonnegative")
+    return tb_tree([("", base_box(x, y))], depth, pool, workers)

@@ -20,7 +20,6 @@ and builds no point of X.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
@@ -48,10 +47,12 @@ from .markedbox import (
     op_i,
     op_t,
     order3_transform,
+    pattern_boxes,
     raw_invariant,
     top_flag,
+    triple_invariant,
 )
-from .fareypattern import flat_of_box, pattern_boxes
+from .fareypattern import flat_of_box
 from .symmspace import (
     FLAT_AXIS_MEDIAL,
     FLAT_AXIS_SINGULAR,
@@ -88,16 +89,6 @@ class DiagonalLocus(PrismError):
 
 class ConsistencyFailure(PrismError):
     pass
-
-
-# --- character variety --------------------------------------------------------
-
-def triple_invariant(x, y) -> float:
-    """Orbit-level invariant |log(x(1-x) / y(1-y))|; zero at the center."""
-    if not (0 < x < 1 and 0 < y < 1):
-        raise OutOfRange("parameters must lie in (0,1)")
-    ratio = (x * (1 - x)) / (y * (1 - y))
-    return abs(math.log(float(ratio)))
 
 
 # --- stabilizing polarities ----------------------------------------------------

@@ -18,6 +18,7 @@ import pytest
 from pappus.projective import is_elliptic, mat_det, standard_polarity
 from pappus.markedbox import (
     apply_word_box,
+    base_box,
     box_polarity,
     box_triple_product,
     doppelganger,
@@ -28,7 +29,9 @@ from pappus.markedbox import (
     polarity_box_to_dual,
     polarity_dual_to_box,
     raw_invariant,
+    triple_invariant,
 )
+from pappus.fareycomb import limit_set_flags
 from pappus.symmspace import (
     FlagClass,
     XPoint,
@@ -38,19 +41,12 @@ from pappus.symmspace import (
     geodesic_point,
     metric_d,
 )
-from pappus.fareypattern import (
-    base_box,
-    build_pattern,
-    limit_set_flags,
-    min_distance_flats,
-    one_end_asymptotic,
-)
+from pappus.fareypattern import build_pattern, min_distance_flats, one_end_asymptotic
 from pappus.prisms import (
     bending_report,
     prism_inflection_data,
     prism_of_triangle,
     translation_T,
-    triple_invariant,
 )
 from pappus.cli import _fold_limit_flags, _limitset_svg, _orbit_rows
 

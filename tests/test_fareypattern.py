@@ -12,8 +12,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pappus.fareycomb import default_base_edge, word_apply
-from pappus.markedbox import box_polarity, op_i, orbit_enumerate, top_flag, bottom_flag
+from pappus.fareycomb import default_base_edge, limit_set_flags, word_apply
+from pappus.markedbox import (
+    base_box, box_polarity, op_i, orbit_enumerate, pattern_boxes, top_flag, bottom_flag,
+)
 from pappus.symmspace import (
     FLAT_AXIS_MEDIAL,
     FlagClass,
@@ -25,13 +27,10 @@ from pappus.symmspace import (
 )
 from pappus.fareypattern import (
     PatternError,
-    base_box,
     build_pattern,
     geodesic_of_box,
-    limit_set_flags,
     min_distance_flats,
     one_end_asymptotic,
-    pattern_boxes,
 )
 
 X, Y = Fraction(3, 10), Fraction(2, 5)

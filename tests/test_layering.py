@@ -1,11 +1,18 @@
 """The exact layers stay free of floats: ``projective``, ``markedbox`` and
 ``fareycomb`` import neither numpy nor ``symmspace``, so floats enter the
-package only for metric geometry in X."""
+package only for metric geometry in X.  The commands that read only the
+exact layers start without numpy, the geometry modules or a process pool."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import pappus
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "pappus"
 
@@ -34,3 +41,76 @@ def test_the_scan_finds_a_forbidden_import():
 def test_exact_layer_imports_no_float_geometry(name):
     found = imported_modules((PACKAGE / name).read_text()) & FORBIDDEN
     assert not found, f"{name} imports {', '.join(sorted(found))}"
+
+
+# the geometry in X, and the pool a serial run never starts
+UNREAD = ("numpy", "pappus.symmspace", "pappus.fareypattern", "pappus.prisms", "multiprocessing")
+
+COLD_START = """
+import contextlib, io, json, sys
+from pappus.cli import main
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    assert rc == 0, (argv, rc)
+print(json.dumps(sorted(set(json.loads(sys.argv[2])) & set(sys.modules))))
+"""
+
+EXACT_COMMANDS = [
+    ["--help"],
+    ["orbit", "--x", "3/10", "--y", "2/5", "--depth", "3"],
+    ["orbit", "--x", "0.3", "--y", "0.4", "--depth", "3", "--format", "json"],
+    ["limitset", "--x", "3/10", "--y", "2/5", "--depth", "3"],
+    ["limitset", "--x", "17/41", "--y", "5/37", "--depth", "3", "--format", "csv"],
+    ["charvar", "--grid", "3"],
+]
+
+
+def test_exact_commands_start_without_numpy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(PACKAGE.parent), env.get("PYTHONPATH")) if p)
+    run = subprocess.run(
+        [sys.executable, "-c", COLD_START, json.dumps(EXACT_COMMANDS), json.dumps(UNREAD)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == []
+
+
+# the names the package root exports, eagerly or on first access
+ROOT_NAMES = """
+    CoincidentLines CoincidentPoints DegenerateFlags DegenerateQuadruple Flag HomVec
+    NonElliptic NotCollinear Polarity ProjLine ProjMap ProjPoint PappusError
+    ProjectiveError SingularMap cross_ratio incident is_elliptic join meet
+    standard_polarity transform_from_correspondence triple_product DegenerateBox
+    DualMarkedBox MarkedBox OutOfRange apply_word_box bottom_flag box_polarity
+    box_triple_product doppelganger model_box op_b op_i op_t orbit_enumerate
+    order3_transform polarity_box_to_dual polarity_dual_to_box raw_invariant tb_tree
+    top_flag INF FareyError NotAdjacent OrientedEdge Rational default_base_edge edge_b
+    edge_i edge_t word_apply CollinearVertices ConvergenceFailure Flat FlagClass Generic
+    LineClass NotPositiveDefinite NumericalFailure PointClass PointOffFlat
+    SymmSpaceError XGeodesic XPoint ZeroDirection boundary_ray_class duality_action
+    flat_from_triangle flat_geodesic geodesic_between geodesic_point group_action
+    jacobi_eigh metric_d polarity_fixed_point FareyPattern LimitFlag PatternError
+    PatternGeodesic base_box build_pattern flat_of_box fold_limit_flags geodesic_of_box
+    limit_set_flags min_distance_flats one_end_asymptotic pattern_boxes AdjacencyReport
+    BendingReport ConeMesh ConsistencyFailure DegenerateTriple DiagonalLocus
+    InflectionData Prism PrismError PrismReport UnityTripleProduct bending_report
+    cone_fill_sample mesh_to_obj order3_axis prism_inflection_data prism_of_triangle
+    stabilizing_polarities translation_T triple_invariant
+""".split()
+
+
+def test_the_package_root_still_resolves_every_name():
+    for name in ROOT_NAMES:
+        value = getattr(pappus, name)
+        # the object the defining module holds, not a copy
+        assert getattr(sys.modules[value.__module__], name) is value, name
+
+
+def test_an_unknown_root_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        pappus.no_such_name

@@ -27,6 +27,7 @@ from pappus.markedbox import (
     MarkedBox,
     OutOfRange,
     apply_word_box,
+    base_box,
     bottom_flag,
     box_polarity,
     box_triple_product,
@@ -37,12 +38,12 @@ from pappus.markedbox import (
     op_t,
     orbit_enumerate,
     order3_transform,
+    pattern_boxes,
     polarity_box_to_dual,
     polarity_dual_to_box,
     raw_invariant,
     top_flag,
 )
-from pappus.fareypattern import base_box
 
 unit_interval = st.fractions(min_value=Fraction(1, 20), max_value=Fraction(19, 20),
                              max_denominator=24)
@@ -237,6 +238,13 @@ def test_orbit_counts_and_word_layout():
     assert len(level3) == 16
     assert all(not w.startswith("i") for w in level3[:8])
     assert all(w.startswith("i") for w in level3[8:])
+
+
+def test_both_walks_reject_a_negative_depth():
+    with pytest.raises(OutOfRange):
+        orbit_enumerate(base_box(Fraction(3, 10), Fraction(2, 5)), -1)
+    with pytest.raises(OutOfRange):
+        pattern_boxes(Fraction(3, 10), Fraction(2, 5), -1)
 
 
 def test_float_boxes_track_the_exact_ones_level_by_level():

@@ -12,7 +12,8 @@ from pappus.projective import (
     ProjPoint, SingularMap, cross3, dot3, mat_det, mat_mul, mat_vec, triple_product,
 )
 from pappus.markedbox import (
-    OutOfRange, apply_word_box, box_polarity, op_i, order3_transform, top_flag,
+    OutOfRange, apply_word_box, base_box, box_polarity, op_i, order3_transform, top_flag,
+    triple_invariant,
 )
 from pappus.symmspace import (
     PointClass,
@@ -21,7 +22,7 @@ from pappus.symmspace import (
     geodesic_point,
     metric_d,
 )
-from pappus.fareypattern import base_box, flat_of_box, geodesic_of_box
+from pappus.fareypattern import flat_of_box, geodesic_of_box
 from pappus.prisms import (
     DegenerateTriple,
     DiagonalLocus,
@@ -34,7 +35,6 @@ from pappus.prisms import (
     prism_inflection_data,
     prism_of_triangle,
     translation_T,
-    triple_invariant,
 )
 
 X, Y = Fraction(3, 10), Fraction(2, 5)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from pappus.projective import Polarity, ProjMap, ProjPoint
-from pappus.markedbox import apply_word_box, box_polarity
+from pappus.markedbox import apply_word_box, base_box, box_polarity
 from pappus.symmspace import (
     CollinearVertices,
     FlagClass,
@@ -38,7 +38,7 @@ from pappus.symmspace import (
     metric_d,
     polarity_fixed_point,
 )
-from pappus.fareypattern import base_box, build_pattern, flat_of_box
+from pappus.fareypattern import build_pattern, flat_of_box
 
 RNG = np.random.default_rng(20260816)
 
