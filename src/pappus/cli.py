@@ -54,6 +54,7 @@ from .markedbox import (
     polarity_box_to_dual,
     polarity_dual_to_box,
     raw_invariant,
+    split_level,
     triple_invariant,
 )
 # criterion 11 and the benchmark tests import the enumerator and the fold by these names
@@ -128,6 +129,8 @@ def _emit(out: Optional[str], text: str) -> None:
 
 
 def _fmt_scalar(v) -> str:
+    if type(v) is float:
+        return repr(v)
     return str(v) if isinstance(v, (str, int, Fraction)) else repr(float(v))
 
 
@@ -168,10 +171,11 @@ def _check_positive(**options) -> None:
             raise ConfigError(f"--{name} must be positive, got {value}")
 
 
-def _pool(workers: int):
-    """A pool of ``workers`` processes, or none for one worker; only a pool
-    imports multiprocessing."""
-    if workers == 1:
+def _pool(workers: int, roots: int, depth: int):
+    """A pool of ``workers`` processes when the t/b walk from ``roots`` roots
+    to ``depth`` hands one work (see ``split_level``), else none; only a
+    pool imports multiprocessing."""
+    if workers == 1 or split_level(roots, depth, workers) is None:
         return nullcontext()
     import multiprocessing
 
@@ -183,7 +187,8 @@ def cmd_orbit(args) -> int:
     depth = _depth(args.depth)
     workers = args.workers
     _check_positive(workers=workers)
-    with _pool(workers) as pool:
+    # the orbit walks from two roots, the box and its i-image
+    with _pool(workers, 2, depth) as pool:
         boxes = orbit_enumerate(base_box(x, y), depth, pool, workers)
     if args.format == "csv":
         lines = ["word," + ",".join(_COORD_NAMES) + ",x,y"]
@@ -283,7 +288,7 @@ def cmd_limitset(args) -> int:
     depth = _depth(args.depth)
     workers = args.workers
     _check_positive(window=args.window, workers=workers)
-    with _pool(workers) as pool:
+    with _pool(workers, 1, depth) as pool:
         flags = limit_set_flags(x, y, depth, pool, workers)
     if args.format == "csv":
         lines = ["word,px,py,pz,lx,ly,lz,farey_tail,farey_head"]

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from functools import partial
+from typing import List, Optional, Sequence, Tuple
 
 from .projective import (
     CoincidentLines,
@@ -298,27 +299,49 @@ def _expand_chunk(rows: Sequence[Tuple[str, MarkedBox]]) -> List[Tuple[str, Mark
     return [pair for w, m in rows for pair in ((w + "t", op_t(m)), (w + "b", op_b(m)))]
 
 
+def _levels(depth: int, rows: Sequence[Tuple[str, MarkedBox]]) -> List[List[Tuple[str, MarkedBox]]]:
+    """The ``depth`` levels below ``rows``, each expanded from the last."""
+    levels = []
+    for _ in range(depth):
+        rows = _expand_chunk(rows)
+        levels.append(rows)
+    return levels
+
+
+def split_level(roots: int, depth: int, workers: int) -> Optional[int]:
+    """The level at which :func:`tb_tree` hands the walk below it to a pool
+    of ``workers``: the shallowest level k < ``depth`` with at least
+    ``8 * workers`` rows, a walk from ``roots`` roots having ``roots * 2**k``
+    rows at level k.  None when there is no such level: a pool would get
+    no work."""
+    k = 0
+    while k < depth and roots << k < 8 * workers:
+        k += 1
+    return k if k < depth else None
+
+
 def tb_tree(roots: Sequence[Tuple[str, MarkedBox]], depth: int, pool=None,
             workers: int = 1) -> List[Tuple[str, MarkedBox]]:
     """The roots and every t/b word below them up to ``depth``, breadth first.
 
     Each level lists the children in the order of their parents, so
-    words of one length keep the order of the roots.  With a pool, a
-    level of at least ``8 * workers`` rows is expanded in contiguous
-    ``pool.map`` chunks; the flattened result is the same list as the
-    serial expansion.
+    words of one length keep the order of the roots.  With a pool, the
+    walk is serial down to the ``split_level``; that level is cut into
+    ``workers`` contiguous chunks, each worker expands its chunk through
+    every level below and returns them in one message, and the chunks
+    are joined level by level in chunk order: the same list as the
+    serial walk.
     """
-    level = list(roots)
-    out = list(level)
-    for _ in range(depth):
-        if pool is None or len(level) < 8 * workers:
-            level = _expand_chunk(level)
-        else:
-            step = (len(level) + workers - 1) // workers
-            chunks = [level[k:k + step] for k in range(0, len(level), step)]
-            level = [pair for part in pool.map(_expand_chunk, chunks) for pair in part]
-        out.extend(level)
-    return out
+    k = split_level(len(roots), depth, workers) if pool is not None else None
+    levels = [list(roots)]
+    levels += _levels(depth if k is None else k, levels[0])
+    if k is not None:
+        level = levels[-1]
+        step = -(-len(level) // workers)
+        chunks = [level[i:i + step] for i in range(0, len(level), step)]
+        parts = pool.map(partial(_levels, depth - k), chunks)
+        levels += [[pair for part in same_depth for pair in part] for same_depth in zip(*parts)]
+    return [pair for level in levels for pair in level]
 
 
 def orbit_enumerate(m: MarkedBox, depth: int, pool=None,

@@ -15,9 +15,12 @@ Canonical forms differ per backend: an exact vector is stored as a
 primitive integer triple (denominators cleared, divided by the gcd,
 first nonzero entry positive), so joins, meets and zero tests run on
 plain Python ints, whose size grows with the depth of a construction;
-a float vector gets unit Euclidean norm with a positive first nonzero
-coordinate.  Consumers compute on the stored ``v``; ``floats()`` gives
-the first-nonzero-is-one form as correctly rounded floats.  Operations
+a float vector gets unit Euclidean norm, its first entry above 1e-14 in
+size positive.  The float joins, meets, ``same`` and cross ratio are
+written out entry by entry, for speed, in the operation order of
+``cross3`` and ``dot3``.  Consumers compute on the stored ``v``;
+``floats()`` gives the first-nonzero-is-one form as correctly rounded
+floats.  Operations
 on a mix of exact and float vectors read the exact ones through
 ``floats()``; polarities multiply ``v`` (a line is imaged through the
 adjugate), and their images are exact when both matrix and vector are.
@@ -30,7 +33,9 @@ symmetry of a marked box) composes two of them.
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Tuple, Union
@@ -39,6 +44,7 @@ Scalar = Union[int, Fraction, float]
 Triple = Tuple[Scalar, Scalar, Scalar]
 
 DEFAULT_TOL = 1e-9
+_MIN_NORMAL = sys.float_info.min
 
 
 class PappusError(Exception):
@@ -109,17 +115,29 @@ def _exact_canonical(v: Sequence[Scalar]) -> Triple:
 
 
 def _float_canonical(v: Sequence[Scalar]) -> Triple:
-    fv = tuple(float(x) for x in v)
-    norm = math.sqrt(sum(x * x for x in fv))
-    if norm == 0.0 or not math.isfinite(norm):
-        raise ProjectiveError("zero or non-finite homogeneous vector")
-    fv = tuple(x / norm for x in fv)
-    for x in fv:
-        if abs(x) > 1e-14:
-            if x < 0:
-                fv = tuple(-y for y in fv)
-            break
-    return fv
+    a, b, c = v
+    return _unit(float(a), float(b), float(c))
+
+
+def _unit(a: float, b: float, c: float) -> Triple:
+    """Unit norm, and the first entry above 1e-14 in size made positive.
+
+    The norm sums the squares left to right, as a plain float ``sum`` of
+    them does.  When that sum leaves the normal range (the squares
+    underflow or overflow), the vector is first scaled by a power of
+    two, which is exact.
+    """
+    ss = a * a + b * b + c * c
+    if not _MIN_NORMAL <= ss < math.inf:
+        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)) or a == b == c == 0:
+            raise ProjectiveError("zero or non-finite homogeneous vector")
+        e = -math.frexp(max(abs(a), abs(b), abs(c)))[1]
+        return _unit(math.ldexp(a, e), math.ldexp(b, e), math.ldexp(c, e))
+    norm = math.sqrt(ss)
+    a, b, c = a / norm, b / norm, c / norm
+    if a < -1e-14 or (a <= 1e-14 and (b < -1e-14 or (b <= 1e-14 and c < -1e-14))):
+        return -a, -b, -c
+    return a, b, c
 
 
 @dataclass(frozen=True)
@@ -152,8 +170,9 @@ class HomVec:
         """Projective equality, i.e. proportionality of representatives."""
         if self.exact and other.exact:
             return self.v == other.v
-        c = cross3(self.floats(), other.floats())
-        return max(abs(float(x)) for x in c) <= tol
+        u0, u1, u2 = self.floats()
+        w0, w1, w2 = other.floats()
+        return max(abs(u1 * w2 - u2 * w1), abs(u2 * w0 - u0 * w2), abs(u0 * w1 - u1 * w0)) <= tol
 
 
 def _built(cls, v: Triple, exact: bool):
@@ -177,25 +196,25 @@ class ProjLine(HomVec):
     """Line of the projective plane, i.e. a point of the dual plane."""
 
 
-def _near_zero(v: Sequence[float], scale: float) -> bool:
-    return max(abs(float(x)) for x in v) <= DEFAULT_TOL * max(scale, 1.0)
-
-
-def _pair_scale(u: Sequence[float], v: Sequence[float]) -> float:
-    return max(abs(float(x)) for x in (*u, *v))
-
-
 def _cross_of(cls, p: HomVec, q: HomVec, err, what: str):
     if p.exact and q.exact:
         c = cross3(p.v, q.v)
         if c == (0, 0, 0):
             raise err(f"{what} {p.v}")
         return _built(cls, _primitive(*c), True)
-    u, w = p.floats(), q.floats()
-    c = cross3(u, w)
-    if _near_zero(c, _pair_scale(u, w)):
+    u0, u1, u2 = p.floats() if p.exact else p.v
+    w0, w1, w2 = q.floats() if q.exact else q.v
+    c0, c1, c2 = u1 * w2 - u2 * w1, u2 * w0 - u0 * w2, u0 * w1 - u1 * w0
+    # zero to DEFAULT_TOL relative to the largest operand entry and to 1.
+    # A float vector has unit norm, so its entries are at most 1 up to
+    # rounding and, for two float operands, matter only when the product is
+    # within 2 * DEFAULT_TOL of zero; an exact operand read
+    # first-nonzero-is-one can have any entries.
+    cmax = max(abs(c0), abs(c1), abs(c2))
+    if (cmax <= 2 * DEFAULT_TOL or p.exact or q.exact) and cmax <= DEFAULT_TOL * max(
+            abs(u0), abs(u1), abs(u2), abs(w0), abs(w1), abs(w2), 1.0):
         raise err(f"{what} {p.v}")
-    return _built(cls, _float_canonical(c), False)
+    return _built(cls, _unit(c0, c1, c2), False)
 
 
 def join(p: ProjPoint, q: ProjPoint) -> ProjLine:
@@ -234,40 +253,54 @@ def cross_ratio(a: ProjPoint, b: ProjPoint, c: ProjPoint, d: ProjPoint) -> Scala
     parameter w on the common line the value is
     (w_a - w_b)(w_c - w_d) / ((w_a - w_c)(w_b - w_d)).
     """
-    pts = (a, b, c, d)
-    exact = a.exact and b.exact and c.exact and d.exact
-    vs = tuple(p.v if exact else p.floats() for p in pts)
-    base = None
-    for i in range(4):
-        for j in range(i + 1, 4):
-            cc = cross3(vs[i], vs[j])
-            if (cc != (0, 0, 0)) if exact else not _near_zero(cc, _pair_scale(vs[i], vs[j])):
-                base = cc
-                break
-        if base is not None:
+    if not (a.exact and b.exact and c.exact and d.exact):
+        return _float_cross_ratio((a.floats(), b.floats(), c.floats(), d.floats()))
+    vs = (a.v, b.v, c.v, d.v)
+    for v, w in itertools.combinations(vs, 2):
+        base = cross3(v, w)
+        if base != (0, 0, 0):
             break
-    if base is None:
+    else:
         raise DegenerateQuadruple("all four points coincide")
     for v in vs:
-        val = dot3(v, base)
-        if not (val == 0 if exact else abs(float(val)) <= DEFAULT_TOL * 10):
+        if dot3(v, base) != 0:
             raise NotCollinear(f"{v} off the common line")
     va, vb, vc, vd = vs
     num = cross3(va, vb)
     num2 = cross3(vc, vd)
     den = cross3(va, vc)
     den2 = cross3(vb, vd)
-    if exact:
-        for i in range(3):
-            dv = den[i] * den2[i]
-            if dv != 0:
-                return Fraction(num[i] * num2[i], dv)
+    for i in range(3):
+        dv = den[i] * den2[i]
+        if dv != 0:
+            return Fraction(num[i] * num2[i], dv)
+    raise DegenerateQuadruple("cross ratio undefined for this quadruple")
+
+
+def _float_cross_ratio(vs) -> float:
+    """``cross_ratio`` on float triples: a cross product is zero to
+    ``DEFAULT_TOL`` relative to its operands' largest entry and to 1, a
+    point is on the line to ``10 * DEFAULT_TOL``, and the denominator
+    entry used is the first above ``1e-4 * DEFAULT_TOL`` times the
+    squared largest denominator entry (and 1)."""
+    for (u0, u1, u2), (w0, w1, w2) in itertools.combinations(vs, 2):
+        n0, n1, n2 = u1 * w2 - u2 * w1, u2 * w0 - u0 * w2, u0 * w1 - u1 * w0
+        if not max(abs(n0), abs(n1), abs(n2)) <= DEFAULT_TOL * max(
+                abs(u0), abs(u1), abs(u2), abs(w0), abs(w1), abs(w2), 1.0):
+            break
     else:
-        scale = _pair_scale(den, den2)
-        for i in range(3):
-            dv = den[i] * den2[i]
-            if abs(float(dv)) > DEFAULT_TOL * max(scale, 1.0) ** 2 * 1e-4:
-                return (num[i] * num2[i]) / dv
+        raise DegenerateQuadruple("all four points coincide")
+    for v in vs:
+        v0, v1, v2 = v
+        if not abs(v0 * n0 + v1 * n1 + v2 * n2) <= DEFAULT_TOL * 10:
+            raise NotCollinear(f"{v} off the common line")
+    va, vb, vc, vd = vs
+    num, num2, den, den2 = cross3(va, vb), cross3(vc, vd), cross3(va, vc), cross3(vb, vd)
+    tol = DEFAULT_TOL * max(*map(abs, den), *map(abs, den2), 1.0) ** 2 * 1e-4
+    for i in range(3):
+        dv = den[i] * den2[i]
+        if abs(dv) > tol:
+            return (num[i] * num2[i]) / dv
     raise DegenerateQuadruple("cross ratio undefined for this quadruple")
 
 

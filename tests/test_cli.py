@@ -73,6 +73,52 @@ def test_workers_do_not_change_the_bytes(capsys):
         assert out1 == out2
 
 
+@pytest.mark.parametrize("xy", [("--x", "0.3", "--y", "0.4"), ("--x", "3/10", "--y", "0.4")])
+def test_workers_do_not_change_the_float_bytes(capsys, xy):
+    # depth 6 splits the walk for two and for three workers, in uneven chunks for three
+    orbit = ("orbit", *xy, "--depth", "6")
+    for argv in (orbit, ("limitset", *xy, "--depth", "6", "--format", "csv")):
+        outs = [run(capsys, *argv, "--workers", w)[1] for w in ("1", "2", "3")]
+        assert outs[0] and outs[1] == outs[0] and outs[2] == outs[0]
+
+
+def test_a_pool_starts_only_where_the_walk_hands_it_rows(capsys, monkeypatch):
+    import multiprocessing
+
+    started = []
+
+    class InProcessPool:
+        def __init__(self, workers):
+            started.append(workers)
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    xy = ("--x", "3/10", "--y", "2/5")
+    # (argv, workers, pools started): the orbit walks from two roots and the
+    # limit set from one, and w workers take a level of 8 w rows with children
+    cases = [
+        (("orbit", *xy, "--depth", "2"), "4", 0),
+        (("orbit", *xy, "--depth", "3"), "2", 0),
+        (("orbit", *xy, "--depth", "4"), "2", 1),
+        (("limitset", *xy, "--depth", "4"), "2", 0),
+        (("limitset", *xy, "--depth", "5", "--format", "csv"), "2", 1),
+    ]
+    for argv, workers, pools in cases:
+        _, serial, _ = run(capsys, *argv)
+        started.clear()
+        _, out, _ = run(capsys, *argv, "--workers", workers)
+        assert len(started) == pools, argv
+        assert out == serial
+
+
 # SHA-256 of stdout, pinned before exact coordinates became integer triples;
 # the exact arithmetic may change, the bytes it prints may not
 PINNED_OUTPUTS = {
@@ -122,6 +168,10 @@ PINNED_OUTPUTS = {
         "067940faf0865b31e90706642fd655f7e83c4097dc8924759f2739e3981128ee",
     ("pattern", "--x", "17/41", "--y", "5/37", "--depth", "4"):
         "c050f40250e296543f5d5bec381ee19409eeedd04db05a33aa08bacc0ef60708",
+    # the float joins and meets through depth 10, pinned before they were
+    # written out entry by entry
+    ("limitset", "--format", "csv", "--x", "0.3", "--y", "0.4", "--depth", "10"):
+        "7589891c892a5f9cf37c3e152d0e41ed6cb08acf5f02354ea17e63f7f42b10b4",
 }
 
 # a test id is the command and its last option; other changes refer to the

@@ -62,6 +62,8 @@ print(json.dumps(sorted(set(json.loads(sys.argv[2])) & set(sys.modules))))
 EXACT_COMMANDS = [
     ["--help"],
     ["orbit", "--x", "3/10", "--y", "2/5", "--depth", "3"],
+    # no level of this walk is wide enough to hand four workers rows
+    ["orbit", "--x", "3/10", "--y", "2/5", "--depth", "2", "--workers", "4"],
     ["orbit", "--x", "0.3", "--y", "0.4", "--depth", "3", "--format", "json"],
     ["limitset", "--x", "3/10", "--y", "2/5", "--depth", "3"],
     ["limitset", "--x", "17/41", "--y", "5/37", "--depth", "3", "--format", "csv"],

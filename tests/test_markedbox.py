@@ -6,6 +6,7 @@ back reversed.
 """
 
 import math
+import multiprocessing
 from fractions import Fraction
 
 import pytest
@@ -42,6 +43,7 @@ from pappus.markedbox import (
     polarity_box_to_dual,
     polarity_dual_to_box,
     raw_invariant,
+    split_level,
     top_flag,
 )
 
@@ -245,6 +247,22 @@ def test_both_walks_reject_a_negative_depth():
         orbit_enumerate(base_box(Fraction(3, 10), Fraction(2, 5)), -1)
     with pytest.raises(OutOfRange):
         pattern_boxes(Fraction(3, 10), Fraction(2, 5), -1)
+
+
+def test_pooled_walk_is_the_serial_walk():
+    # three workers split a 32-row level into chunks of 11, 11 and 10 rows
+    assert split_level(1, 7, 3) == 5 and split_level(2, 6, 3) == 4
+    assert split_level(2, 4, 3) is None and split_level(1, 5, 3) is None
+    walks = [
+        lambda pool: pattern_boxes(0.3, 0.4, 7, pool, 3),
+        lambda pool: orbit_enumerate(base_box(0.3, 0.4), 6, pool, 3),
+    ]
+    with multiprocessing.Pool(3) as pool:
+        for walk in walks:
+            serial, pooled = walk(None), walk(pool)
+            assert [w for w, _ in pooled] == [w for w, _ in serial]
+            assert [[p.v for p in m.sextuple()] for _, m in pooled] == \
+                [[p.v for p in m.sextuple()] for _, m in serial]
 
 
 def test_float_boxes_track_the_exact_ones_level_by_level():

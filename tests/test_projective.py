@@ -49,6 +49,17 @@ def test_exact_canonical_form_scales_first_nonzero_to_one():
     assert not HomVec((0.0, 3.0, -6.0)).exact
 
 
+
+@given(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3))
+@settings(deadline=None, max_examples=300)
+def test_float_canonical_form_has_unit_norm_and_a_positive_first_entry(t):
+    assume(any(x != 0 for x in t))
+    v = HomVec(t)
+    assert not v.exact
+    assert abs(math.fsum(x * x for x in v.v) - 1) <= 1e-15
+    assert next(x for x in v.v if abs(x) > 1e-14) > 0
+
+
 # heights well past 53 bits, so floats() must round the integer ratio itself
 tall_rationals = st.one_of(
     st.integers(-10**30, 10**30),
