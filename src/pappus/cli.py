@@ -18,7 +18,6 @@ configuration, 3 for degenerate geometry, 1 for a failed verification,
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -317,19 +316,33 @@ def _matrix_json(m):
     return [[float(v) for v in row] for row in m]
 
 
+# grid matrices per kernel call of the distance summary, which bounds its memory
+_SUMMARY_MATRICES = 2 ** 16
+
+
 def _distance_summary(pat, window: float, samples: int) -> Dict:
     """Sampled minimum distance between every two pattern geodesics, each sampled on
-    its flat's line fixed_log + plane_log(tau, 0); one ``flat_distances`` call a pair."""
+    its flat's line fixed_log + plane_log(tau, 0), consecutive samples 2 window / (samples - 1)
+    apart in X.  One ``line_minima`` call measures a geodesic against a run of later ones: it
+    forms every sample matrix, takes the singular values on a coarse subgrid of samples, and
+    then only where the triangle inequality leaves room for a smaller distance, with a margin
+    that dominates the float error (derived at ``line_minima``); each minimum is the same float
+    as over the whole grid."""
     import numpy as np
-    from .symmspace import flat_distances, plane_log
+    from .symmspace import line_minima, plane_log, relative_frames
 
     line = plane_log(np.linspace(-window, window, samples), 0.0)
-    clouds = [(g, g.fixed_log + line) for g in pat.geodesics]
-    pairs = [
-        {"words": [ga.word or "-", gb.word or "-"],
-         "min": float(flat_distances(ga.flat, ua, gb.flat, ub).min())}
-        for (ga, ua), (gb, ub) in itertools.combinations(clouds, 2)
-    ]
+    step = 2.0 * window / (samples - 1)
+    run = max(1, _SUMMARY_MATRICES // samples ** 2)
+    gs = pat.geodesics
+    pairs = []
+    for a, ga in enumerate(gs):
+        for lo in range(a + 1, len(gs), run):
+            later = gs[lo:lo + run]
+            minima = line_minima(relative_frames(ga.flat, [g.flat for g in later]), ga.fixed_log + line,
+                                 np.stack([g.fixed_log + line for g in later]), step)
+            pairs += [{"words": [ga.word or "-", gb.word or "-"], "min": float(d)}
+                      for gb, d in zip(later, minima)]
     return {
         "window": window,
         "samples": samples,
@@ -344,6 +357,8 @@ def cmd_pattern(args) -> int:
     x, y, backend = _params(args)
     depth = _depth(args.depth)
     _check_positive(window=args.window, samples=args.samples)
+    if args.samples < 2:
+        raise ConfigError("--samples must be at least 2: the samples span [-window, window]")
     from .fareypattern import build_pattern
 
     pat = build_pattern(x, y, depth)

@@ -28,6 +28,7 @@ from .symmspace import (
     flat_geodesic,
     plane_log,
     polarity_fixed_point,
+    relative_frames,
 )
 from .projective import join, meet
 
@@ -139,16 +140,18 @@ def _descend(f, start: List[float], step: float):
 
 def min_distance_flats(f1: Flat, f2: Flat) -> float:
     """Sampled minimum distance between two flats: their 7 x 7 plane grids over [-2, 2]^2
-    in one ``flat_distances`` call, then a descent from the closest pair, one call a step."""
+    in one ``flat_distances`` call, then a descent from the closest pair, one call a step;
+    the flats' relative frame is formed once."""
     grid = np.linspace(-2.0, 2.0, 7)
     a, b = np.repeat(grid, 7), np.tile(grid, 7)
     plane = plane_log(a, b)
-    d = flat_distances(f1, plane, f2, plane)
+    c = relative_frames(f1, [f2])[0]
+    d = flat_distances(c, plane, plane)
     i, j = np.unravel_index(int(np.argmin(d)), d.shape)
     if d[i, j] < 1e-15:
         return 0.0
 
     def f(v):
-        return float(flat_distances(f1, plane_log(v[0], v[1])[None], f2, plane_log(v[2], v[3])[None])[0, 0])
+        return float(flat_distances(c, plane_log(v[0], v[1])[None], plane_log(v[2], v[3])[None])[0, 0])
 
     return min(float(d[i, j]), _descend(f, [a[i], b[i], a[j], b[j]], grid[1] - grid[0]))

@@ -385,19 +385,85 @@ class Flat:
         return True
 
 
-def flat_distances(f1: Flat, u1: np.ndarray, f2: Flat, u2: np.ndarray) -> np.ndarray:
-    """n x m distances between points u1 (n x 3) of f1 and u2 (m x 3) of f2, in centered
-    log-coordinates.  A point of a flat is B^-T D B^-1 with D = diag(e^u), so by affine
-    invariance the distance is sqrt(sum log^2 s) over the singular values s of
-    D1^(-1/2) C D2^(1/2), C = B1' B2^-T scaled to |det C| = 1; no point of X is formed."""
-    c = np.linalg.solve(f2.basis, f1.basis).T  # rounds better than a product with basis_inv
-    c = c / np.cbrt(abs(np.linalg.det(c)))
+def relative_frames(f1: Flat, flats: Sequence[Flat]) -> np.ndarray:
+    """The relative frames C = B1' B2^-T of f1 against each flat of flats, each scaled to
+    |det C| = 1: a k x 3 x 3 stack from one batched solve and det."""
+    c = np.linalg.solve(np.stack([f.basis for f in flats]), f1.basis).swapaxes(-1, -2)
+    # solving rounds better than a product with the stored basis_inv
+    return c / np.cbrt(abs(np.linalg.det(c)))[:, None, None]
+
+
+_NOT_POSITIVE = "singular values of the flats' relative frame not finite and positive"
+
+
+def _frame_matrices(c: np.ndarray, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """D1^(-1/2) C D2^(1/2) for every point u1 (n x 3) against every u2 (... x m x 3), with
+    c (... x 3 x 3) the matching relative frames: ... x n x m x 3 x 3 matrices, all finite."""
     with np.errstate(over="ignore", invalid="ignore"):
-        m = c * np.exp((u2[None, :, None, :] - u1[:, None, :, None]) / 2.0)
-    s = np.linalg.svd(m, compute_uv=False) if np.isfinite(m).all() else np.zeros(1)
+        m = c[..., None, None, :, :] * np.exp((u2[..., None, :, None, :] - u1[:, None, :, None]) / 2.0)
+    if not np.isfinite(m).all():
+        raise NumericalFailure(_NOT_POSITIVE)
+    return m
+
+
+def _singular_distances(m: np.ndarray) -> np.ndarray:
+    """sqrt(sum log^2 s) over the singular values s of each 3 x 3 matrix of m: one batched svd."""
+    s = np.linalg.svd(m, compute_uv=False)
     if not s.min() > 0:
-        raise NumericalFailure("singular values of the flats' relative frame not finite and positive")
+        raise NumericalFailure(_NOT_POSITIVE)
     return np.sqrt((np.log(s) ** 2).sum(axis=-1))
+
+
+def flat_distances(c: np.ndarray, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """Distances between points u1 (n x 3) of a flat F1 and u2 (... x m x 3) of flats F2, in
+    centered log-coordinates, given the relative frames c = ``relative_frames(F1, F2s)``
+    (or one of them): ... x n x m.  A point of a flat is B^-T D B^-1 with D = diag(e^u), so by
+    affine invariance the distance is sqrt(sum log^2 s) over the singular values s of
+    D1^(-1/2) C D2^(1/2); no point of X is formed."""
+    return _singular_distances(_frame_matrices(c, u1, u2))
+
+
+# sample indices per axis measured first; they bound the rest of a line's samples
+_COARSE_SAMPLES = 5
+
+
+def line_minima(c: np.ndarray, u1: np.ndarray, u2: np.ndarray, step: float) -> np.ndarray:
+    """The minimum of each n x n grid of ``flat_distances(c, u1, u2)``, for k relative frames c
+    and u1, u2[0], ..., u2[k-1] each n samples of a line in its flat, consecutive samples
+    ``step`` apart in X.  Every matrix is formed and checked finite, but the singular values
+    are taken only at a coarse subgrid and at the samples that it cannot rule out, so each
+    minimum is the same float as over the whole grid.
+
+    X has nonpositive curvature, so for any measured (k, l) the triangle inequality gives
+    d(i, j) >= d(k, l) - step * (|i - k| + |j - l|), and an entry whose bound exceeds the
+    smallest measured distance cannot hold the minimum.  The margin keeps that true of the
+    computed distances.  The svd is backward stable and each entry of M carries a few ulps,
+    so each singular value moves by a small multiple of eps * s_max, and each log s by that
+    multiple of eps * kappa(M), kappa(M) = s_max / s_min = exp(log s_max - log s_min).  Since
+    (log s_max - log s_min)^2 <= 2 (log^2 s_max + log^2 s_min) <= 2 d^2, kappa(M) <= e^(sqrt 2 d),
+    and a computed distance errs by at most 64 eps e^(sqrt 2 d).  (k, l) rules out only entries
+    whose slack step * (|i - k| + |j - l|) is below d(k, l) - best, for best the smallest
+    measured distance, and the triangle inequality also gives d(i, j) <= d(k, l) + slack, so
+    d(i, j) < 2 d(k, l) - best there: the bound and the skipped entry together err by at most
+    128 eps e^(sqrt 2 (2 d(k, l) - best)).  1e-12 more covers the rounding of the samples, of
+    their spacing and of the bound itself.  A margin that overflows rules nothing out."""
+    m = _frame_matrices(c, u1, u2)
+    n = len(u1)
+    coarse = np.array(sorted({i * (n - 1) // (_COARSE_SAMPLES - 1) for i in range(_COARSE_SAMPLES)}))
+    d = _singular_distances(m[:, coarse[:, None], coarse])
+    best = d.min(axis=(1, 2))
+    with np.errstate(over="ignore"):
+        margin = 1e-12 + 128.0 * np.finfo(float).eps * np.exp(math.sqrt(2.0) * (2.0 * d - best[:, None, None]))
+    off = step * np.abs(np.arange(n)[:, None] - coarse)  # n x coarse
+    bound = np.full((len(m), n, n), -np.inf)
+    for a, b in np.ndindex(len(coarse), len(coarse)):
+        np.maximum(bound, (d[:, a, b] - margin[:, a, b])[:, None, None] - (off[:, a, None] + off[None, :, b]),
+                   out=bound)
+    bound[:, coarse[:, None], coarse] = np.inf  # measured already
+    todo = bound <= best[:, None, None]
+    if todo.any():
+        np.minimum.at(best, np.nonzero(todo)[0], _singular_distances(m[todo]))
+    return best
 
 
 def flat_from_triangle(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint) -> Flat:

@@ -1,16 +1,20 @@
 """Command line behavior: exit codes, formats, determinism, schema."""
 
 import hashlib
+import itertools
 import json
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from pappus.cli import _coords, main
+from pappus.cli import _coords, _distance_summary, main
+from pappus.fareypattern import build_pattern
+from pappus.symmspace import flat_distances, plane_log, relative_frames
 from pappus.projective import HomVec
 
 SCHEMA = json.loads((Path(__file__).resolve().parents[1] / "docs" / "schema.json").read_text())
@@ -226,6 +230,40 @@ def test_pattern_json_roundtrip_and_schema(capsys):
     assert doc["distances"]["all_positive"] is True
 
 
+CANONICAL = (Fraction(3, 10), Fraction(2, 5))
+
+
+@pytest.mark.parametrize("xy, samples, window", [
+    (CANONICAL, 15, 3.0),
+    ((Fraction(17, 41), Fraction(5, 37)), 15, 3.0),
+    ((0.3, 0.4), 15, 3.0),
+    (CANONICAL, 2, 3.0),
+    (CANONICAL, 3, 3.0),
+    (CANONICAL, 40, 3.0),
+    (CANONICAL, 15, 0.5),
+    (CANONICAL, 15, 7.0),
+], ids=["canonical", "tall", "float", "samples2", "samples3", "samples40", "window0.5", "window7"])
+def test_distance_summary_minima_are_the_full_grid_minima(xy, samples, window):
+    # the summary skips the samples the triangle inequality rules out; every
+    # minimum must still be the same float as over the whole grid
+    pat = build_pattern(*xy, 4)
+    line = plane_log(np.linspace(-window, window, samples), 0.0)
+    full = [([ga.word or "-", gb.word or "-"],
+             float(flat_distances(relative_frames(ga.flat, [gb.flat])[0],
+                                  ga.fixed_log + line, gb.fixed_log + line).min()))
+            for ga, gb in itertools.combinations(pat.geodesics, 2)]
+    summary = _distance_summary(pat, window, samples)
+    assert [(p["words"], p["min"]) for p in summary["pairs"]] == full
+
+
+def test_distances_beyond_float_range_exit_three(capsys):
+    code, out, err = run(capsys, "pattern", "--x", "3/10", "--y", "2/5", "--depth", "4",
+                         "--distances", "--window", "1000")
+    assert code == 3 and out == ""
+    assert ("NumericalFailure: singular values of the flats' relative frame "
+            "not finite and positive") in err
+
+
 def test_prism_json_schema(capsys):
     code, out, _ = run(capsys, "prism", "--x", "3/10", "--y", "2/5", "--depth", "1")
     assert code == 0
@@ -331,6 +369,7 @@ def test_config_errors_exit_two(capsys):
         ("limitset", *xy, "--window", "0"),
         ("limitset", *xy, "--window", "-1"),
         ("pattern", *xy, "--distances", "--samples", "0"),
+        ("pattern", *xy, "--distances", "--samples", "1"),
         ("pattern", *xy, "--distances", "--samples", "-3"),
         ("pattern", *xy, "--distances", "--window", "0"),
         ("prism", *xy, "--format", "obj", "--samples", "1"),

@@ -35,8 +35,11 @@ from pappus.symmspace import (
     geodesic_point,
     group_action,
     jacobi_eigh,
+    line_minima,
     metric_d,
+    plane_log,
     polarity_fixed_point,
+    relative_frames,
 )
 from pappus.fareypattern import build_pattern, flat_of_box
 
@@ -212,14 +215,20 @@ def test_flat_distances_match_the_metric_on_pattern_flats():
     geos = build_pattern(Fraction(3, 10), Fraction(2, 5), 3).geodesics
     for ga, gb in ((geos[0], geos[5]), (geos[3], geos[12])):
         u1, u2 = random_logs(4), random_logs(5)
-        d = flat_distances(ga.flat, u1, gb.flat, u2)
+        d = flat_distances(relative_frames(ga.flat, [gb.flat])[0], u1, u2)
         assert d.shape == (4, 5)
         for i, j in np.ndindex(d.shape):
             ref = metric_d(ga.flat.point_from_log(u1[i]), gb.flat.point_from_log(u2[j]))
             assert abs(d[i, j] - ref) <= 1e-10 * ref
     f = geos[7].flat
     u = random_logs(3)
-    assert np.max(np.abs(np.diag(flat_distances(f, u, f, u)))) < 1e-14
+    assert np.max(np.abs(np.diag(flat_distances(relative_frames(f, [f])[0], u, u)))) < 1e-14
+    # one batched call measures f against several flats, each as its own call would
+    others = [g.flat for g in geos[8:11]]
+    u2 = np.stack([random_logs(5) for _ in others])
+    batched = flat_distances(relative_frames(f, others), u, u2)
+    for k, g in enumerate(others):
+        assert np.array_equal(batched[k], flat_distances(relative_frames(f, [g])[0], u, u2[k]))
 
 
 def test_flat_distances_reject_log_coordinates_out_of_range():
@@ -228,7 +237,34 @@ def test_flat_distances_reject_log_coordinates_out_of_range():
     f = unit_triangle_flat()
     for far in ([-1600.0, 800.0, 800.0], [1600.0, -800.0, -800.0]):
         with pytest.raises(NumericalFailure):
-            flat_distances(f, np.array([far]), f, np.zeros((1, 3)))
+            flat_distances(relative_frames(f, [f])[0], np.array([far]), np.zeros((1, 3)))
+
+
+def test_line_samples_are_step_apart_and_bound_the_rest(monkeypatch):
+    # the summary's line u0 + plane_log(tau, 0) moves at unit speed in tau, so
+    # consecutive samples are 2 window / (samples - 1) apart, which the
+    # triangle inequality in line_minima relies on
+    geos = build_pattern(Fraction(3, 10), Fraction(2, 5), 3).geodesics
+    window, samples = 3.0, 15
+    step = 2.0 * window / (samples - 1)
+    line = plane_log(np.linspace(-window, window, samples), 0.0)
+    f = geos[4].flat
+    d = flat_distances(relative_frames(f, [f])[0], geos[4].fixed_log + line, geos[4].fixed_log + line)
+    assert np.allclose(np.diag(d, 1), step, rtol=1e-12)
+    # and a row of later geodesics takes the singular values of far fewer
+    # sample matrices than its full grids hold
+    later = geos[5:]
+    measured = []
+    svd = np.linalg.svd
+
+    def counted(m, **kw):
+        measured.append(m.size // 9)
+        return svd(m, **kw)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    line_minima(relative_frames(geos[4].flat, [g.flat for g in later]), geos[4].fixed_log + line,
+                np.stack([g.fixed_log + line for g in later]), step)
+    assert sum(measured) < len(later) * samples ** 2 / 3
 
 
 def test_flat_geodesics_stay_in_the_flat_at_unit_speed():
