@@ -12,7 +12,7 @@ with i reverses the geodesic, so each geodesic is stored once, oriented.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 

@@ -185,16 +185,28 @@ def op_i(m: MarkedBox) -> MarkedBox:
     return MarkedBox(m.a, m.b, m.c, m.u, m.t, m.s)
 
 
-def op_t(m: MarkedBox) -> MarkedBox:
-    a2, b2, c2 = _hexagon_points(m)
+def _t_child(m: MarkedBox, a2: ProjPoint, b2: ProjPoint, c2: ProjPoint) -> MarkedBox:
     return MarkedBox(m.s, m.t, m.u, a2, b2, c2)
 
 
-def op_b(m: MarkedBox) -> MarkedBox:
-    # mirror of op_t: the same hexagon points become the new top edge,
+def _b_child(m: MarkedBox, a2: ProjPoint, b2: ProjPoint, c2: ProjPoint) -> MarkedBox:
+    # mirror of the t-child: the same hexagon points become the new top edge,
     # the old bottom is kept (reversed so the flip-class matches tit)
-    a2, b2, c2 = _hexagon_points(m)
     return MarkedBox(a2, b2, c2, m.c, m.b, m.a)
+
+
+def op_t(m: MarkedBox) -> MarkedBox:
+    return _t_child(m, *_hexagon_points(m))
+
+
+def op_b(m: MarkedBox) -> MarkedBox:
+    return _b_child(m, *_hexagon_points(m))
+
+
+def _tb_children(m: MarkedBox) -> Tuple[MarkedBox, MarkedBox]:
+    """t(M) and b(M), from one set of hexagon points."""
+    hexagon = _hexagon_points(m)
+    return _t_child(m, *hexagon), _b_child(m, *hexagon)
 
 
 def apply_word_box(word: str, m: MarkedBox) -> MarkedBox:
@@ -274,8 +286,7 @@ def box_triple_product(m: MarkedBox) -> Scalar:
     Closed form in invariant coordinates: -x(1-x) / (y(1-y)), which is
     well defined on the flip class.
     """
-    flags = [top_flag(op_i(m)), top_flag(op_t(m)), top_flag(op_b(m))]
-    return triple_product(flags)
+    return triple_product([top_flag(b) for b in (op_i(m), *_tb_children(m))])
 
 
 def triple_invariant(x, y) -> float:
@@ -290,13 +301,13 @@ def order3_transform(m: MarkedBox) -> ProjMap:
     """Projective map of order three cycling t(M) -> b(M) -> i(M) -> t(M):
     the one sending t(M)'s corners to b(M)'s, scaled by the corners c of
     t(M) and b(M) as ``frame_rows`` scales a frame."""
-    tb, bb = op_t(m), op_b(m)
+    tb, bb = _tb_children(m)
     return transform_from_correspondence((tb.s, tb.u, tb.a, tb.c), (bb.s, bb.u, bb.a, bb.c))
 
 
 def _expand_chunk(rows: Sequence[Tuple[str, MarkedBox]]) -> List[Tuple[str, MarkedBox]]:
     """The t-child then the b-child of every row, in row order."""
-    return [pair for w, m in rows for pair in ((w + "t", op_t(m)), (w + "b", op_b(m)))]
+    return [pair for w, m in rows for pair in zip((w + "t", w + "b"), _tb_children(m))]
 
 
 def _levels(depth: int, rows: Sequence[Tuple[str, MarkedBox]]) -> List[List[Tuple[str, MarkedBox]]]:

@@ -20,6 +20,7 @@ and builds no point of X.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
@@ -43,14 +44,13 @@ from .markedbox import (
     MarkedBox,
     OutOfRange,
     box_polarity,
-    op_b,
     op_i,
-    op_t,
     order3_transform,
     pattern_boxes,
     raw_invariant,
     top_flag,
     triple_invariant,
+    _tb_children,
 )
 from .fareypattern import flat_of_box
 from .symmspace import (
@@ -59,13 +59,9 @@ from .symmspace import (
     Flat,
     XGeodesic,
     XPoint,
-    boundary_ray_class,
-    LineClass,
-    NotPositiveDefinite,
-    PointClass,
     geodesic_between,
     geodesic_point,
-    metric_d,
+    _map_matrix,
     _polarity_push,
     _polarity_matrix,
 )
@@ -164,7 +160,7 @@ class Prism:
 
 
 def prism_of_triangle(m: MarkedBox) -> Prism:
-    boxes = (op_i(m), op_t(m), op_b(m))
+    boxes = (op_i(m), *_tb_children(m))
     flags = tuple(top_flag(b) for b in boxes)
     flats = tuple(flat_of_box(b) for b in boxes)
     return Prism(
@@ -234,65 +230,56 @@ def translation_T(x, y) -> ProjMap:
 
 # --- order-3 axis ---------------------------------------------------------------
 
-def _order3_float(p: Prism) -> np.ndarray:
-    g = np.array([[float(v) for v in row] for row in order3_transform(p.base).m], dtype=float)
-    return g / np.cbrt(float(np.linalg.det(g)))
+def _rotation_axis(e: XPoint, g: np.ndarray) -> np.ndarray:
+    """Unit axis n of the third-of-a-turn rotation r = e^(1/2) g e^(-1/2), e g-invariant."""
+    half, half_inv = e._powers()
+    r = half @ g @ half_inv
+    residual = max(float(np.max(np.abs(r.T @ r - np.eye(3)))), abs(float(np.trace(r))))
+    if residual > 1e-8:
+        raise ConsistencyFailure(f"order-3 map is not a third-turn rotation: residual {residual:.3e}")
+    n = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
+    return n / np.linalg.norm(n)
 
 
 def order3_axis(p: Prism) -> Tuple[XGeodesic, XPoint]:
     """Fixed singular geodesic of the order-3 symmetry and the prism center.
 
-    The axis is spanned by averaged invariant forms; the center is the
-    common fixed point of the three polarity reflections on the axis.
+    g is the det-1 order-3 map, acting by S -> g'Sg, and e1 = I + g'g +
+    g^2'g^2 its averaged invariant form.  In e1's frame r = e1^(1/2) g
+    e1^(-1/2) is a rotation by a third of a turn about a unit axis n, so
+    the g-invariant forms are e1^(1/2) (a nn' + b (I - nn')) e1^(1/2): the
+    geodesic through e1 with direction (3nn' - I)/sqrt 6, whose forward
+    end is a point class.  A swap polarity q reflects that axis, sending
+    e1 to the axis point at parameter 2c; with M = e1^(-1/2) (q e1^-1 q)
+    e1^(-1/2), lambda_n = n'Mn and lambda_perp = (tr M - lambda_n)/2,
+    c = -log(lambda_n / lambda_perp) / (2 sqrt 6).  The center is the
+    axis point at the mean of the three c.  A direction is read in its
+    base point's frame, so the axis is returned based at the center with
+    n read again in the center's frame; e1's direction moved there would
+    leave the fixed set away from the center.
     """
-    g = _order3_float(p)
+    g = _map_matrix(order3_transform(p.base))
     g2 = g @ g
-
-    def average(s0):
-        return s0 + g.T @ s0 @ g + g2.T @ s0 @ g2
-
-    e1 = XPoint(average(np.eye(3)))
-    e2 = None
-    for k in range(3):
-        seed = np.zeros((3, 3))
-        seed[k, k] = 1.0
-        try:
-            cand = XPoint(average(seed))
-        except NotPositiveDefinite:
-            continue
-        if not e1.same(cand, 1e-9):
-            e2 = cand
-            break
-    if e2 is None:
-        raise ConsistencyFailure("could not span the fixed-form plane")
-    axis, _ = geodesic_between(e1, e2)
-    forward = boundary_ray_class(axis, 1)
-    if isinstance(forward, LineClass):
-        axis = axis.reverse()
-    elif not isinstance(forward, PointClass):
-        raise ConsistencyFailure("order-3 fixed set is not a singular geodesic")
-
+    e1 = XPoint(np.eye(3) + g.T @ g + g2.T @ g2)
+    n = _rotation_axis(e1, g)
+    nn = np.outer(n, n)
+    axis = XGeodesic(e1, 3.0 * nn - np.eye(3))
+    _, half_inv = e1._powers()
     params = []
-    base = geodesic_point(axis, 0.0)
     for psi in p.polarities:
-        q = _polarity_matrix(psi)
-        image = _polarity_push(q, base)
-        dist = metric_d(base, image)
-        if dist < 1e-12:
-            params.append(0.0)
-            continue
-        plus = geodesic_point(axis, dist)
-        minus = geodesic_point(axis, -dist)
-        err_p = float(np.max(np.abs(plus.m - image.m)))
-        err_m = float(np.max(np.abs(minus.m - image.m)))
-        if min(err_p, err_m) > 1e-6:
+        m = half_inv @ _polarity_push(_polarity_matrix(psi), e1).m @ half_inv
+        lam_n = float(n @ m @ n)
+        lam_perp = (float(np.trace(m)) - lam_n) / 2.0
+        off = float(np.max(np.abs(m - lam_n * nn - lam_perp * (np.eye(3) - nn))))
+        if off > 1e-6 * float(np.max(np.abs(m))):
             raise ConsistencyFailure("polarity does not stabilize the axis")
-        params.append(dist / 2.0 if err_p < err_m else -dist / 2.0)
+        params.append(-math.log(lam_n / lam_perp) / (2.0 * math.sqrt(6.0)))
     spread = max(params) - min(params)
     if spread > 1e-9:
         raise ConsistencyFailure(f"polarity centers disagree by {spread:.3e}")
     center = geodesic_point(axis, sum(params) / 3.0)
-    return XGeodesic(center, axis.direction), center
+    n = _rotation_axis(center, g)
+    return XGeodesic(center, 3.0 * np.outer(n, n) - np.eye(3)), center
 
 
 # --- bending report --------------------------------------------------------------

@@ -163,10 +163,14 @@ def metric_d(e1: XPoint, e2: XPoint) -> float:
     return 0.5 * math.sqrt(sum(math.log(x) ** 2 for x in mu))
 
 
-def group_action(t: ProjMap, e: XPoint) -> XPoint:
+def _map_matrix(t: ProjMap) -> np.ndarray:
+    """The float matrix of a projective map, scaled to determinant one."""
     m = np.array([[float(x) for x in row] for row in t.m], dtype=float)
-    m = m / np.cbrt(float(np.linalg.det(m)))
-    minv = np.linalg.inv(m)
+    return m / np.cbrt(float(np.linalg.det(m)))
+
+
+def group_action(t: ProjMap, e: XPoint) -> XPoint:
+    minv = np.linalg.inv(_map_matrix(t))
     return XPoint(minv.T @ e.m @ minv)
 
 
@@ -214,9 +218,6 @@ class XGeodesic:
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "direction", d)
         object.__setattr__(self, "_eig", None)
-
-    def reverse(self) -> "XGeodesic":
-        return XGeodesic(self.base, -self.direction)
 
     def _direction_eig(self):
         if getattr(self, "_eig") is None:

@@ -219,6 +219,77 @@ def test_order3_axis_is_singular_with_central_fixed_point():
     assert np.max(np.abs(moved - center.m)) < 1e-9
 
 
+# the canonical exact pairs and one float pair
+AXIS_CASES = [(X, Y), (Fraction(17, 41), Fraction(5, 37)), (Fraction(3, 10), Fraction(5, 14)), (0.3, 0.4)]
+
+
+def _unit_det(s):
+    return s / np.cbrt(np.linalg.det(s))
+
+
+@pytest.mark.parametrize("x, y", AXIS_CASES, ids=lambda v: str(v).replace("/", "_"))
+def test_order3_axis_is_fixed_and_each_swap_polarity_reflects_it(x, y):
+    prism = prism_of_triangle(base_box(x, y))
+    axis, center = order3_axis(prism)
+    g = _unit_det(np.array([[float(v) for v in r] for r in order3_transform(prism.base).m]))
+    for t in (-1.0, 0.3, 1.5):
+        s = geodesic_point(axis, t).m
+        assert np.max(np.abs(g.T @ s @ g - s)) < 1e-12 * np.max(np.abs(s))
+    # q S^-1 q = S at the center, and the axis point at t goes to the one at -t
+    for psi in prism.polarities:
+        q = np.array([[float(v) for v in r] for r in psi.q])
+        for t in (0.0, 0.3, 1.5):
+            image = _unit_det(q @ np.linalg.inv(geodesic_point(axis, t).m) @ q)
+            target = center.m if t == 0.0 else geodesic_point(axis, -t).m
+            assert np.max(np.abs(image - target)) < 1e-12 * np.max(np.abs(target))
+
+
+@pytest.mark.parametrize("x, y", AXIS_CASES, ids=lambda v: str(v).replace("/", "_"))
+def test_order3_axis_matches_a_60_digit_reference(x, y):
+    mpmath = pytest.importorskip("mpmath")
+    prism = prism_of_triangle(base_box(x, y))
+    axis, center = order3_axis(prism)
+    with mpmath.workdps(60):
+        def mat(rows):
+            return mpmath.matrix([[mpmath.mpf(Fraction(v).numerator) / Fraction(v).denominator
+                                   for v in r] for r in rows])
+
+        def unit_det(s):
+            return s / mpmath.cbrt(mpmath.det(s))
+
+        def frame(s):
+            w, v = mpmath.eigsy(s)
+            return (v * mpmath.diag([mpmath.sqrt(a) for a in w]) * v.T,
+                    v * mpmath.diag([1 / mpmath.sqrt(a) for a in w]) * v.T)
+
+        def axis_projector(half, half_inv):
+            r = half * g * half_inv
+            n = mpmath.matrix([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
+            return n * n.T / mpmath.norm(n) ** 2
+
+        def trace(m):
+            return m[0, 0] + m[1, 1] + m[2, 2]
+
+        g = unit_det(mat(order3_transform(prism.base).m))
+        e1 = unit_det(mpmath.eye(3) + g.T * g + (g * g).T * (g * g))
+        half, half_inv = frame(e1)
+        nn = axis_projector(half, half_inv)
+        params = []
+        for psi in prism.polarities:
+            q = mat(psi.q)
+            m = half_inv * q * mpmath.inverse(e1) * q * half_inv
+            lam_n = trace(nn * m)
+            params.append(-mpmath.log(2 * lam_n / (trace(m) - lam_n)) / (2 * mpmath.sqrt(6)))
+        c = sum(params) / 3
+        ref_center = half * (mpmath.exp(-4 * c / mpmath.sqrt(6)) * nn
+                             + mpmath.exp(2 * c / mpmath.sqrt(6)) * (mpmath.eye(3) - nn)) * half
+        ref_direction = (3 * axis_projector(*frame(ref_center)) - mpmath.eye(3)) / mpmath.sqrt(6)
+        center_err = mpmath.mnorm(mat(center.m) - ref_center, 1) / mpmath.mnorm(ref_center, 1)
+        direction_err = mpmath.mnorm(mat(axis.direction) - ref_direction, 1)
+    assert center_err < 1e-13
+    assert direction_err < 1e-13
+
+
 def test_bending_report_shape_and_adjacency_offsets():
     rep = bending_report(X, Y, 2)
     assert rep.depth == 2 and len(rep.prisms) == 7

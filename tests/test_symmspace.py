@@ -134,13 +134,6 @@ def test_zero_direction_rejected():
         XGeodesic(XPoint(np.eye(3)), np.zeros((3, 3)))
 
 
-def test_reverse_flips_the_parameter():
-    gamma = XGeodesic(random_spd(), RNG.normal(size=(3, 3)))
-    rev = gamma.reverse()
-    for t in (-1.3, 0.4, 2.0):
-        assert np.max(np.abs(geodesic_point(rev, t).m - geodesic_point(gamma, -t).m)) < 1e-10
-
-
 # --- flats -------------------------------------------------------------------
 
 
