@@ -180,6 +180,13 @@ PINNED_OUTPUTS = {
     # written out entry by entry
     ("limitset", "--format", "csv", "--x", "0.3", "--y", "0.4", "--depth", "10"):
         "7589891c892a5f9cf37c3e152d0e41ed6cb08acf5f02354ea17e63f7f42b10b4",
+    # deeper exact orbits, csv at the tall pair and json at the canonical one,
+    # pinned while every row's invariant pair was still measured by two cross
+    # ratios on its box
+    ("orbit", "--x", "17/41", "--y", "5/37", "--depth", "8"):
+        "eca03491d608b65c5e54ffeebe96ac017269c3769f8c7dcc3f9648f2cb51bc06",
+    ("orbit", "--x", "3/10", "--y", "2/5", "--format", "json", "--depth", "6"):
+        "2f488da77aa945da814414a9c2fd6bd1f97a0ae749f5a950898dca48b140e94e",
 }
 
 # a test id is the command and its last option; other changes refer to the
