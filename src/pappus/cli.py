@@ -45,6 +45,7 @@ from .markedbox import (
     box_polarity,
     box_triple_product,
     doppelganger,
+    invariant_rotations,
     model_box,
     op_b,
     op_i,
@@ -55,6 +56,7 @@ from .markedbox import (
     raw_invariant,
     split_level,
     triple_invariant,
+    word_rotation,
 )
 # criterion 11 and the benchmark tests import the enumerator and the fold by these names
 from .markedbox import _expand_chunk, orbit_enumerate as _orbit_rows
@@ -189,15 +191,18 @@ def cmd_orbit(args) -> int:
     # the orbit walks from two roots, the box and its i-image
     with _pool(workers, 2, depth) as pool:
         boxes = orbit_enumerate(base_box(x, y), depth, pool, workers)
+    # each row's invariant pair is one of four, read off its word
+    rotations = invariant_rotations(x, y)
     if args.format == "csv":
+        pairs = [f"{_fmt_scalar(u)},{_fmt_scalar(v)}" for u, v in rotations]
         lines = ["word," + ",".join(_COORD_NAMES) + ",x,y"]
         for word, m in boxes:
-            inv = raw_invariant(m)
             cells = [word or "-"] + [_fmt_scalar(c) for c in _box_coords(m)]
-            cells += [_fmt_scalar(inv[0]), _fmt_scalar(inv[1])]
+            cells.append(pairs[word_rotation(word)])
             lines.append(",".join(cells))
         _emit(args.out, "\n".join(lines) + "\n")
     else:
+        pairs = [[_jsonable_scalar(u), _jsonable_scalar(v)] for u, v in rotations]
         payload = {
             "command": "orbit",
             "x": _jsonable_scalar(x),
@@ -208,7 +213,7 @@ def cmd_orbit(args) -> int:
                 {
                     "word": word,
                     "coords": [_jsonable_scalar(c) for c in _box_coords(m)],
-                    "invariant": [_jsonable_scalar(v) for v in raw_invariant(m)],
+                    "invariant": pairs[word_rotation(word)],
                 }
                 for word, m in boxes
             ],

@@ -225,6 +225,20 @@ def raw_invariant(m: MarkedBox) -> Tuple[Scalar, Scalar]:
     return x, y
 
 
+def invariant_rotations(x, y) -> Tuple[Tuple[Scalar, Scalar], ...]:
+    """R^k(x, y) for k = 0, 1, 2, 3 under the invariant recursion
+    R(x, y) = (1 - y, x); each entry is built from x and y directly, so a
+    float entry is rounded once (1 - (1 - y) need not be y)."""
+    return ((x, y), (1 - y, x), (1 - x, 1 - y), (y, 1 - x))
+
+
+def word_rotation(word: str) -> int:
+    """The k with raw_invariant(w(M)) = R^k(raw_invariant(M)) for a word w
+    over {i, t, b}: t and b act on the invariant pair by R and i by R^-1
+    (criterion 02), so k = #t + #b - #i mod 4."""
+    return (len(word) - 2 * word.count("i")) % 4
+
+
 def doppelganger(m: MarkedBox) -> DualMarkedBox:
     """Companion line sextuple of a marked box.
 

@@ -44,12 +44,13 @@ from .markedbox import (
     MarkedBox,
     OutOfRange,
     box_polarity,
+    invariant_rotations,
     op_i,
     order3_transform,
     pattern_boxes,
-    raw_invariant,
     top_flag,
     triple_invariant,
+    word_rotation,
     _tb_children,
 )
 from .fareypattern import flat_of_box
@@ -320,13 +321,15 @@ def bending_report(x, y, depth: int) -> BendingReport:
     boxes = dict(pattern_boxes(x, y, depth))
     prisms: Dict[str, Prism] = {w: prism_of_triangle(m) for w, m in boxes.items()}
     logs = {w: tuple(_slot_logs(pr, j) for j in range(3)) for w, pr in prisms.items()}
+    # a box's invariant pair is one of four rotations of (x, y), read off its word
+    invariants = [triple_invariant(*pair) for pair in invariant_rotations(x, y)]
     reports = []
     for w in boxes:
         coords = [_plane_coords(u_psi - u_q) for u_psi, u_q in logs[w]]
         reports.append(
             PrismReport(
                 word=w,
-                triple_invariant=triple_invariant(*raw_invariant(boxes[w])),
+                triple_invariant=invariants[word_rotation(w)],
                 distances=tuple(b for _, b in coords),
                 collinearity_residuals=tuple(abs(a) for a, _ in coords),
             )

@@ -156,15 +156,19 @@ PINNED_OUTPUTS = {
         "e03ec7a6c91cdfd2aa1b045ff61ed630540c480cc711bd7de8918a7a4d219f3a",
     ("pattern", "--x", "3/10", "--y", "2/5", "--depth", "2", "--distances"):
         "f367099f249d5682d6b24bf5a379777cc0769fc207c86c69bb04dbbff2dda297",
+    # this and the mixed-input json orbit below re-pinned when each row's
+    # invariant pair came to be read off its word: a float row now prints the
+    # exact rotation of its inputs rounded once, not a pair measured on the
+    # drifted float box; the pairs moved by at most 5.1e-14 here, 9.1e-15 there
     ("orbit", "--depth", "5", "--x", "0.3", "--y", "0.4"):
-        "ac2a25e7e1eef15f2ef32c0be3337f77f4defdfce1d4bb1e5962c1b79d62ffdb",
+        "ffb026e7ab8ff7eee299161dd17cc45333440462cffef887e3a41fc81aaa89b9",
     ("limitset", "--x", "3/10", "--y", "2/5", "--depth", "5"):
         "e8dfe1b19435bae34595e6b09eec628082dac55f752a9052c96cb6ae140e7a41",
     ("charvar", "--grid", "5"):
         "b315ff3cdc0a167c34161dab670298f1ce665a96e9d9499a3740169126556dd7",
     # a p/q next to a decimal runs on the float backend, as two decimals do
     ("orbit", "--x", "3/10", "--y", "0.4", "--format", "json", "--depth", "3"):
-        "df8b57ebe7b215796785d939684aeafbb07294c1e90b0f53f2bc2ca0b4c457bd",
+        "b32e65bb4fde36bdc7f5afb6465eb62e0ce94aae7984f39e456e009c3f81be38",
     # re-pinned when the box polarity became a closed formula on the corner
     # triples: its float numbers moved by at most 3.5e-14
     ("pattern", "--x", "0.3", "--y", "0.4", "--depth", "2"):
@@ -200,6 +204,23 @@ def test_output_bytes_match_pinned_hashes(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_OUTPUTS[argv]
+
+
+def test_float_orbit_rows_print_the_exact_rotation_rounded_once(capsys):
+    # the pair is read off the word, so no row carries the float walk's drift
+    xy = ("--x", "0.3", "--y", "0.4", "--depth", "10")
+    x, y = Fraction(0.3), Fraction(0.4)
+    expect = [(float(u), float(v)) for u, v in ((x, y), (1 - y, x), (1 - x, 1 - y), (y, 1 - x))]
+    _, out, _ = run(capsys, "orbit", *xy)
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    _, doc, _ = run(capsys, "orbit", *xy, "--format", "json")
+    boxes = json.loads(doc)["boxes"]
+    assert len(rows) == len(boxes) == 2 ** 12 - 2
+    for cells, box in zip(rows, boxes):
+        word = box["word"]
+        assert cells[0] == (word or "-")
+        pair = expect[(len(word) - 2 * word.count("i")) % 4]
+        assert (float(cells[-2]), float(cells[-1])) == tuple(box["invariant"]) == pair
 
 
 @given(st.tuples(*[st.integers(-10**30, 10**30)] * 3))

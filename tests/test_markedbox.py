@@ -33,6 +33,7 @@ from pappus.markedbox import (
     box_polarity,
     box_triple_product,
     doppelganger,
+    invariant_rotations,
     model_box,
     op_b,
     op_i,
@@ -45,7 +46,9 @@ from pappus.markedbox import (
     raw_invariant,
     split_level,
     top_flag,
+    word_rotation,
 )
+from sweep import sweep_pairs
 
 unit_interval = st.fractions(min_value=Fraction(1, 20), max_value=Fraction(19, 20),
                              max_denominator=24)
@@ -285,7 +288,11 @@ def test_float_boxes_track_the_exact_ones_level_by_level():
 
 
 def test_orbit_members_share_the_invariant_class_up_to_rotation():
-    x, y = Fraction(3, 10), Fraction(2, 5)
-    rotations = {(x, y), (1 - y, x), (1 - x, 1 - y), (y, 1 - x)}
-    for _, box in orbit_enumerate(base_box(x, y), 3):
-        assert raw_invariant(box) in rotations
+    # the rotation is the word's: t and b turn the pair by R(x, y) = (1 - y, x)
+    # and i by R^-1, with no flip term, on every row and both roots
+    assert [word_rotation(w) for w in ("", "t", "b", "i", "it", "ibtb", "ttt")] == [0, 1, 1, 3, 0, 2, 3]
+    for x, y in sweep_pairs():
+        rotations = invariant_rotations(x, y)
+        rows = orbit_enumerate(base_box(x, y), 8)
+        assert len(rows) == 2 ** 10 - 2
+        assert all(raw_invariant(m) == rotations[word_rotation(w)] for w, m in rows), (x, y)
