@@ -482,11 +482,9 @@ def _suite_relations(rng: random.Random) -> List[Dict]:
     checks.append(
         _check("relations.orbit_count_depth3", len(orbit_enumerate(m, 3)) == 30)
     )
-    inv = raw_invariant(m)
-    expect = (1 - inv[1], inv[0])
-    orbit_of = lambda p: {p, (1 - p[1], p[0]), (1 - p[0], 1 - p[1]), (p[1], 1 - p[0])}
-    rec = all(raw_invariant(op(m)) == expect for op in (op_t, op_b))
-    rec = rec and raw_invariant(op_i(m)) in orbit_of(expect)
+    # the rule orbit reads every row's invariant pair by: t and b turn it by R, i by R^-1
+    rotations = invariant_rotations(*raw_invariant(m))
+    rec = all(raw_invariant(apply_word_box(w, m)) == rotations[word_rotation(w)] for w in "tbi")
     checks.append(_check("relations.invariant_recursion", rec))
     return checks
 
