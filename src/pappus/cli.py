@@ -26,7 +26,7 @@ import sys
 from contextlib import nullcontext
 from dataclasses import asdict
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
 # the exact layers only: numpy, symmspace, fareypattern and prisms are imported
 # inside the geometry commands and verify suites that read them, so orbit,
@@ -121,12 +121,15 @@ def _depth(depth: int) -> int:
     return depth
 
 
-def _emit(out: Optional[str], text: str) -> None:
+def _emit(out: Optional[str], text: Union[str, Iterable[str]]) -> None:
+    """Write ``text``, one string or an iterable of them in order, to the
+    --out file or to stdout."""
+    chunks = [text] if isinstance(text, str) else text
     if out:
         with open(out, "w", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _fmt_scalar(v) -> str:
@@ -166,6 +169,30 @@ def _box_coords(m: MarkedBox):
     return [c for p in (m.s, m.t, m.u, m.a, m.b, m.c) for c in _coords(p)]
 
 
+_CSV_CHUNK_ROWS = 1024
+
+
+def _orbit_csv(boxes, pairs: Sequence[str]) -> Iterator[str]:
+    """The orbit csv in chunks of rows.  Each distinct point is formatted
+    once, keyed by its stored triple: its text depends on nothing else in
+    a run of one backend, and a t/b child shares four of its six points
+    with its parent or sibling."""
+    yield "word," + ",".join(_COORD_NAMES) + ",x,y\n"
+    texts: Dict[tuple, str] = {}
+    for start in range(0, len(boxes), _CSV_CHUNK_ROWS):
+        lines = []
+        for word, m in boxes[start:start + _CSV_CHUNK_ROWS]:
+            cells = [word or "-"]
+            for p in (m.s, m.t, m.u, m.a, m.b, m.c):
+                text = texts.get(p.v)
+                if text is None:
+                    text = texts[p.v] = ",".join(map(_fmt_scalar, _coords(p)))
+                cells.append(text)
+            cells.append(pairs[word_rotation(word)])
+            lines.append(",".join(cells))
+        yield "\n".join(lines) + "\n"
+
+
 def _check_positive(**options) -> None:
     for name, value in options.items():
         if not value > 0:
@@ -195,12 +222,7 @@ def cmd_orbit(args) -> int:
     rotations = invariant_rotations(x, y)
     if args.format == "csv":
         pairs = [f"{_fmt_scalar(u)},{_fmt_scalar(v)}" for u, v in rotations]
-        lines = ["word," + ",".join(_COORD_NAMES) + ",x,y"]
-        for word, m in boxes:
-            cells = [word or "-"] + [_fmt_scalar(c) for c in _box_coords(m)]
-            cells.append(pairs[word_rotation(word)])
-            lines.append(",".join(cells))
-        _emit(args.out, "\n".join(lines) + "\n")
+        _emit(args.out, _orbit_csv(boxes, pairs))
     else:
         pairs = [[_jsonable_scalar(u), _jsonable_scalar(v)] for u, v in rotations]
         payload = {

@@ -48,9 +48,7 @@ class Rational:
         if n == 0 and d == 0:
             raise FareyError("0/0 is not a vertex")
         g = gcd(n, d)
-        n, d = n // g, d // g
-        if d < 0 or (d == 0 and n < 0):
-            n, d = -n, -d
+        n, d = _signed((n // g, d // g))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "d", d)
 
@@ -66,9 +64,16 @@ class Rational:
         return f"{self.n}/{self.d}" if self.d != 1 else str(self.n)
 
 
-INF = Rational(1, 0)
-
 Vec = Tuple[int, int]
+
+
+def _signed(v: Vec) -> Vec:
+    """A reduced (n, d) with ``Rational``'s signs: d >= 0, and n > 0 when d = 0."""
+    n, d = v
+    return (-n, -d) if d < 0 or (d == 0 and n < 0) else v
+
+
+INF = Rational(1, 0)
 
 
 def _det(p: Vec, q: Vec) -> int:
@@ -157,12 +162,15 @@ def fold_limit_flags(rows: Sequence[Tuple[str, MarkedBox]]) -> List[LimitFlag]:
     circular order of their vertices.
     """
     edges: Dict[str, OrientedEdge] = {}
-    seen: Dict[Rational, LimitFlag] = {}
+    # keyed by the endpoint's primitive (n, d) with Rational's signs, so a
+    # Rational is built only for a vertex's first witness
+    seen: Dict[Vec, LimitFlag] = {}
     for word, box in rows:
         e = edges[word] = word_apply(word[-1], edges[word[:-1]]) if word else default_base_edge()
-        for vertex, flag_of in ((e.tail, top_flag), (e.head, bottom_flag)):
-            if vertex not in seen:
-                seen[vertex] = LimitFlag(vertex=vertex, flag=flag_of(box), word=word, edge=e)
+        for end, flag_of in ((e.p, top_flag), (e.q, bottom_flag)):
+            key = _signed(end)
+            if key not in seen:
+                seen[key] = LimitFlag(vertex=Rational(*key), flag=flag_of(box), word=word, edge=e)
     return sorted(seen.values(), key=lambda lf: lf.vertex.circular_key())
 
 

@@ -32,6 +32,9 @@ from .projective import (
     ProjMap,
     ProjPoint,
     Scalar,
+    _built,
+    _exact_cross,
+    _float_cross,
     cross_ratio,
     dot3,
     frame_rows,
@@ -55,8 +58,10 @@ class OutOfRange(ProjectiveError):
 
 def _collinear(p, q, r) -> bool:
     exact = p.exact and q.exact and r.exact
+    # a float vector's floats() is its stored v
     (p0, p1, p2), (q0, q1, q2), (r0, r1, r2) = (
-        (p.v, q.v, r.v) if exact else (p.floats(), q.floats(), r.floats())
+        (p.v, q.v, r.v) if exact or not (p.exact or q.exact or r.exact)
+        else (p.floats(), q.floats(), r.floats())
     )
     n0, n1, n2 = q1 * r2 - q2 * r1, q2 * r0 - q0 * r2, q0 * r1 - q1 * r0
     d = p0 * n0 + p1 * n1 + p2 * n2
@@ -203,8 +208,72 @@ def op_b(m: MarkedBox) -> MarkedBox:
     return _b_child(m, *_hexagon_points(m))
 
 
+def _unchecked_box(s, t, u, a, b, c) -> MarkedBox:
+    """A MarkedBox whose checks have all been run, built without running
+    them again."""
+    m = object.__new__(MarkedBox)
+    # object.__setattr__, as the frozen dataclass's own __init__ does, keeps
+    # the fields in the instance's compact inline storage; touching
+    # m.__dict__ would build a dict per box
+    set_field = object.__setattr__
+    set_field(m, "s", s)
+    set_field(m, "t", t)
+    set_field(m, "u", u)
+    set_field(m, "a", a)
+    set_field(m, "b", b)
+    set_field(m, "c", c)
+    return m
+
+
+def _children(m: MarkedBox, a2: ProjPoint, b2: ProjPoint, c2: ProjPoint) -> Tuple[MarkedBox, MarkedBox]:
+    """``_t_child`` and ``_b_child`` of a parent whose children have passed
+    their checks."""
+    return _unchecked_box(m.s, m.t, m.u, a2, b2, c2), _unchecked_box(a2, b2, c2, m.c, m.b, m.a)
+
+
+def _hexagon_triples(m: MarkedBox, exact: bool):
+    """``_hexagon_points`` on the stored triples of a one-backend box, with
+    ``join``'s and ``meet``'s arithmetic and zero tests; None when one of
+    them would raise."""
+    cross = _exact_cross if exact else _float_cross
+    s, t, u, a, b, c = m.s.v, m.t.v, m.u.v, m.a.v, m.b.v, m.c.v
+    hexagon = []
+    for p, q, p2, q2 in ((t, a, u, b), (s, a, u, c), (t, c, s, b)):
+        line, line2 = cross(p, q), cross(p2, q2)
+        point = None if line is None or line2 is None else cross(line, line2)
+        if point is None:
+            return None
+        hexagon.append(point)
+    return hexagon
+
+
 def _tb_children(m: MarkedBox) -> Tuple[MarkedBox, MarkedBox]:
-    """t(M) and b(M), from one set of hexagon points."""
+    """t(M) and b(M), from one set of hexagon points.
+
+    The children share the parent's points: t(M) keeps the top edge
+    (s, t, u) and b(M) the bottom edge, reversed, and both have the three
+    hexagon points as their other edge.  ``MarkedBox.__post_init__`` of
+    t(M) and b(M) would re-test the kept edge; the parent has passed the
+    same tests on the same points (``HomVec.same`` is symmetric bit for
+    bit, and an exact ``_collinear`` only tests a determinant for zero),
+    so only the tests whose inputs are new run here: the hexagon edge's
+    collinearity and distinctness, once for both children, each child's
+    edges-on-one-line test, and, on floats, the reversed bottom's
+    collinearity, which rounds differently from the parent's.  When one of
+    these fails, or a join or meet degenerates, or the box mixes backends,
+    the children are built through ``MarkedBox`` as ``op_t`` and ``op_b``
+    build them, which raises the error those name, in their order.
+    """
+    exact = m.s.exact
+    if exact == m.t.exact == m.u.exact == m.a.exact == m.b.exact == m.c.exact:
+        hexagon = _hexagon_triples(m, exact)
+        if hexagon is not None:
+            a2, b2, c2 = [_built(ProjPoint, v, exact) for v in hexagon]
+            if (_collinear(a2, b2, c2) and not (a2.same(b2) or a2.same(c2) or b2.same(c2))
+                    and not (_collinear(m.s, m.u, a2) and _collinear(m.s, m.u, c2))
+                    and (exact or _collinear(m.c, m.b, m.a))
+                    and not (_collinear(a2, c2, m.c) and _collinear(a2, c2, m.a))):
+                return _children(m, a2, b2, c2)
     hexagon = _hexagon_points(m)
     return _t_child(m, *hexagon), _b_child(m, *hexagon)
 
@@ -333,6 +402,29 @@ def _levels(depth: int, rows: Sequence[Tuple[str, MarkedBox]]) -> List[List[Tupl
     return levels
 
 
+def _hexagons_below(depth: int, rows: Sequence[Tuple[str, MarkedBox]]):
+    """What a pool worker sends back for the ``depth`` levels below
+    ``rows``: level by level, each parent's hexagon points as plain
+    (triple, exact) pairs, read off its t-child's bottom edge: 1.5 points
+    per row instead of 6, and plain tuples pickle much faster than boxes."""
+    return [[tuple((p.v, p.exact) for p in (m.a, m.b, m.c)) for _, m in level[::2]]
+            for level in _levels(depth, rows)]
+
+
+def _levels_from_hexagons(rows: Sequence[Tuple[str, MarkedBox]],
+                          hexagon_levels) -> List[List[Tuple[str, MarkedBox]]]:
+    """The levels below ``rows`` from ``_hexagons_below``: each child keeps
+    its parent's edge and the hexagon points as the worker found them,
+    validated there and not again, so children share points as in the
+    serial walk."""
+    levels = []
+    for hexagons in hexagon_levels:
+        rows = [pair for (w, m), hexagon in zip(rows, hexagons) for pair in zip(
+            (w + "t", w + "b"), _children(m, *(_built(ProjPoint, v, e) for v, e in hexagon)))]
+        levels.append(rows)
+    return levels
+
+
 def split_level(roots: int, depth: int, workers: int) -> Optional[int]:
     """The level at which :func:`tb_tree` hands the walk below it to a pool
     of ``workers``: the shallowest level k < ``depth`` with at least
@@ -353,9 +445,9 @@ def tb_tree(roots: Sequence[Tuple[str, MarkedBox]], depth: int, pool=None,
     words of one length keep the order of the roots.  With a pool, the
     walk is serial down to the ``split_level``; that level is cut into
     ``workers`` contiguous chunks, each worker expands its chunk through
-    every level below and returns them in one message, and the chunks
-    are joined level by level in chunk order: the same list as the
-    serial walk.
+    every level below and returns its parents' hexagon points in one
+    message (``_hexagons_below``), and the chunks are rebuilt and joined
+    level by level in chunk order: the same list as the serial walk.
     """
     k = split_level(len(roots), depth, workers) if pool is not None else None
     levels = [list(roots)]
@@ -364,7 +456,7 @@ def tb_tree(roots: Sequence[Tuple[str, MarkedBox]], depth: int, pool=None,
         level = levels[-1]
         step = -(-len(level) // workers)
         chunks = [level[i:i + step] for i in range(0, len(level), step)]
-        parts = pool.map(partial(_levels, depth - k), chunks)
+        parts = map(_levels_from_hexagons, chunks, pool.map(partial(_hexagons_below, depth - k), chunks))
         levels += [[pair for part in same_depth for pair in part] for same_depth in zip(*parts)]
     return [pair for level in levels for pair in level]
 

@@ -44,6 +44,9 @@ Scalar = Union[int, Fraction, float]
 Triple = Tuple[Scalar, Scalar, Scalar]
 
 DEFAULT_TOL = 1e-9
+# a float cross product of unit vectors larger than this in any entry is
+# not zero to DEFAULT_TOL (see _float_cross)
+_NEAR_ZERO = 2 * DEFAULT_TOL
 _MIN_NORMAL = sys.float_info.min
 
 
@@ -170,8 +173,8 @@ class HomVec:
         """Projective equality, i.e. proportionality of representatives."""
         if self.exact and other.exact:
             return self.v == other.v
-        u0, u1, u2 = self.floats()
-        w0, w1, w2 = other.floats()
+        u0, u1, u2 = self.floats() if self.exact else self.v
+        w0, w1, w2 = other.floats() if other.exact else other.v
         return max(abs(u1 * w2 - u2 * w1), abs(u2 * w0 - u0 * w2), abs(u0 * w1 - u1 * w0)) <= tol
 
 
@@ -196,25 +199,45 @@ class ProjLine(HomVec):
     """Line of the projective plane, i.e. a point of the dual plane."""
 
 
+def _exact_cross(u: Triple, w: Triple):
+    """The primitive cross product of two int triples, None when it is zero."""
+    u0, u1, u2 = u
+    w0, w1, w2 = w
+    c0, c1, c2 = u1 * w2 - u2 * w1, u2 * w0 - u0 * w2, u0 * w1 - u1 * w0
+    if c0 == c1 == c2 == 0:
+        return None
+    return _primitive(c0, c1, c2)
+
+
+def _float_cross(u: Triple, w: Triple, scaled: bool = False):
+    """The unit cross product of two float triples, None when it is zero.
+
+    Zero means zero to DEFAULT_TOL relative to the largest operand entry
+    and to 1.  A float vector has unit norm, so its entries are at most 1
+    up to rounding and, for two stored float triples, matter only when the
+    product is within 2 * DEFAULT_TOL of zero; ``scaled`` says an operand
+    is an exact vector read first-nonzero-is-one, which can have any
+    entries.
+    """
+    u0, u1, u2 = u
+    w0, w1, w2 = w
+    c0, c1, c2 = u1 * w2 - u2 * w1, u2 * w0 - u0 * w2, u0 * w1 - u1 * w0
+    z = _NEAR_ZERO
+    if (scaled or (-z <= c0 <= z and -z <= c1 <= z and -z <= c2 <= z)) and max(
+            abs(c0), abs(c1), abs(c2)) <= DEFAULT_TOL * max(
+            abs(u0), abs(u1), abs(u2), abs(w0), abs(w1), abs(w2), 1.0):
+        return None
+    return _unit(c0, c1, c2)
+
+
 def _cross_of(cls, p: HomVec, q: HomVec, err, what: str):
     if p.exact and q.exact:
-        c = cross3(p.v, q.v)
-        if c == (0, 0, 0):
-            raise err(f"{what} {p.v}")
-        return _built(cls, _primitive(*c), True)
-    u0, u1, u2 = p.floats() if p.exact else p.v
-    w0, w1, w2 = q.floats() if q.exact else q.v
-    c0, c1, c2 = u1 * w2 - u2 * w1, u2 * w0 - u0 * w2, u0 * w1 - u1 * w0
-    # zero to DEFAULT_TOL relative to the largest operand entry and to 1.
-    # A float vector has unit norm, so its entries are at most 1 up to
-    # rounding and, for two float operands, matter only when the product is
-    # within 2 * DEFAULT_TOL of zero; an exact operand read
-    # first-nonzero-is-one can have any entries.
-    cmax = max(abs(c0), abs(c1), abs(c2))
-    if (cmax <= 2 * DEFAULT_TOL or p.exact or q.exact) and cmax <= DEFAULT_TOL * max(
-            abs(u0), abs(u1), abs(u2), abs(w0), abs(w1), abs(w2), 1.0):
+        v, exact = _exact_cross(p.v, q.v), True
+    else:
+        v, exact = _float_cross(p.floats(), q.floats(), p.exact or q.exact), False
+    if v is None:
         raise err(f"{what} {p.v}")
-    return _built(cls, _unit(c0, c1, c2), False)
+    return _built(cls, v, exact)
 
 
 def join(p: ProjPoint, q: ProjPoint) -> ProjLine:

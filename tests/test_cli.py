@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from pappus.cli import _coords, _distance_summary, main
+from pappus.cli import _coords, _distance_summary, _fmt_scalar, main
+from pappus.markedbox import base_box, orbit_enumerate
 from pappus.fareypattern import build_pattern
 from pappus.symmspace import flat_distances, plane_log, relative_frames
 from pappus.projective import HomVec
@@ -382,6 +383,34 @@ def test_out_file_matches_stdout(tmp_path, capsys):
     assert code == 0 and out == ""
     _, stdout, _ = run(capsys, "orbit", "--x", "3/10", "--y", "2/5")
     assert target.read_text() == stdout
+
+
+@pytest.mark.parametrize("xy, depth", [(("--x", "3/10", "--y", "2/5"), "9"),
+                                       (("--x", "0.3", "--y", "0.4"), "10")], ids=["exact", "float"])
+def test_chunked_orbit_csv_is_the_same_on_file_and_stdout(tmp_path, capsys, xy, depth):
+    # 2046 and 4094 rows: several chunks of the csv writer
+    target = tmp_path / "orbit.csv"
+    code, out, _ = run(capsys, "orbit", *xy, "--depth", depth, "--out", str(target))
+    assert code == 0 and out == ""
+    _, stdout, _ = run(capsys, "orbit", *xy, "--depth", depth)
+    assert target.read_bytes() == stdout.encode()
+    # each row prints every point from its own coordinates
+    rows = [line.split(",") for line in stdout.splitlines()[1:]]
+    assert len(rows) == 2 ** (int(depth) + 2) - 2
+    x, y = (Fraction(v) if "/" in v else float(v) for v in xy[1::2])
+    for cells, (word, m) in zip(rows, orbit_enumerate(base_box(x, y), int(depth))):
+        assert cells[0] == (word or "-")
+        assert cells[1:19] == [_fmt_scalar(c) for p in m.sextuple() for c in _coords(p)]
+
+
+def test_a_float_orbit_that_stops_prints_nothing(tmp_path, capsys):
+    # (3/41, 6/41) in decimals stops on DegenerateBox below depth 10
+    target = tmp_path / "orbit.csv"
+    xy = ("--x", "0.07317073170731707", "--y", "0.14634146341463414")
+    code, out, err = run(capsys, "orbit", *xy, "--depth", "10")
+    assert code == 3 and out == "" and "top and bottom edges lie on one line" in err
+    assert run(capsys, "orbit", *xy, "--depth", "10", "--out", str(target))[0] == 3
+    assert not target.exists()
 
 
 def test_decimal_input_defaults_to_float_with_warning(capsys):

@@ -23,7 +23,10 @@ from fractions import Fraction
 import pytest
 
 from pappus.cli import main
+from pappus.fareycomb import limit_set_flags
+from pappus.markedbox import DegenerateBox, base_box, orbit_enumerate
 from pappus.prisms import bending_report
+from sweep import sweep_pairs
 
 # 17/41 and 5/37 in their shortest decimal spelling, i.e. the float backend
 TALL_FLOAT = ("--x", repr(17 / 41), "--y", repr(5 / 37))
@@ -53,6 +56,32 @@ def test_tall_float_limitset_reaches_depth_ten(capsys):
     exact = run(capsys, "limitset", "--x", "17/41", "--y", "5/37", "--depth", "10")
     # one circle per flag off the chart's infinity line, on either backend
     assert floating.count("<circle") == exact.count("<circle") > 2 ** 9
+
+
+# Sweep pairs (numerators over 41) whose float walk to depth 10 stops on
+# DegenerateBox("top and bottom edges lie on one line"): the absolute
+# collinearity angle of ``markedbox._collinear`` trips on thin boxes.  A
+# fix may only shrink these sets.
+FLOAT_WALK_STOPS = {
+    "orbit": {(3, 6), (37, 8), (15, 38), (38, 26), (7, 38), (40, 14)},
+    "limitset": {(3, 6), (37, 8), (38, 26), (7, 38), (40, 14)},
+}
+
+
+def test_float_walks_stop_at_depth_ten_only_where_pinned():
+    walks = {
+        "orbit": lambda x, y: orbit_enumerate(base_box(x, y), 10),
+        "limitset": lambda x, y: limit_set_flags(x, y, 10),
+    }
+    stops = {name: set() for name in walks}
+    for x, y in sweep_pairs():
+        for name, walk in walks.items():
+            try:
+                walk(float(x), float(y))
+            except DegenerateBox as exc:
+                assert str(exc) == "top and bottom edges lie on one line", (name, x, y)
+                stops[name].add((x.numerator, y.numerator))
+    assert stops == FLOAT_WALK_STOPS
 
 
 @pytest.mark.parametrize("xy, depth", [

@@ -24,6 +24,7 @@ from pappus.projective import (
     mat_vec,
 )
 from pappus.markedbox import (
+    _tb_children,
     DegenerateBox,
     MarkedBox,
     OutOfRange,
@@ -296,3 +297,20 @@ def test_orbit_members_share_the_invariant_class_up_to_rotation():
         rows = orbit_enumerate(base_box(x, y), 8)
         assert len(rows) == 2 ** 10 - 2
         assert all(raw_invariant(m) == rotations[word_rotation(w)] for w, m in rows), (x, y)
+
+
+def _points(m):
+    return [(p.v, p.exact) for p in m.sextuple()]
+
+
+def test_walk_kernel_builds_what_op_t_and_op_b_build():
+    # _tb_children skips the checks the parent already passed; op_t and op_b
+    # build through MarkedBox and run them all
+    for x, y in sweep_pairs():
+        for root in (base_box(x, y), base_box(float(x), float(y))):
+            for _, m in orbit_enumerate(root, 5):
+                assert [_points(c) for c in _tb_children(m)] == [_points(op_t(m)), _points(op_b(m))]
+    # a box of both backends takes the path through MarkedBox
+    m = base_box(Fraction(3, 10), Fraction(2, 5))
+    mixed = MarkedBox(m.s, ProjPoint(m.t.floats()), m.u, m.a, m.b, m.c)
+    assert [_points(c) for c in _tb_children(mixed)] == [_points(op_t(mixed)), _points(op_b(mixed))]
