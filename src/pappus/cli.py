@@ -176,7 +176,10 @@ def _orbit_csv(boxes, pairs: Sequence[str]) -> Iterator[str]:
     """The orbit csv in chunks of rows.  Each distinct point is formatted
     once, keyed by its stored triple: its text depends on nothing else in
     a run of one backend, and a t/b child shares four of its six points
-    with its parent or sibling."""
+    with its parent or sibling.  The key treats a float 0.0 and -0.0
+    alike, which print differently; two points of one walk whose triples
+    differ only there would have to be one point computed twice, bit for
+    bit but for that sign."""
     yield "word," + ",".join(_COORD_NAMES) + ",x,y\n"
     texts: Dict[tuple, str] = {}
     for start in range(0, len(boxes), _CSV_CHUNK_ROWS):

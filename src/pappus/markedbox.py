@@ -225,7 +225,8 @@ def _unchecked_box(s, t, u, a, b, c) -> MarkedBox:
     return m
 
 
-def _children(m: MarkedBox, a2: ProjPoint, b2: ProjPoint, c2: ProjPoint) -> Tuple[MarkedBox, MarkedBox]:
+def _children(m: MarkedBox, a2: ProjPoint, b2: ProjPoint,
+              c2: ProjPoint) -> Tuple[MarkedBox, MarkedBox]:
     """``_t_child`` and ``_b_child`` of a parent whose children have passed
     their checks."""
     return _unchecked_box(m.s, m.t, m.u, a2, b2, c2), _unchecked_box(a2, b2, c2, m.c, m.b, m.a)
@@ -456,7 +457,8 @@ def tb_tree(roots: Sequence[Tuple[str, MarkedBox]], depth: int, pool=None,
         level = levels[-1]
         step = -(-len(level) // workers)
         chunks = [level[i:i + step] for i in range(0, len(level), step)]
-        parts = map(_levels_from_hexagons, chunks, pool.map(partial(_hexagons_below, depth - k), chunks))
+        hexagons = pool.map(partial(_hexagons_below, depth - k), chunks)
+        parts = map(_levels_from_hexagons, chunks, hexagons)
         levels += [[pair for part in same_depth for pair in part] for same_depth in zip(*parts)]
     return [pair for level in levels for pair in level]
 

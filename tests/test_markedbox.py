@@ -24,10 +24,10 @@ from pappus.projective import (
     mat_vec,
 )
 from pappus.markedbox import (
-    _tb_children,
     DegenerateBox,
     MarkedBox,
     OutOfRange,
+    _tb_children,
     apply_word_box,
     base_box,
     bottom_flag,
