@@ -198,8 +198,8 @@ def _orbit_csv(boxes, pairs: Sequence[str]) -> Iterator[str]:
 
 def _check_positive(**options) -> None:
     for name, value in options.items():
-        if not value > 0:
-            raise ConfigError(f"--{name} must be positive, got {value}")
+        if not (value > 0 and math.isfinite(value)):
+            raise ConfigError(f"--{name} must be positive and finite, got {value}")
 
 
 def _pool(workers: int, roots: int, depth: int):
@@ -453,6 +453,8 @@ def cmd_prism(args) -> int:
     if args.format == "obj":
         cone, window, samples = (given.get(name, default) for name, default in _MESH_OPTIONS.items())
         _check_positive(window=window, samples=samples)
+        if not math.isfinite(cone):
+            raise ConfigError(f"--cone must be finite, got {cone}")
         if samples < 2:
             raise ConfigError("--samples must be at least 2 for the obj mesh")
         from .fareypattern import geodesic_of_box

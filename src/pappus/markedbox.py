@@ -3,11 +3,15 @@
 A marked box is a convex overlapping-pencils configuration: six points
 (s, t, u, a, b, c) with (s, t, u) on one line, (a, b, c) on another,
 and the interior marked points t, b distinguished.  The sextuple is
-considered equal to its flip (u, t, s, c, b, a).
+considered equal to its flip (u, t, s, c, b, a).  A box's six points,
+like a dual box's six lines, share one backend.
 
 Three operations act on marked boxes: the involution ``op_i`` swapping
 top and bottom, and the two hexagon-line moves ``op_t`` and ``op_b``
-that nest a new box against the top or bottom edge.  They satisfy
+that nest a new box against the top or bottom edge.  Both moves, and the
+walk that builds t(M) and b(M) together, build the one Pappus hexagon of
+M on its stored triples and run only the checks their children add.
+They satisfy
 
     i^2 = 1,  tit = b,  bib = t,  tibi = biti = 1,  (it)^3 = (ib)^3 = 1,
 
@@ -22,8 +26,6 @@ from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
 from .projective import (
-    CoincidentLines,
-    CoincidentPoints,
     DegenerateQuadruple,
     Flag,
     Polarity,
@@ -57,18 +59,20 @@ class OutOfRange(ProjectiveError):
 
 
 def _collinear(p, q, r) -> bool:
-    exact = p.exact and q.exact and r.exact
-    # a float vector's floats() is its stored v
-    (p0, p1, p2), (q0, q1, q2), (r0, r1, r2) = (
-        (p.v, q.v, r.v) if exact or not (p.exact or q.exact or r.exact)
-        else (p.floats(), q.floats(), r.floats())
-    )
+    """Collinearity of three vectors of one backend."""
+    (p0, p1, p2), (q0, q1, q2), (r0, r1, r2) = p.v, q.v, r.v
     n0, n1, n2 = q1 * r2 - q2 * r1, q2 * r0 - q0 * r2, q0 * r1 - q1 * r0
     d = p0 * n0 + p1 * n1 + p2 * n2
-    if exact:
+    if p.exact:
         return d == 0
     # the sine of p's angle to the plane of q and r is at most 1e-7
     return d * d <= 1e-14 * (n0 * n0 + n1 * n1 + n2 * n2) * (p0 * p0 + p1 * p1 + p2 * p2)
+
+
+def _one_backend(sextuple) -> None:
+    exact = sextuple[0].exact
+    if any(x.exact != exact for x in sextuple):
+        raise DegenerateBox("a box's six entries must share one backend")
 
 
 def _same_up_to_flip(xs, ys) -> bool:
@@ -88,6 +92,7 @@ class MarkedBox:
     c: ProjPoint
 
     def __post_init__(self):
+        _one_backend(self.sextuple())
         top = (self.s, self.t, self.u)
         bot = (self.a, self.b, self.c)
         if not _collinear(*top):
@@ -122,6 +127,7 @@ class DualMarkedBox:
     C: ProjLine
 
     def __post_init__(self):
+        _one_backend(self.sextuple())
         if not _collinear(self.S, self.T, self.U):
             raise DegenerateBox("top line triple must be concurrent")
         if not _collinear(self.A, self.B, self.C):
@@ -175,37 +181,8 @@ def bottom_flag(m: MarkedBox) -> Flag:
     return Flag(m.b, join(m.a, m.c))
 
 
-def _hexagon_points(m: MarkedBox):
-    """The three interior hexagon points, collinear on the cross axis."""
-    try:
-        a2 = meet(join(m.t, m.a), join(m.u, m.b))
-        b2 = meet(join(m.s, m.a), join(m.u, m.c))
-        c2 = meet(join(m.t, m.c), join(m.s, m.b))
-    except (CoincidentPoints, CoincidentLines) as e:
-        raise DegenerateBox(f"hexagon construction degenerates: {e}")
-    return a2, b2, c2
-
-
 def op_i(m: MarkedBox) -> MarkedBox:
     return MarkedBox(m.a, m.b, m.c, m.u, m.t, m.s)
-
-
-def _t_child(m: MarkedBox, a2: ProjPoint, b2: ProjPoint, c2: ProjPoint) -> MarkedBox:
-    return MarkedBox(m.s, m.t, m.u, a2, b2, c2)
-
-
-def _b_child(m: MarkedBox, a2: ProjPoint, b2: ProjPoint, c2: ProjPoint) -> MarkedBox:
-    # mirror of the t-child: the same hexagon points become the new top edge,
-    # the old bottom is kept (reversed so the flip-class matches tit)
-    return MarkedBox(a2, b2, c2, m.c, m.b, m.a)
-
-
-def op_t(m: MarkedBox) -> MarkedBox:
-    return _t_child(m, *_hexagon_points(m))
-
-
-def op_b(m: MarkedBox) -> MarkedBox:
-    return _b_child(m, *_hexagon_points(m))
 
 
 def _unchecked_box(s, t, u, a, b, c) -> MarkedBox:
@@ -227,15 +204,29 @@ def _unchecked_box(s, t, u, a, b, c) -> MarkedBox:
 
 def _children(m: MarkedBox, a2: ProjPoint, b2: ProjPoint,
               c2: ProjPoint) -> Tuple[MarkedBox, MarkedBox]:
-    """``_t_child`` and ``_b_child`` of a parent whose children have passed
-    their checks."""
+    """t(M) and b(M) from the hexagon points of a parent whose children have
+    passed their checks: t(M) keeps the top edge (s, t, u), b(M) the bottom
+    edge reversed (so the flip-class matches tit), and both have the three
+    hexagon points as their other edge."""
     return _unchecked_box(m.s, m.t, m.u, a2, b2, c2), _unchecked_box(a2, b2, c2, m.c, m.b, m.a)
 
 
-def _hexagon_triples(m: MarkedBox, exact: bool):
-    """``_hexagon_points`` on the stored triples of a one-backend box, with
-    ``join``'s and ``meet``'s arithmetic and zero tests; None when one of
-    them would raise."""
+def _hexagon(m: MarkedBox, children: str) -> Tuple[ProjPoint, ProjPoint, ProjPoint]:
+    """The three interior hexagon points of M, collinear on the cross axis,
+    checked for the children named in ``children`` ("t", "b" or "tb").
+
+    The points are built on the stored triples with ``join``'s and
+    ``meet``'s arithmetic and zero tests.  ``MarkedBox.__post_init__`` of
+    t(M) and b(M) would re-test the kept edge; M has passed the same tests
+    on the same points (``HomVec.same`` is symmetric bit for bit, and an
+    exact ``_collinear`` only tests a determinant for zero), so only the
+    tests whose inputs are new run, in this order: the hexagon edge's
+    collinearity and distinctness, shared by both children; t(M)'s
+    edges-on-one-line test; and b(M)'s: on floats the reversed bottom's
+    collinearity, which rounds differently from M's, then its
+    edges-on-one-line test.
+    """
+    exact = m.s.exact
     cross = _exact_cross if exact else _float_cross
     s, t, u, a, b, c = m.s.v, m.t.v, m.u.v, m.a.v, m.b.v, m.c.v
     hexagon = []
@@ -243,40 +234,37 @@ def _hexagon_triples(m: MarkedBox, exact: bool):
         line, line2 = cross(p, q), cross(p2, q2)
         point = None if line is None or line2 is None else cross(line, line2)
         if point is None:
-            return None
-        hexagon.append(point)
-    return hexagon
+            raise DegenerateBox("hexagon construction degenerates: " + (
+                f"join of coincident points {p}" if line is None
+                else f"join of coincident points {p2}" if line2 is None
+                else f"meet of coincident lines {line}"))
+        hexagon.append(_built(ProjPoint, point, exact))
+    a2, b2, c2 = hexagon
+    if not _collinear(a2, b2, c2):
+        raise DegenerateBox("bottom triple (a, b, c) must be collinear")
+    if a2.same(b2) or a2.same(c2) or b2.same(c2):
+        raise DegenerateBox("marked edge points must be distinct")
+    if "t" in children and _collinear(m.s, m.u, a2) and _collinear(m.s, m.u, c2):
+        raise DegenerateBox("top and bottom edges lie on one line")
+    if "b" in children:
+        if not (exact or _collinear(m.c, m.b, m.a)):
+            raise DegenerateBox("bottom triple (a, b, c) must be collinear")
+        if _collinear(a2, c2, m.c) and _collinear(a2, c2, m.a):
+            raise DegenerateBox("top and bottom edges lie on one line")
+    return a2, b2, c2
+
+
+def op_t(m: MarkedBox) -> MarkedBox:
+    return _unchecked_box(m.s, m.t, m.u, *_hexagon(m, "t"))
+
+
+def op_b(m: MarkedBox) -> MarkedBox:
+    return _unchecked_box(*_hexagon(m, "b"), m.c, m.b, m.a)
 
 
 def _tb_children(m: MarkedBox) -> Tuple[MarkedBox, MarkedBox]:
-    """t(M) and b(M), from one set of hexagon points.
-
-    The children share the parent's points: t(M) keeps the top edge
-    (s, t, u) and b(M) the bottom edge, reversed, and both have the three
-    hexagon points as their other edge.  ``MarkedBox.__post_init__`` of
-    t(M) and b(M) would re-test the kept edge; the parent has passed the
-    same tests on the same points (``HomVec.same`` is symmetric bit for
-    bit, and an exact ``_collinear`` only tests a determinant for zero),
-    so only the tests whose inputs are new run here: the hexagon edge's
-    collinearity and distinctness, once for both children, each child's
-    edges-on-one-line test, and, on floats, the reversed bottom's
-    collinearity, which rounds differently from the parent's.  When one of
-    these fails, or a join or meet degenerates, or the box mixes backends,
-    the children are built through ``MarkedBox`` as ``op_t`` and ``op_b``
-    build them, which raises the error those name, in their order.
-    """
-    exact = m.s.exact
-    if exact == m.t.exact == m.u.exact == m.a.exact == m.b.exact == m.c.exact:
-        hexagon = _hexagon_triples(m, exact)
-        if hexagon is not None:
-            a2, b2, c2 = [_built(ProjPoint, v, exact) for v in hexagon]
-            if (_collinear(a2, b2, c2) and not (a2.same(b2) or a2.same(c2) or b2.same(c2))
-                    and not (_collinear(m.s, m.u, a2) and _collinear(m.s, m.u, c2))
-                    and (exact or _collinear(m.c, m.b, m.a))
-                    and not (_collinear(a2, c2, m.c) and _collinear(a2, c2, m.a))):
-                return _children(m, a2, b2, c2)
-    hexagon = _hexagon_points(m)
-    return _t_child(m, *hexagon), _b_child(m, *hexagon)
+    """t(M) and b(M), from one set of hexagon points."""
+    return _children(m, *_hexagon(m, "tb"))
 
 
 def apply_word_box(word: str, m: MarkedBox) -> MarkedBox:

@@ -16,14 +16,15 @@ primitive integer triple (denominators cleared, divided by the gcd,
 first nonzero entry positive), so joins, meets and zero tests run on
 plain Python ints, whose size grows with the depth of a construction;
 a float vector gets unit Euclidean norm, its first entry above 1e-14 in
-size positive.  The float joins, meets, ``same`` and cross ratio are
-written out entry by entry, for speed, in the operation order of
-``cross3`` and ``dot3``.  Consumers compute on the stored ``v``;
-``floats()`` gives the first-nonzero-is-one form as correctly rounded
-floats.  Operations
-on a mix of exact and float vectors read the exact ones through
-``floats()``; polarities multiply ``v`` (a line is imaged through the
-adjugate), and their images are exact when both matrix and vector are.
+size positive.  The float joins, meets and ``same`` are written out
+entry by entry, for speed, in the operation order of ``cross3`` and
+``dot3``.  Consumers compute on the stored ``v``; ``floats()`` gives the
+first-nonzero-is-one form as correctly rounded floats.  Joins and meets
+take vectors of one backend, as marked boxes hold points of one;
+``same``, ``incident``, the cross ratio and the triple product read an
+exact vector among float ones through ``floats()``.  Polarities multiply
+``v`` (a line is imaged through the adjugate), and their images are
+exact when both matrix and vector are.
 ``frame_rows`` is the one map from a quadruple to the standard frame,
 scaled by its fourth point read first-nonzero-is-one, so its rational
 matrix does not depend on the representatives stored; the box polarity
@@ -209,21 +210,19 @@ def _exact_cross(u: Triple, w: Triple):
     return _primitive(c0, c1, c2)
 
 
-def _float_cross(u: Triple, w: Triple, scaled: bool = False):
-    """The unit cross product of two float triples, None when it is zero.
+def _float_cross(u: Triple, w: Triple):
+    """The unit cross product of two stored float triples, None when it is zero.
 
     Zero means zero to DEFAULT_TOL relative to the largest operand entry
     and to 1.  A float vector has unit norm, so its entries are at most 1
-    up to rounding and, for two stored float triples, matter only when the
-    product is within 2 * DEFAULT_TOL of zero; ``scaled`` says an operand
-    is an exact vector read first-nonzero-is-one, which can have any
-    entries.
+    up to rounding and matter only when the product is within
+    2 * DEFAULT_TOL of zero.
     """
     u0, u1, u2 = u
     w0, w1, w2 = w
     c0, c1, c2 = u1 * w2 - u2 * w1, u2 * w0 - u0 * w2, u0 * w1 - u1 * w0
     z = _NEAR_ZERO
-    if (scaled or (-z <= c0 <= z and -z <= c1 <= z and -z <= c2 <= z)) and max(
+    if -z <= c0 <= z and -z <= c1 <= z and -z <= c2 <= z and max(
             abs(c0), abs(c1), abs(c2)) <= DEFAULT_TOL * max(
             abs(u0), abs(u1), abs(u2), abs(w0), abs(w1), abs(w2), 1.0):
         return None
@@ -231,10 +230,10 @@ def _float_cross(u: Triple, w: Triple, scaled: bool = False):
 
 
 def _cross_of(cls, p: HomVec, q: HomVec, err, what: str):
-    if p.exact and q.exact:
-        v, exact = _exact_cross(p.v, q.v), True
-    else:
-        v, exact = _float_cross(p.floats(), q.floats(), p.exact or q.exact), False
+    exact = p.exact
+    if q.exact != exact:
+        raise ProjectiveError("join and meet take vectors of one backend")
+    v = _exact_cross(p.v, q.v) if exact else _float_cross(p.v, q.v)
     if v is None:
         raise err(f"{what} {p.v}")
     return _built(cls, v, exact)
@@ -274,56 +273,32 @@ def cross_ratio(a: ProjPoint, b: ProjPoint, c: ProjPoint, d: ProjPoint) -> Scala
     Computed from entrywise products of coordinate cross products; the
     first entry with a nonzero denominator is used.  With affine
     parameter w on the common line the value is
-    (w_a - w_b)(w_c - w_d) / ((w_a - w_c)(w_b - w_d)).
-    """
-    if not (a.exact and b.exact and c.exact and d.exact):
-        return _float_cross_ratio((a.floats(), b.floats(), c.floats(), d.floats()))
-    vs = (a.v, b.v, c.v, d.v)
-    for v, w in itertools.combinations(vs, 2):
-        base = cross3(v, w)
-        if base != (0, 0, 0):
-            break
-    else:
-        raise DegenerateQuadruple("all four points coincide")
-    for v in vs:
-        if dot3(v, base) != 0:
-            raise NotCollinear(f"{v} off the common line")
-    va, vb, vc, vd = vs
-    num = cross3(va, vb)
-    num2 = cross3(vc, vd)
-    den = cross3(va, vc)
-    den2 = cross3(vb, vd)
-    for i in range(3):
-        dv = den[i] * den2[i]
-        if dv != 0:
-            return Fraction(num[i] * num2[i], dv)
-    raise DegenerateQuadruple("cross ratio undefined for this quadruple")
-
-
-def _float_cross_ratio(vs) -> float:
-    """``cross_ratio`` on float triples: a cross product is zero to
+    (w_a - w_b)(w_c - w_d) / ((w_a - w_c)(w_b - w_d)).  Exact points are
+    decided by equality.  On floats a cross product is zero to
     ``DEFAULT_TOL`` relative to its operands' largest entry and to 1, a
     point is on the line to ``10 * DEFAULT_TOL``, and the denominator
     entry used is the first above ``1e-4 * DEFAULT_TOL`` times the
-    squared largest denominator entry (and 1)."""
-    for (u0, u1, u2), (w0, w1, w2) in itertools.combinations(vs, 2):
-        n0, n1, n2 = u1 * w2 - u2 * w1, u2 * w0 - u0 * w2, u0 * w1 - u1 * w0
-        if not max(abs(n0), abs(n1), abs(n2)) <= DEFAULT_TOL * max(
-                abs(u0), abs(u1), abs(u2), abs(w0), abs(w1), abs(w2), 1.0):
+    squared largest denominator entry (and 1).
+    """
+    exact = a.exact and b.exact and c.exact and d.exact
+    vs = tuple(p.v if exact else p.floats() for p in (a, b, c, d))
+    for v, w in itertools.combinations(vs, 2):
+        base = cross3(v, w)
+        zero = 0 if exact else DEFAULT_TOL * max(*map(abs, v), *map(abs, w), 1.0)
+        if max(map(abs, base)) > zero:
             break
     else:
         raise DegenerateQuadruple("all four points coincide")
     for v in vs:
-        v0, v1, v2 = v
-        if not abs(v0 * n0 + v1 * n1 + v2 * n2) <= DEFAULT_TOL * 10:
+        if abs(dot3(v, base)) > (0 if exact else DEFAULT_TOL * 10):
             raise NotCollinear(f"{v} off the common line")
     va, vb, vc, vd = vs
     num, num2, den, den2 = cross3(va, vb), cross3(vc, vd), cross3(va, vc), cross3(vb, vd)
-    tol = DEFAULT_TOL * max(*map(abs, den), *map(abs, den2), 1.0) ** 2 * 1e-4
+    tol = 0 if exact else DEFAULT_TOL * max(*map(abs, den), *map(abs, den2), 1.0) ** 2 * 1e-4
     for i in range(3):
         dv = den[i] * den2[i]
         if abs(dv) > tol:
-            return (num[i] * num2[i]) / dv
+            return Fraction(num[i] * num2[i], dv) if exact else (num[i] * num2[i]) / dv
     raise DegenerateQuadruple("cross ratio undefined for this quadruple")
 
 

@@ -461,6 +461,18 @@ def test_config_errors_exit_two(capsys):
         assert exc.value.code == 2, argv
 
 
+@pytest.mark.parametrize("argv, option", [
+    (("limitset", "--depth", "2", "--window", "inf"), "--window"),
+    (("pattern", "--distances", "--window", "inf"), "--window"),
+    (("prism", "--format", "obj", "--cone", "nan"), "--cone"),
+    (("prism", "--format", "obj", "--window", "inf"), "--window"),
+], ids=["limitset-window", "pattern-window", "prism-cone", "prism-window"])
+def test_non_finite_options_exit_two(capsys, argv, option):
+    code, out, err = run(capsys, *argv, "--x", "3/10", "--y", "2/5")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {option} must be"), err
+
+
 def test_geometry_errors_exit_three(capsys):
     code, _, err = run(capsys, "prism", "--x", "1/2", "--y", "1/2")
     assert code == 3

@@ -24,7 +24,15 @@ import pytest
 
 from pappus.cli import main
 from pappus.fareycomb import limit_set_flags
-from pappus.markedbox import DegenerateBox, base_box, orbit_enumerate
+from pappus.markedbox import (
+    DegenerateBox,
+    _tb_children,
+    apply_word_box,
+    base_box,
+    op_b,
+    op_t,
+    orbit_enumerate,
+)
 from pappus.prisms import bending_report
 from sweep import sweep_pairs
 
@@ -82,6 +90,28 @@ def test_float_walks_stop_at_depth_ten_only_where_pinned():
                 assert str(exc) == "top and bottom edges lie on one line", (name, x, y)
                 stops[name].add((x.numerator, y.numerator))
     assert stops == FLOAT_WALK_STOPS
+
+
+def test_a_float_walk_stops_on_the_error_of_the_failing_move(capsys):
+    # at (3/41, 6/41) in decimals the first parent whose children fail is
+    # tbtbtbt: its t-child passes and its b-child has both edges on one line
+    x, y = 3 / 41, 6 / 41
+    orbit_enumerate(base_box(x, y), 7)
+    with pytest.raises(DegenerateBox) as walk:
+        orbit_enumerate(base_box(x, y), 8)
+    m = apply_word_box("tbtbtbt", base_box(x, y))
+    op_t(m)
+    with pytest.raises(DegenerateBox) as kernel:
+        _tb_children(m)
+    with pytest.raises(DegenerateBox) as move:
+        op_b(m)
+    assert str(walk.value) == str(kernel.value) == str(move.value) == \
+        "top and bottom edges lie on one line"
+    code = main(["orbit", "--x", repr(x), "--y", repr(y), "--depth", "10"])
+    cap = capsys.readouterr()
+    assert (code, cap.out) == (3, "")
+    assert cap.err == ("warning: decimal input uses the float backend\n"
+                       "geometry error: DegenerateBox: top and bottom edges lie on one line\n")
 
 
 @pytest.mark.parametrize("xy, depth", [

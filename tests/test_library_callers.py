@@ -4,7 +4,7 @@ A top-level function, class or non-dunder method of ``src/pappus`` that
 only tests read is code the program never runs.  The scan matches by
 name: a definition counts as read when its name appears anywhere in the
 package as a loaded name or attribute, whatever object it resolves to.
-So a method that shares its name with a live one (``ProjMap.same`` and
+So a method that shares its name with a live one (``XPoint.same`` and
 ``HomVec.same``), or one read only by another unread definition, passes
 the scan and has to be caught by reading the code.
 """

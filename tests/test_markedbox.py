@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pappus.projective import (
+    ProjectiveError,
+    ProjLine,
     ProjPoint,
     cross3,
     dot3,
@@ -22,9 +24,11 @@ from pappus.projective import (
     mat_mul,
     mat_transpose,
     mat_vec,
+    meet,
 )
 from pappus.markedbox import (
     DegenerateBox,
+    DualMarkedBox,
     MarkedBox,
     OutOfRange,
     _tb_children,
@@ -92,6 +96,16 @@ def test_invariant_recursion(x, y):
     assert raw_invariant(op_t(m)) == (1 - y, x)
     assert raw_invariant(op_b(m)) == (1 - y, x)
     assert raw_invariant(op_i(m)) == (y, 1 - x)
+
+
+def test_float_invariant_recursion():
+    x, y = 0.3, 0.4
+    m = base_box(x, y)
+    rotations = invariant_rotations(x, y)
+    for w, box in (("", m), ("t", op_t(m)), ("b", op_b(m)), ("i", op_i(m))):
+        u, v = raw_invariant(box)
+        ru, rv = rotations[word_rotation(w)]
+        assert abs(u - ru) <= 1e-12 and abs(v - rv) <= 1e-12, w
 
 
 def test_model_box_parameters():
@@ -303,14 +317,37 @@ def _points(m):
     return [(p.v, p.exact) for p in m.sextuple()]
 
 
+def _reference_children(m):
+    """t(M) and b(M) from the hexagon points built by ``join`` and ``meet``,
+    through ``MarkedBox``, which runs every check on each child."""
+    a2 = meet(join(m.t, m.a), join(m.u, m.b))
+    b2 = meet(join(m.s, m.a), join(m.u, m.c))
+    c2 = meet(join(m.t, m.c), join(m.s, m.b))
+    return MarkedBox(m.s, m.t, m.u, a2, b2, c2), MarkedBox(a2, b2, c2, m.c, m.b, m.a)
+
+
 def test_walk_kernel_builds_what_op_t_and_op_b_build():
-    # _tb_children skips the checks the parent already passed; op_t and op_b
-    # build through MarkedBox and run them all
+    # op_t, op_b and the walk's _tb_children run only the checks a child
+    # adds to its parent's; the reference runs them all
     for x, y in sweep_pairs():
         for root in (base_box(x, y), base_box(float(x), float(y))):
             for _, m in orbit_enumerate(root, 5):
-                assert [_points(c) for c in _tb_children(m)] == [_points(op_t(m)), _points(op_b(m))]
-    # a box of both backends takes the path through MarkedBox
+                expected = [_points(c) for c in _reference_children(m)]
+                assert [_points(c) for c in _tb_children(m)] == expected
+                assert [_points(op_t(m)), _points(op_b(m))] == expected
+
+
+def test_boxes_joins_and_meets_take_one_backend():
     m = base_box(Fraction(3, 10), Fraction(2, 5))
-    mixed = MarkedBox(m.s, ProjPoint(m.t.floats()), m.u, m.a, m.b, m.c)
-    assert [_points(c) for c in _tb_children(mixed)] == [_points(op_t(mixed)), _points(op_b(mixed))]
+    t = ProjPoint(m.t.floats())
+    with pytest.raises(DegenerateBox, match="one backend"):
+        MarkedBox(m.s, t, m.u, m.a, m.b, m.c)
+    d = doppelganger(m)
+    with pytest.raises(DegenerateBox, match="one backend"):
+        DualMarkedBox(d.S, d.T, d.U, d.A, ProjLine(d.B.floats()), d.C)
+    for p, q in ((m.s, t), (t, m.s)):
+        with pytest.raises(ProjectiveError, match="one backend"):
+            join(p, q)
+    for l, k in ((d.S, ProjLine(d.T.floats())), (ProjLine(d.T.floats()), d.S)):
+        with pytest.raises(ProjectiveError, match="one backend"):
+            meet(l, k)

@@ -126,6 +126,30 @@ def test_cross_ratio_requires_collinear_points():
                     frac_point(0, 1, 1), frac_point(1, 1, 1))
 
 
+def float_point(a, b, c):
+    return ProjPoint((float(a), float(b), float(c)))
+
+
+def test_float_cross_ratio_pinned_on_affine_line():
+    a, b, c = float_point(0, 0, 1), float_point(1, 0, 1), float_point(2, 0, 1)
+    d = float_point(1, 0, 0)
+    assert abs(cross_ratio(a, b, c, d) - 0.5) <= 1e-15
+    assert abs(cross_ratio(a, c, b, d) - 2.0) <= 1e-15
+
+
+def test_float_cross_ratio_rejects_off_line_and_coincident_points():
+    a, b, d = float_point(0, 0, 1), float_point(1, 0, 1), float_point(1, 0, 0)
+    with pytest.raises(NotCollinear):
+        cross_ratio(a, b, float_point(0, 1, 1), d)
+    # a point is on the line to 10 * DEFAULT_TOL
+    with pytest.raises(NotCollinear):
+        cross_ratio(a, b, float_point(2, 1e-6, 1), d)
+    assert abs(cross_ratio(a, b, float_point(2, 1e-12, 1), d) - 0.5) <= 1e-11
+    p = float_point(1, 2, 3)
+    with pytest.raises(DegenerateQuadruple):
+        cross_ratio(p, p, p, p)
+
+
 @given(st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4),
        st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4),
        st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4))
