@@ -278,7 +278,7 @@ def _clip_line(l0: float, l1: float, l2: float, w: float):
         return None
     best = max(
         ((a, b) for i, a in enumerate(dedup) for b in dedup[i + 1:]),
-        key=lambda ab: (ab[0][0] - ab[1][0]) ** 2 + (ab[0][1] - ab[1][1]) ** 2,
+        key=lambda ab: math.dist(*ab),
     )
     return best
 
@@ -317,6 +317,8 @@ def cmd_limitset(args) -> int:
     depth = _depth(args.depth)
     workers = args.workers
     _check_positive(window=args.window, workers=workers)
+    if not math.isfinite(2 * args.window):
+        raise ConfigError(f"--window must be at most half the largest float, got {args.window}")
     with _pool(workers, 1, depth) as pool:
         flags = limit_set_flags(x, y, depth, pool, workers)
     if args.format == "csv":
@@ -457,13 +459,9 @@ def cmd_prism(args) -> int:
             raise ConfigError(f"--cone must be finite, got {cone}")
         if samples < 2:
             raise ConfigError("--samples must be at least 2 for the obj mesh")
-        from .fareypattern import geodesic_of_box
         from .prisms import cone_fill_sample, mesh_to_obj, prism_of_triangle
 
-        m = base_box(x, y)
-        prism = prism_of_triangle(m)
-        triangle = [geodesic_of_box(b).geodesic for b in prism.boxes]
-        mesh = cone_fill_sample(prism, triangle, cone, samples, window=window)
+        mesh = cone_fill_sample(prism_of_triangle(base_box(x, y)), cone, samples, window)
         _emit(args.out, mesh_to_obj(mesh))
         return EXIT_OK
     from .prisms import bending_report

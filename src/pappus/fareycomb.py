@@ -44,7 +44,7 @@ class Rational:
     n: int
     d: int
 
-    def __init__(self, n: int, d: int = 1):
+    def __init__(self, n: int, d: int):
         if n == 0 and d == 0:
             raise FareyError("0/0 is not a vertex")
         g = gcd(n, d)
@@ -59,9 +59,6 @@ class Rational:
     def circular_key(self):
         """Sort key walking the circle once, starting at infinity."""
         return (0,) if self.infinite else (1, Fraction(self.n, self.d))
-
-    def __str__(self) -> str:
-        return f"{self.n}/{self.d}" if self.d != 1 else str(self.n)
 
 
 Vec = Tuple[int, int]
@@ -80,12 +77,6 @@ def _det(p: Vec, q: Vec) -> int:
     return p[0] * q[1] - p[1] * q[0]
 
 
-def _canon_pair(p: Vec, q: Vec) -> Tuple[Vec, Vec]:
-    if p[1] < 0 or (p[1] == 0 and p[0] < 0):
-        p, q = (-p[0], -p[1]), (-q[0], -q[1])
-    return p, q
-
-
 @dataclass(frozen=True)
 class OrientedEdge:
     """Oriented Farey edge as a determinant +1 pair of integer vectors."""
@@ -101,7 +92,9 @@ class OrientedEdge:
             q = (-q[0], -q[1])
         elif d != 1:
             raise NotAdjacent(f"vertices {p} and {q} are not Farey-adjacent")
-        p, q = _canon_pair(p, q)
+        # the sign of the class in PSL(2, Z) is fixed by the tail's signs
+        if _signed(p) != p:
+            p, q = (-p[0], -p[1]), (-q[0], -q[1])
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
 
@@ -112,9 +105,6 @@ class OrientedEdge:
     @property
     def head(self) -> Rational:
         return Rational(*self.q)
-
-    def __str__(self) -> str:
-        return f"{self.tail}->{self.head}"
 
 
 def default_base_edge() -> OrientedEdge:

@@ -438,6 +438,8 @@ def tb_tree(roots: Sequence[Tuple[str, MarkedBox]], depth: int, pool=None,
     message (``_hexagons_below``), and the chunks are rebuilt and joined
     level by level in chunk order: the same list as the serial walk.
     """
+    if depth < 0:
+        raise OutOfRange("depth must be nonnegative")
     k = split_level(len(roots), depth, workers) if pool is not None else None
     levels = [list(roots)]
     levels += _levels(depth if k is None else k, levels[0])
@@ -460,14 +462,10 @@ def orbit_enumerate(m: MarkedBox, depth: int, pool=None,
     application order, so "it" means i first, then t.  ``pool`` and
     ``workers`` are passed to :func:`tb_tree`.
     """
-    if depth < 0:
-        raise OutOfRange("depth must be nonnegative")
     return tb_tree([("", m), ("i", op_i(m))], depth, pool, workers)
 
 
 def pattern_boxes(x, y, depth: int, pool=None, workers: int = 1) -> List[Tuple[str, MarkedBox]]:
     """The one-sided orbit of ``base_box(x, y)``: breadth-first t/b words with
     their boxes, one per pattern geodesic."""
-    if depth < 0:
-        raise OutOfRange("depth must be nonnegative")
     return tb_tree([("", base_box(x, y))], depth, pool, workers)

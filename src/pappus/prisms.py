@@ -42,7 +42,6 @@ from .projective import (
 )
 from .markedbox import (
     MarkedBox,
-    OutOfRange,
     box_polarity,
     invariant_rotations,
     op_i,
@@ -51,9 +50,10 @@ from .markedbox import (
     top_flag,
     triple_invariant,
     word_rotation,
+    _check_params,
     _tb_children,
 )
-from .fareypattern import flat_of_box
+from .fareypattern import flat_of_box, geodesic_of_box
 from .symmspace import (
     FLAT_AXIS_MEDIAL,
     FLAT_AXIS_SINGULAR,
@@ -213,8 +213,7 @@ def translation_T(x, y) -> ProjMap:
     diagonal x = y; singular on the antidiagonal x + y = 1, where the
     triple product is -1.
     """
-    if not (0 < x < 1 and 0 < y < 1):
-        raise OutOfRange("parameters must lie in (0,1)")
+    _check_params(x, y)
     exact = is_exact_scalar(x) and is_exact_scalar(y)
     if (x == y) if exact else abs(float(x) - float(y)) < 1e-12:
         raise DiagonalLocus("translation matrix degenerates at x = y")
@@ -386,9 +385,8 @@ def _flatten_sym(s: np.ndarray) -> Tuple[float, ...]:
     )
 
 
-def cone_fill_sample(p: Prism, triangle: Sequence[XGeodesic], d: float, n: int,
-                     window: float = 2.0) -> ConeMesh:
-    """Mesh of the cone from a triangle of geodesics to the shifted center."""
+def cone_fill_sample(p: Prism, d: float, n: int, window: float) -> ConeMesh:
+    """Mesh of the cone from the medial geodesics of p's boxes to its center shifted by d."""
     if n < 2:
         raise PrismError("need at least 2 samples per direction")
     axis, center = order3_axis(p)
@@ -396,7 +394,8 @@ def cone_fill_sample(p: Prism, triangle: Sequence[XGeodesic], d: float, n: int,
     vertices: List[Tuple[float, ...]] = []
     pieces: List[List[List[int]]] = []
     faces: List[Tuple[int, int, int, int]] = []
-    for gamma in triangle:
+    for box in p.boxes:
+        gamma = geodesic_of_box(box).geodesic
         grid: List[List[int]] = []
         for tau in np.linspace(-window, window, n):
             start = geodesic_point(gamma, float(tau))

@@ -311,23 +311,20 @@ def plane_log(a, b) -> np.ndarray:
 class Flat:
     """Totally geodesic plane spanned by a triangle of directions.
 
-    Points of the flat are the forms diagonalized by the vertex basis:
-    S = (B^-1)' D B^-1 with D positive diagonal.  In log-diagonal
+    A flat holds its vertices and their float basis B, the vertices as
+    columns.  Points of the flat are the forms diagonalized by the vertex
+    basis: S = (B^-1)' D B^-1 with D positive diagonal.  In log-diagonal
     coordinates the flat is a Euclidean plane at half scale.
     """
 
     vertices: Tuple[ProjPoint, ProjPoint, ProjPoint]
     basis: np.ndarray
-    basis_inv: np.ndarray
 
-    def __init__(self, vertices, basis, basis_inv):
+    def __init__(self, vertices, basis):
         basis = np.array(basis, dtype=float)
-        basis_inv = np.array(basis_inv, dtype=float)
         basis.flags.writeable = False
-        basis_inv.flags.writeable = False
         object.__setattr__(self, "vertices", tuple(vertices))
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "basis_inv", basis_inv)
 
     def frame(self, s: np.ndarray) -> Tuple[np.ndarray, float, float]:
         """C = B' s B with the norms of its off-diagonal part and of C;
@@ -366,7 +363,8 @@ class Flat:
 
     def point_from_log(self, u: Sequence[float]) -> XPoint:
         d = np.exp(np.asarray(u, dtype=float))
-        return XPoint(self.basis_inv.T @ np.diag(d) @ self.basis_inv)
+        inv = np.linalg.inv(self.basis)
+        return XPoint(inv.T @ np.diag(d) @ inv)
 
     def point_at(self, a: float, b: float) -> XPoint:
         """Point at metric plane coordinates (a, b)."""
@@ -390,7 +388,7 @@ def relative_frames(f1: Flat, flats: Sequence[Flat]) -> np.ndarray:
     """The relative frames C = B1' B2^-T of f1 against each flat of flats, each scaled to
     |det C| = 1: a k x 3 x 3 stack from one batched solve and det."""
     c = np.linalg.solve(np.stack([f.basis for f in flats]), f1.basis).swapaxes(-1, -2)
-    # solving rounds better than a product with the stored basis_inv
+    # solving rounds better than a product with an inverted basis
     return c / np.cbrt(abs(np.linalg.det(c)))[:, None, None]
 
 
@@ -472,7 +470,7 @@ def flat_from_triangle(p1: ProjPoint, p2: ProjPoint, p3: ProjPoint) -> Flat:
     exact = p1.exact and p2.exact and p3.exact
     if dot3(p1.v, cross3(p2.v, p3.v)) == 0 if exact else abs(np.linalg.det(b)) < 1e-12:
         raise CollinearVertices("triangle vertices are collinear")
-    return Flat((p1, p2, p3), b, np.linalg.inv(b))
+    return Flat((p1, p2, p3), b)
 
 
 def flat_geodesic(flat: Flat, base: XPoint, u0: np.ndarray, velocity: Sequence[float]) -> XGeodesic:
@@ -484,6 +482,6 @@ def flat_geodesic(flat: Flat, base: XPoint, u0: np.ndarray, velocity: Sequence[f
         raise ZeroDirection("flat velocity vanishes")
     w = 2.0 * w / n
     _, half_inv = base._powers()
-    k = np.diag(np.exp(u0 / 2.0)) @ flat.basis_inv @ half_inv
+    k = np.diag(np.exp(u0 / 2.0)) @ np.linalg.inv(flat.basis) @ half_inv
     lam = k.T @ np.diag(-w / 2.0) @ k
     return XGeodesic(base, lam)

@@ -473,6 +473,18 @@ def test_non_finite_options_exit_two(capsys, argv, option):
     assert err.startswith(f"error: {option} must be"), err
 
 
+def test_limitset_window_up_to_half_the_largest_float(capsys):
+    # the svg spans 2 window; a segment's length is compared without squaring
+    xy = ("--x", "3/10", "--y", "2/5", "--depth", "2")
+    code, out, _ = run(capsys, "limitset", *xy, "--window", "1e200")
+    assert code == 0 and "inf" not in out and "nan" not in out
+    assert out.count("<line") == 4
+    ET.fromstring(out)
+    code, out, err = run(capsys, "limitset", *xy, "--window", "1e308")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --window must be"), err
+
+
 def test_geometry_errors_exit_three(capsys):
     code, _, err = run(capsys, "prism", "--x", "1/2", "--y", "1/2")
     assert code == 3

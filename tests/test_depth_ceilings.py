@@ -114,6 +114,26 @@ def test_a_float_walk_stops_on_the_error_of_the_failing_move(capsys):
                        "geometry error: DegenerateBox: top and bottom edges lie on one line\n")
 
 
+# Sweep pairs (numerators over 41) whose ``pattern --depth 6`` stops on
+# PointOffFlat in ``Flat.log_coords``; the other pairs print every
+# geodesic.  A fix may only shrink this set.
+PATTERN_STOPS = {(3, 6), (28, 4), (37, 8), (15, 38), (38, 26), (7, 38), (37, 13), (40, 14), (32, 35)}
+
+
+def test_pattern_stops_at_depth_six_only_where_pinned(capsys):
+    stops = set()
+    for x, y in sweep_pairs():
+        code = main(["pattern", "--x", str(x), "--y", str(y), "--depth", "6"])
+        cap = capsys.readouterr()
+        if code == 0:
+            assert len(json.loads(cap.out)["geodesics"]) == 2 ** 7 - 1, (x, y)
+        else:
+            assert (code, cap.out) == (3, ""), (x, y)
+            assert cap.err == "geometry error: PointOffFlat: point is not on the flat\n", (x, y)
+            stops.add((x.numerator, y.numerator))
+    assert stops == PATTERN_STOPS
+
+
 @pytest.mark.parametrize("xy, depth", [
     (("--x", "3/10", "--y", "2/5"), 5),
     (("--x", "3/10", "--y", "5/14"), 4),

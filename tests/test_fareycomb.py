@@ -68,6 +68,17 @@ def test_edges_exist_only_between_farey_neighbors():
         OrientedEdge((1, 3), (2, 3))
 
 
+@pytest.mark.parametrize("p, q, stored", [
+    ((0, -1), (1, 0), ((0, 1), (-1, 0))),
+    ((-1, 0), (1, -1), ((1, 0), (-1, 1))),
+    ((1, 1), (1, 0), ((1, 1), (-1, 0))),
+], ids=["tail_d_negative", "tail_at_minus_infinity", "determinant_minus_one"])
+def test_edges_store_the_determinant_one_pair_with_rational_signs_on_the_tail(p, q, stored):
+    e = OrientedEdge(p, q)
+    assert (e.p, e.q) == stored
+    assert e.tail == Rational(*p) and e.head == Rational(*q)
+
+
 @pytest.mark.parametrize("depth", range(6))
 def test_triangle_enumeration_matches_mediant_recursion(depth):
     got = set()

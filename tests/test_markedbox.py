@@ -50,6 +50,7 @@ from pappus.markedbox import (
     polarity_dual_to_box,
     raw_invariant,
     split_level,
+    tb_tree,
     top_flag,
     word_rotation,
 )
@@ -265,6 +266,9 @@ def test_both_walks_reject_a_negative_depth():
         orbit_enumerate(base_box(Fraction(3, 10), Fraction(2, 5)), -1)
     with pytest.raises(OutOfRange):
         pattern_boxes(Fraction(3, 10), Fraction(2, 5), -1)
+    # the check lives in the walk both of them call
+    with pytest.raises(OutOfRange):
+        tb_tree([("", base_box(Fraction(3, 10), Fraction(2, 5)))], -1)
 
 
 def test_pooled_walk_is_the_serial_walk():

@@ -22,7 +22,7 @@ from pappus.symmspace import (
     geodesic_point,
     metric_d,
 )
-from pappus.fareypattern import flat_of_box, geodesic_of_box
+from pappus.fareypattern import flat_of_box
 from pappus.prisms import (
     DegenerateTriple,
     DiagonalLocus,
@@ -328,9 +328,8 @@ def test_equal_characters_give_equal_bending_data():
 
 def test_cone_mesh_and_obj_export():
     prism = prism_of_triangle(base_box(X, Y))
-    triangle = [geodesic_of_box(b).geodesic for b in prism.boxes]
     n = 4
-    mesh = cone_fill_sample(prism, triangle, 0.25, n)
+    mesh = cone_fill_sample(prism, 0.25, n, 2.0)
     assert len(mesh.pieces) == 3
     assert all(len(grid) == n and all(len(row) == n for row in grid) for grid in mesh.pieces)
     assert len(mesh.faces) == 3 * (n - 1) ** 2

@@ -15,9 +15,9 @@ ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = sorted((ROOT / "src" / "pappus").glob("*.py"))
 CALLERS = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
 
-# main(argv) is the console entry point, Rational(n, d=1) reads an integer
-# as n/1, and slice_f(v, axis=axis) binds a loop variable in a closure
-ALLOWED = {("main", "argv"), ("Rational", "d"), ("slice_f", "axis")}
+# main(argv) is the console entry point, and slice_f(v, axis=axis) binds a
+# loop variable in a closure
+ALLOWED = {("main", "argv"), ("slice_f", "axis")}
 
 
 def defaulted_params(source: str):
