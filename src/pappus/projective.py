@@ -39,6 +39,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence, Tuple, Union
 
 Scalar = Union[int, Fraction, float]
@@ -419,9 +420,14 @@ class Polarity:
     def point_to_line(self, p: ProjPoint) -> ProjLine:
         return _image(ProjLine, mat_vec(self.q, p.v), self.exact and p.exact)
 
+    @cached_property
+    def adj(self) -> Mat:
+        """adj(q) = det(q) q^-1, built once: it maps lines to the same points
+        as q^-1, and no inverse is built."""
+        return mat_adjugate(self.q)
+
     def line_to_point(self, l: ProjLine) -> ProjPoint:
-        # adj(q) is det(q) q^-1: the same point, and no inverse to build
-        return _image(ProjPoint, mat_vec(mat_adjugate(self.q), l.v), self.exact and l.exact)
+        return _image(ProjPoint, mat_vec(self.adj, l.v), self.exact and l.exact)
 
 
 def standard_polarity(exact: bool = True) -> Polarity:

@@ -3,6 +3,9 @@
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 from pathlib import Path
@@ -205,6 +208,35 @@ def test_output_bytes_match_pinned_hashes(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_OUTPUTS[argv]
+
+
+BLAS_BYTES = """
+import contextlib, hashlib, io, json, sys
+from pappus.cli import main
+hashes = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0, argv
+    hashes.append(hashlib.sha256(out.getvalue().encode()).hexdigest())
+print(json.dumps(hashes))
+"""
+
+
+def test_blas_threads_do_not_change_the_bytes():
+    argvs = [["pattern", "--x", "3/10", "--y", "2/5", "--depth", "4", "--distances"],
+             ["prism", "--x", "3/10", "--y", "2/5", "--depth", "4"]]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(Path(__file__).resolve().parents[1] / "src"),
+                                                    env.get("PYTHONPATH")) if p)
+    hashes = {}
+    for threads in ("1", "2"):
+        env["OPENBLAS_NUM_THREADS"] = threads
+        run = subprocess.run([sys.executable, "-c", BLAS_BYTES, json.dumps(argvs)],
+                             capture_output=True, text=True, env=env, timeout=60)
+        assert run.returncode == 0, run.stderr
+        hashes[threads] = json.loads(run.stdout)
+    assert hashes["1"] == hashes["2"]
 
 
 def test_float_orbit_rows_print_the_exact_rotation_rounded_once(capsys):

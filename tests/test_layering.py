@@ -1,7 +1,8 @@
 """The exact layers stay free of floats: ``projective``, ``markedbox`` and
 ``fareycomb`` import neither numpy nor ``symmspace``, so floats enter the
 package only for metric geometry in X.  The commands that read only the
-exact layers start without numpy, the geometry modules or a process pool."""
+exact layers start without numpy, the geometry modules or a process pool, and
+a command that loads numpy runs its BLAS on one thread unless told otherwise."""
 
 import ast
 import json
@@ -71,15 +72,56 @@ EXACT_COMMANDS = [
 ]
 
 
-def test_exact_commands_start_without_numpy():
+def fresh_env():
+    """This environment with the package on the path and no BLAS thread count set."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(PACKAGE.parent), env.get("PYTHONPATH")) if p)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    return env
+
+
+def test_exact_commands_start_without_numpy():
     run = subprocess.run(
         [sys.executable, "-c", COLD_START, json.dumps(EXACT_COMMANDS), json.dumps(UNREAD)],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=fresh_env(), timeout=60,
     )
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout) == []
+
+
+BLAS_START = """
+import contextlib, io, json, os, sys
+from pappus.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = main(["pattern", "--x", "3/10", "--y", "2/5", "--depth", "2"])
+with open("/proc/self/status") as status:
+    threads = next(line.split()[1] for line in status if line.startswith("Threads:"))
+print(json.dumps([rc, "numpy" in sys.modules, threads, os.environ["OPENBLAS_NUM_THREADS"]]))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+@pytest.mark.parametrize("preset", [None, "2"], ids=["unset", "preset"])
+def test_geometry_commands_run_blas_on_one_thread_unless_told_otherwise(preset):
+    env = fresh_env()
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    run = subprocess.run([sys.executable, "-c", BLAS_START], capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    rc, numpy_loaded, threads, value = json.loads(run.stdout)
+    assert rc == 0 and numpy_loaded
+    if preset is None:
+        # OpenBLAS started no helper pool beside the main thread
+        assert (threads, value) == ("1", "1")
+    else:
+        assert value == preset
+
+
+def test_importing_the_package_leaves_the_blas_threads_alone():
+    probe = "import os, pappus; pappus.XPoint; import pappus.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=fresh_env(), timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "None"
 
 
 # the names the package root exports, eagerly or on first access
