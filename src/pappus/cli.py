@@ -29,7 +29,6 @@ import os
 import random
 import sys
 from contextlib import nullcontext
-from dataclasses import asdict
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
@@ -469,6 +468,8 @@ def cmd_prism(args) -> int:
         mesh = cone_fill_sample(prism_of_triangle(base_box(x, y)), cone, samples, window)
         _emit(args.out, mesh_to_obj(mesh))
         return EXIT_OK
+    from dataclasses import asdict
+
     from .prisms import bending_report
 
     report = bending_report(x, y, depth)

@@ -20,12 +20,12 @@ the one-sided orbit is folded here, one flag per Farey vertex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Sequence, Tuple
 
-from .projective import Flag, PappusError
+from .projective import PappusError
 from .markedbox import MarkedBox, bottom_flag, pattern_boxes, top_flag
 
 
@@ -37,20 +37,22 @@ class NotAdjacent(FareyError):
     pass
 
 
-@dataclass(frozen=True, order=False)
 class Rational:
     """Reduced fraction n/d with d >= 0; (1, 0) is the point at infinity."""
 
-    n: int
-    d: int
+    __slots__ = ("n", "d")
 
     def __init__(self, n: int, d: int):
         if n == 0 and d == 0:
             raise FareyError("0/0 is not a vertex")
         g = gcd(n, d)
-        n, d = _signed((n // g, d // g))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "d", d)
+        self.n, self.d = _signed((n // g, d // g))
+
+    def __eq__(self, other):
+        return isinstance(other, Rational) and (self.n, self.d) == (other.n, other.d)
+
+    def __hash__(self):
+        return hash((self.n, self.d))
 
     @property
     def infinite(self) -> bool:
@@ -77,14 +79,14 @@ def _det(p: Vec, q: Vec) -> int:
     return p[0] * q[1] - p[1] * q[0]
 
 
-@dataclass(frozen=True)
 class OrientedEdge:
     """Oriented Farey edge as a determinant +1 pair of integer vectors."""
 
-    p: Vec
-    q: Vec
+    __slots__ = ("p", "q")
 
     def __init__(self, p: Vec, q: Vec):
+        if len(p) != 2 or len(q) != 2:
+            raise FareyError(f"edge endpoints must be pairs, got {p} and {q}")
         if gcd(p[0], p[1]) != 1 or gcd(q[0], q[1]) != 1:
             raise FareyError("edge endpoints must be primitive vectors")
         d = _det(p, q)
@@ -95,8 +97,14 @@ class OrientedEdge:
         # the sign of the class in PSL(2, Z) is fixed by the tail's signs
         if _signed(p) != p:
             p, q = (-p[0], -p[1]), (-q[0], -q[1])
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+        self.p = p
+        self.q = q
+
+    def __eq__(self, other):
+        return isinstance(other, OrientedEdge) and (self.p, self.q) == (other.p, other.q)
+
+    def __hash__(self):
+        return hash((self.p, self.q))
 
     @property
     def tail(self) -> Rational:
@@ -135,12 +143,7 @@ def word_apply(word: str, e: OrientedEdge) -> OrientedEdge:
 
 # --- limit set ----------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class LimitFlag:
-    vertex: Rational
-    flag: Flag
-    word: str
-    edge: OrientedEdge
+LimitFlag = namedtuple("LimitFlag", "vertex flag word edge")
 
 
 def fold_limit_flags(rows: Sequence[Tuple[str, MarkedBox]]) -> List[LimitFlag]:

@@ -21,7 +21,6 @@ so <i, t, b> is the free product of a 2-cycle and a 3-cycle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
@@ -82,16 +81,15 @@ def _same_up_to_flip(xs, ys) -> bool:
     return any(all(p.same(q) for p, q in zip(xs, zs)) for zs in (ys, flipped))
 
 
-@dataclass(frozen=True)
 class MarkedBox:
-    s: ProjPoint
-    t: ProjPoint
-    u: ProjPoint
-    a: ProjPoint
-    b: ProjPoint
-    c: ProjPoint
+    """Two marked edges of one backend, equal to a box with the same six
+    stored triples (``same_box`` compares up to scale and the flip)."""
 
-    def __post_init__(self):
+    __slots__ = ("s", "t", "u", "a", "b", "c")
+
+    def __init__(self, s: ProjPoint, t: ProjPoint, u: ProjPoint,
+                 a: ProjPoint, b: ProjPoint, c: ProjPoint):
+        self.s, self.t, self.u, self.a, self.b, self.c = s, t, u, a, b, c
         _one_backend(self.sextuple())
         top = (self.s, self.t, self.u)
         bot = (self.a, self.b, self.c)
@@ -107,6 +105,10 @@ class MarkedBox:
         if _collinear(self.s, self.u, self.a) and _collinear(self.s, self.u, self.c):
             raise DegenerateBox("top and bottom edges lie on one line")
 
+    def __eq__(self, other):
+        return isinstance(other, MarkedBox) and all(
+            p.v == q.v for p, q in zip(self.sextuple(), other.sextuple()))
+
     def sextuple(self) -> Tuple[ProjPoint, ...]:
         return (self.s, self.t, self.u, self.a, self.b, self.c)
 
@@ -115,18 +117,14 @@ class MarkedBox:
         return _same_up_to_flip(self.sextuple(), other.sextuple())
 
 
-@dataclass(frozen=True)
 class DualMarkedBox:
     """Marked box in the dual plane: six lines, three by three concurrent."""
 
-    S: ProjLine
-    T: ProjLine
-    U: ProjLine
-    A: ProjLine
-    B: ProjLine
-    C: ProjLine
+    __slots__ = ("S", "T", "U", "A", "B", "C")
 
-    def __post_init__(self):
+    def __init__(self, S: ProjLine, T: ProjLine, U: ProjLine,
+                 A: ProjLine, B: ProjLine, C: ProjLine):
+        self.S, self.T, self.U, self.A, self.B, self.C = S, T, U, A, B, C
         _one_backend(self.sextuple())
         if not _collinear(self.S, self.T, self.U):
             raise DegenerateBox("top line triple must be concurrent")
@@ -189,16 +187,7 @@ def _unchecked_box(s, t, u, a, b, c) -> MarkedBox:
     """A MarkedBox whose checks have all been run, built without running
     them again."""
     m = object.__new__(MarkedBox)
-    # object.__setattr__, as the frozen dataclass's own __init__ does, keeps
-    # the fields in the instance's compact inline storage; touching
-    # m.__dict__ would build a dict per box
-    set_field = object.__setattr__
-    set_field(m, "s", s)
-    set_field(m, "t", t)
-    set_field(m, "u", u)
-    set_field(m, "a", a)
-    set_field(m, "b", b)
-    set_field(m, "c", c)
+    m.s, m.t, m.u, m.a, m.b, m.c = s, t, u, a, b, c
     return m
 
 
@@ -216,7 +205,7 @@ def _hexagon(m: MarkedBox, children: str) -> Tuple[ProjPoint, ProjPoint, ProjPoi
     checked for the children named in ``children`` ("t", "b" or "tb").
 
     The points are built on the stored triples with ``join``'s and
-    ``meet``'s arithmetic and zero tests.  ``MarkedBox.__post_init__`` of
+    ``meet``'s arithmetic and zero tests.  ``MarkedBox.__init__`` of
     t(M) and b(M) would re-test the kept edge; M has passed the same tests
     on the same points (``HomVec.same`` is symmetric bit for bit, and an
     exact ``_collinear`` only tests a determinant for zero), so only the

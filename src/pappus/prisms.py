@@ -232,7 +232,7 @@ def translation_T(x, y) -> ProjMap:
 
 def _rotation_axis(e: XPoint, g: np.ndarray) -> np.ndarray:
     """Unit axis n of the third-of-a-turn rotation r = e^(1/2) g e^(-1/2), e g-invariant."""
-    half, half_inv = e._powers()
+    half, half_inv = e._powers
     r = half @ g @ half_inv
     residual = max(float(np.max(np.abs(r.T @ r - np.eye(3)))), abs(float(np.trace(r))))
     if residual > 1e-8:
@@ -264,7 +264,7 @@ def order3_axis(p: Prism) -> Tuple[XGeodesic, XPoint]:
     n = _rotation_axis(e1, g)
     nn = np.outer(n, n)
     axis = XGeodesic(e1, 3.0 * nn - np.eye(3))
-    _, half_inv = e1._powers()
+    _, half_inv = e1._powers
     params = []
     for psi in p.polarities:
         m = half_inv @ _polarity_push(_polarity_matrix(psi), e1).m @ half_inv

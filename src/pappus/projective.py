@@ -9,7 +9,7 @@ either backend:
   unless a check names its own).
 
 A vector's or polarity's backend is decided once, when it is built,
-and kept in its ``exact`` field: a vector reads its entries, a
+and kept in its ``exact`` attribute: a vector reads its entries, a
 polarity its determinant (a float as soon as any entry is one).
 Canonical forms differ per backend: an exact vector is stored as a
 primitive integer triple (denominators cleared, divided by the gcd,
@@ -37,7 +37,6 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence, Tuple, Union
@@ -145,7 +144,6 @@ def _unit(a: float, b: float, c: float) -> Triple:
     return a, b, c
 
 
-@dataclass(frozen=True)
 class HomVec:
     """Nonzero homogeneous coordinate triple, canonicalized on construction.
 
@@ -153,14 +151,15 @@ class HomVec:
     unit-norm float triple of a float one; ``exact`` says which.
     """
 
-    v: Triple
-    exact: bool = field(compare=False)
+    __slots__ = ("v", "exact")
 
     def __init__(self, v: Sequence[Scalar]):
         v = tuple(v)
+        if len(v) != 3:
+            raise ProjectiveError(f"a homogeneous vector has three entries, got {len(v)}")
         exact = all(is_exact_scalar(x) for x in v)
-        object.__setattr__(self, "v", _exact_canonical(v) if exact else _float_canonical(v))
-        object.__setattr__(self, "exact", exact)
+        self.v = _exact_canonical(v) if exact else _float_canonical(v)
+        self.exact = exact
 
     def floats(self) -> Tuple[float, float, float]:
         """Float triple; an exact vector is read with its first nonzero entry
@@ -183,8 +182,8 @@ class HomVec:
 def _built(cls, v: Triple, exact: bool):
     """A ``cls`` vector from its canonical triple, skipping the backend scan."""
     h = object.__new__(cls)
-    object.__setattr__(h, "v", v)
-    object.__setattr__(h, "exact", exact)
+    h.v = v
+    h.exact = exact
     return h
 
 
@@ -196,9 +195,13 @@ def _image(cls, v: Sequence[Scalar], exact: bool):
 class ProjPoint(HomVec):
     """Point of the projective plane."""
 
+    __slots__ = ()
+
 
 class ProjLine(HomVec):
     """Line of the projective plane, i.e. a point of the dual plane."""
+
+    __slots__ = ()
 
 
 def _exact_cross(u: Triple, w: Triple):
@@ -256,16 +259,16 @@ def incident(p: ProjPoint, l: ProjLine, tol: float = DEFAULT_TOL) -> bool:
     return abs(float(dot3(p.floats(), l.floats()))) <= tol
 
 
-@dataclass(frozen=True)
 class Flag:
     """Incident (point, line) pair."""
 
-    point: ProjPoint
-    line: ProjLine
+    __slots__ = ("point", "line")
 
-    def __post_init__(self):
-        if not incident(self.point, self.line, tol=1e-7):
-            raise DegenerateFlags(f"point {self.point.v} not on line {self.line.v}")
+    def __init__(self, point: ProjPoint, line: ProjLine):
+        if not incident(point, line, tol=1e-7):
+            raise DegenerateFlags(f"point {point.v} not on line {line.v}")
+        self.point = point
+        self.line = line
 
 
 def cross_ratio(a: ProjPoint, b: ProjPoint, c: ProjPoint, d: ProjPoint) -> Scalar:
@@ -378,29 +381,24 @@ def mat_inv(m: Mat) -> Mat:
     return mat_scale(mat_adjugate(m), 1.0 / d)
 
 
-@dataclass(frozen=True)
 class ProjMap:
     """Invertible projective transformation, as its matrix acting on points."""
 
-    m: Mat
+    __slots__ = ("m",)
 
     def __init__(self, m):
-        mm = mat_from_rows(m)
-        if mat_det(mm) == 0:
+        self.m = mat_from_rows(m)
+        if mat_det(self.m) == 0:
             raise SingularMap("projective map must be invertible")
-        object.__setattr__(self, "m", mm)
 
 
-@dataclass(frozen=True)
 class Polarity:
     """Order-2 duality given by a symmetric invertible matrix q.
 
     Points map to lines by q and lines map to points by q^{-1}, so
-    applying the polarity twice is the identity on each side.
+    applying the polarity twice is the identity on each side.  Two
+    polarities are equal when their matrices are; ``exact`` takes no part.
     """
-
-    q: Mat
-    exact: bool = field(compare=False)
 
     def __init__(self, q):
         qq = mat_from_rows(q)
@@ -414,8 +412,11 @@ class Polarity:
                     raise ProjectiveError("polarity matrix must be symmetric")
         if (exact and d == 0) or (not exact and float(d) == 0.0):
             raise SingularMap("polarity matrix must be invertible")
-        object.__setattr__(self, "q", qq)
-        object.__setattr__(self, "exact", exact)
+        self.q = qq
+        self.exact = exact
+
+    def __eq__(self, other):
+        return isinstance(other, Polarity) and self.q == other.q
 
     def point_to_line(self, p: ProjPoint) -> ProjLine:
         return _image(ProjLine, mat_vec(self.q, p.v), self.exact and p.exact)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -116,11 +117,8 @@ def jacobi_eigh(mat):
     return w, v
 
 
-@dataclass(frozen=True, eq=False)
 class XPoint:
     """Unit-determinant SPD matrix; renormalized on construction."""
-
-    m: np.ndarray
 
     def __init__(self, mat):
         a = np.array(mat, dtype=float)
@@ -136,18 +134,13 @@ class XPoint:
         except np.linalg.LinAlgError:
             raise NotPositiveDefinite("matrix is not positive definite")
         a.flags.writeable = False
-        object.__setattr__(self, "m", a)
-        object.__setattr__(self, "_half", None)
-        object.__setattr__(self, "_half_inv", None)
+        self.m = a
 
-    def _powers(self):
-        if getattr(self, "_half") is None:
-            w, v = jacobi_eigh(self.m)
-            rt = v @ np.diag(np.sqrt(w)) @ v.T
-            rti = v @ np.diag(1.0 / np.sqrt(w)) @ v.T
-            object.__setattr__(self, "_half", rt)
-            object.__setattr__(self, "_half_inv", rti)
-        return self._half, self._half_inv
+    @cached_property
+    def _powers(self) -> Tuple[np.ndarray, np.ndarray]:
+        """S^(1/2) and S^(-1/2), from one eigen-solve."""
+        w, v = jacobi_eigh(self.m)
+        return v @ np.diag(np.sqrt(w)) @ v.T, v @ np.diag(1.0 / np.sqrt(w)) @ v.T
 
     def same(self, other: "XPoint", tol: float = 1e-10) -> bool:
         return bool(np.max(np.abs(self.m - other.m)) <= tol * max(1.0, float(np.max(np.abs(self.m)))))
@@ -201,11 +194,7 @@ def polarity_fixed_point(delta: Polarity) -> XPoint:
 
 # --- geodesics ---------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class XGeodesic:
-    base: XPoint
-    direction: np.ndarray
-
     def __init__(self, base: XPoint, direction):
         d = np.array(direction, dtype=float)
         d = (d + d.T) / 2.0
@@ -215,26 +204,24 @@ class XGeodesic:
             raise ZeroDirection("direction vanishes")
         d = d / n
         d.flags.writeable = False
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "direction", d)
-        object.__setattr__(self, "_eig", None)
+        self.base = base
+        self.direction = d
 
-    def _direction_eig(self):
-        if getattr(self, "_eig") is None:
-            object.__setattr__(self, "_eig", jacobi_eigh(self.direction))
-        return self._eig
+    @cached_property
+    def _direction_eig(self) -> Tuple[np.ndarray, np.ndarray]:
+        return jacobi_eigh(self.direction)
 
 
 def geodesic_point(gamma: XGeodesic, tau: float) -> XPoint:
-    w, v = gamma._direction_eig()
-    half, _ = gamma.base._powers()
+    w, v = gamma._direction_eig
+    half, _ = gamma.base._powers
     inner = v @ np.diag(np.exp(-2.0 * tau * w)) @ v.T
     return XPoint(half @ inner @ half)
 
 
 def geodesic_between(e1: XPoint, e2: XPoint) -> Tuple[XGeodesic, float]:
     """Unit-speed geodesic from e1 through e2, and the distance to e2."""
-    half, half_inv = e1._powers()
+    half, half_inv = e1._powers
     w = half_inv @ e2.m @ half_inv
     mu, v = jacobi_eigh(w)
     logs = np.log(mu)
@@ -283,7 +270,7 @@ def boundary_ray_class(gamma: XGeodesic, direction: int):
         raise SymmSpaceError("direction must be +1 or -1")
     lam = direction * gamma.direction
     w, v = jacobi_eigh(lam)
-    half, half_inv = gamma.base._powers()
+    half, half_inv = gamma.base._powers
     if np.max(np.abs(w - _PATTERN_POINT)) < 1e-8:
         return PointClass(ProjPoint(tuple(half_inv @ v[:, 0])))
     if np.max(np.abs(w - _PATTERN_LINE)) < 1e-8:
@@ -307,7 +294,6 @@ def plane_log(a, b) -> np.ndarray:
     return np.multiply.outer(2.0 * a, FLAT_AXIS_MEDIAL) + np.multiply.outer(2.0 * b, FLAT_AXIS_SINGULAR)
 
 
-@dataclass(frozen=True, eq=False)
 class Flat:
     """Totally geodesic plane spanned by a triangle of directions.
 
@@ -317,14 +303,12 @@ class Flat:
     coordinates the flat is a Euclidean plane at half scale.
     """
 
-    vertices: Tuple[ProjPoint, ProjPoint, ProjPoint]
-    basis: np.ndarray
+    __slots__ = ("vertices", "basis")
 
-    def __init__(self, vertices, basis):
-        basis = np.array(basis, dtype=float)
-        basis.flags.writeable = False
-        object.__setattr__(self, "vertices", tuple(vertices))
-        object.__setattr__(self, "basis", basis)
+    def __init__(self, vertices: Sequence[ProjPoint], basis):
+        self.vertices = tuple(vertices)
+        self.basis = np.array(basis, dtype=float)
+        self.basis.flags.writeable = False
 
     def frame(self, s: np.ndarray) -> Tuple[np.ndarray, float, float]:
         """C = B' s B with the norms of its off-diagonal part and of C;
@@ -481,7 +465,7 @@ def flat_geodesic(flat: Flat, base: XPoint, u0: np.ndarray, velocity: Sequence[f
     if n < 1e-12:
         raise ZeroDirection("flat velocity vanishes")
     w = 2.0 * w / n
-    _, half_inv = base._powers()
+    _, half_inv = base._powers
     k = np.diag(np.exp(u0 / 2.0)) @ np.linalg.inv(flat.basis) @ half_inv
     lam = k.T @ np.diag(-w / 2.0) @ k
     return XGeodesic(base, lam)

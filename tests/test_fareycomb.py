@@ -68,6 +68,13 @@ def test_edges_exist_only_between_farey_neighbors():
         OrientedEdge((1, 3), (2, 3))
 
 
+@pytest.mark.parametrize("p, q", [((1, 0), (0, 1, 5)), ((1, 0, 2), (0, 1)), ((1,), (0, 1))],
+                         ids=["long_head", "long_tail", "short_tail"])
+def test_an_edge_endpoint_of_the_wrong_length_is_a_farey_error(p, q):
+    with pytest.raises(FareyError):
+        OrientedEdge(p, q)
+
+
 @pytest.mark.parametrize("p, q, stored", [
     ((0, -1), (1, 0), ((0, 1), (-1, 0))),
     ((-1, 0), (1, -1), ((1, 0), (-1, 1))),

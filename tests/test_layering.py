@@ -1,8 +1,9 @@
 """The exact layers stay free of floats: ``projective``, ``markedbox`` and
 ``fareycomb`` import neither numpy nor ``symmspace``, so floats enter the
 package only for metric geometry in X.  The commands that read only the
-exact layers start without numpy, the geometry modules or a process pool, and
-a command that loads numpy runs its BLAS on one thread unless told otherwise."""
+exact layers start without numpy, the geometry modules, a process pool or
+``dataclasses`` (and the ``inspect`` it loads), and a command that loads
+numpy runs its BLAS on one thread unless told otherwise."""
 
 import ast
 import json
@@ -44,8 +45,10 @@ def test_exact_layer_imports_no_float_geometry(name):
     assert not found, f"{name} imports {', '.join(sorted(found))}"
 
 
-# the geometry in X, and the pool a serial run never starts
-UNREAD = ("numpy", "pappus.symmspace", "pappus.fareypattern", "pappus.prisms", "multiprocessing")
+# the geometry in X, the pool a serial run never starts, and the dataclass
+# machinery (with the inspect module it loads) only the geometry records use
+UNREAD = ("numpy", "pappus.symmspace", "pappus.fareypattern", "pappus.prisms", "multiprocessing",
+          "dataclasses", "inspect")
 
 COLD_START = """
 import contextlib, io, json, sys

@@ -7,6 +7,7 @@ back reversed.
 
 import math
 import multiprocessing
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from pappus.projective import (
     mat_vec,
     meet,
 )
+from pappus.fareycomb import OrientedEdge, Rational
 from pappus.markedbox import (
     DegenerateBox,
     DualMarkedBox,
@@ -285,6 +287,19 @@ def test_pooled_walk_is_the_serial_walk():
             assert [w for w, _ in pooled] == [w for w, _ in serial]
             assert [[p.v for p in m.sextuple()] for _, m in pooled] == \
                 [[p.v for p in m.sextuple()] for _, m in serial]
+
+
+def test_per_row_values_are_slotted_and_survive_the_pool():
+    # the walk builds these by the thousand, and the pool pickles its rows
+    exact, floating = (orbit_enumerate(base_box(x, y), 2)[-1] for x, y in (
+        (Fraction(3, 10), Fraction(2, 5)), (0.3, 0.4)))
+    box = exact[1]
+    for value in (box.s, join(box.s, box.u), box, Rational(1, 2), OrientedEdge((1, 0), (0, 1))):
+        assert not hasattr(value, "__dict__"), type(value).__name__
+    for word, m in (exact, floating):
+        word2, m2 = pickle.loads(pickle.dumps((word, m)))
+        assert word2 == word and m2.same_box(m)
+        assert [(p.v, p.exact) for p in m2.sextuple()] == [(p.v, p.exact) for p in m.sextuple()]
 
 
 def test_float_boxes_track_the_exact_ones_level_by_level():

@@ -17,6 +17,7 @@ from pappus.projective import (
     ProjLine,
     ProjMap,
     ProjPoint,
+    ProjectiveError,
     SingularMap,
     cross_ratio,
     frame_rows,
@@ -78,6 +79,13 @@ def test_exact_vectors_are_scale_free_primitive_integer_triples(t, scale):
     assert math.gcd(*v.v) == 1 and next(x for x in v.v if x != 0) > 0
     first = next(Fraction(x) for x in t if x != 0)
     assert [x.hex() for x in v.floats()] == [float(Fraction(x) / first).hex() for x in t]
+
+
+@pytest.mark.parametrize("v", [(1, 2), (1.0, 2.0), (1, 2, 3, 4), ()],
+                         ids=["exact_pair", "float_pair", "four_entries", "empty"])
+def test_a_vector_of_the_wrong_length_is_a_projective_error(v):
+    with pytest.raises(ProjectiveError):
+        ProjPoint(v)
 
 
 def test_same_ignores_scale():
@@ -273,7 +281,7 @@ def test_maps_and_polarities_fix_their_backend_at_construction():
     assert exact.exact and not floating.exact
     assert exact.line_to_point(line).exact and exact.point_to_line(p).exact
     assert not (floating.line_to_point(line).exact or exact.point_to_line(pf).exact)
-    # like a vector's, the stored flag takes no part in equality
+    # the stored flag takes no part in equality
     assert exact == floating
     with pytest.raises(SingularMap):
         ProjMap(((1, 0, 0), (2, 0, 0), (0, 0, 1)))
