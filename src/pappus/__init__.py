@@ -78,15 +78,15 @@ from .fareycomb import (
 # layers never imports numpy.
 _LAZY = {
     "symmspace": (
-        "CollinearVertices", "ConvergenceFailure", "Flat", "FlagClass", "Generic",
-        "LineClass", "NotPositiveDefinite", "NumericalFailure", "PointClass",
-        "PointOffFlat", "SymmSpaceError", "XGeodesic", "XPoint", "ZeroDirection",
+        "CollinearVertices", "ConvergenceFailure", "Flat", "NotPositiveDefinite",
+        "NumericalFailure", "PointOffFlat", "SymmSpaceError", "XGeodesic", "XPoint",
+        "ZeroDirection",
         "boundary_ray_class", "duality_action", "flat_from_triangle", "flat_geodesic",
         "geodesic_between", "geodesic_point", "group_action", "jacobi_eigh", "metric_d",
         "polarity_fixed_point",
     ),
     "fareypattern": (
-        "FareyPattern", "PatternError", "PatternGeodesic", "build_pattern", "flat_of_box",
+        "FareyPattern", "PatternError", "PatternGeodesic", "build_pattern", "flat_of_flags",
         "geodesic_of_box", "min_distance_flats", "one_end_asymptotic",
     ),
     "prisms": (

@@ -406,7 +406,7 @@ def cmd_pattern(args) -> int:
                 "word": g.word or "-",
                 "farey": [_fmt_rational(e.tail), _fmt_rational(e.head)],
                 "flat_basis": _matrix_json(g.flat.basis),
-                "fixed_point": _matrix_json(g.fixed_point.m),
+                "fixed_point": _matrix_json(g.geodesic.base.m),
                 "direction": _matrix_json(g.geodesic.direction),
                 "top_flag": _flag_json(g.top),
                 "bottom_flag": _flag_json(g.bottom),
@@ -606,24 +606,24 @@ def _suite_metric(rng: random.Random) -> List[Dict]:
 def _suite_pattern(rng: random.Random) -> List[Dict]:
     import numpy as np
     from .fareypattern import build_pattern, geodesic_of_box, one_end_asymptotic
-    from .symmspace import FlagClass, boundary_ray_class, duality_action, geodesic_point
+    from .symmspace import boundary_ray_class, duality_action, geodesic_point
 
     checks = []
     pat = build_pattern(Fraction(3, 10), Fraction(2, 5), 2)
     worst_member = 0.0
     flags_ok = True
     for g in pat.geodesics:
-        _, off, norm = g.flat.frame(g.fixed_point.m)
+        _, off, norm = g.flat.frame(g.geodesic.base.m)
         worst_member = max(worst_member, off / norm)
         fwd = boundary_ray_class(g.geodesic, 1)
         bwd = boundary_ray_class(g.geodesic, -1)
-        flags_ok = flags_ok and isinstance(fwd, FlagClass) and isinstance(bwd, FlagClass)
+        flags_ok = flags_ok and isinstance(fwd, Flag) and isinstance(bwd, Flag)
         if flags_ok:
             flags_ok = (
-                fwd.flag.point.same(g.bottom.point, 1e-6)
-                and fwd.flag.line.same(g.bottom.line, 1e-6)
-                and bwd.flag.point.same(g.top.point, 1e-6)
-                and bwd.flag.line.same(g.top.line, 1e-6)
+                fwd.point.same(g.bottom.point, 1e-6)
+                and fwd.line.same(g.bottom.line, 1e-6)
+                and bwd.point.same(g.top.point, 1e-6)
+                and bwd.line.same(g.top.line, 1e-6)
             )
     checks.append(_check("pattern.fixed_point_on_flat", worst_member < 1e-10, worst_member))
     checks.append(_check("pattern.boundary_classes_are_the_flags", flags_ok))

@@ -1,12 +1,13 @@
 """Farey patterns of medial geodesics.
 
-Every convex marked box M owns a flat (its top point, bottom point,
-and the meet of the top and bottom lines), an elliptic polarity whose
-unit ellipsoid sits on that flat, and the medial geodesic through that
-point running from the top flag to the bottom flag.  Pushing this
-construction over the tree of t/b words produces one geodesic per
-oriented Farey edge on one side of the base edge; reversing the box
-with i reverses the geodesic, so each geodesic is stored once, oriented.
+Every convex marked box M owns a flat, the flat of its top and bottom
+flags (the two flags' points and the meet of their lines), an elliptic
+polarity whose unit ellipsoid sits on that flat, and the medial geodesic
+through that point running from the top flag to the bottom flag.
+Pushing this construction over the tree of t/b words produces one
+geodesic per oriented Farey edge on one side of the base edge;
+reversing the box with i reverses the geodesic, so each geodesic is
+stored once, oriented.
 """
 
 from __future__ import annotations
@@ -16,13 +17,12 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .projective import Flag, PappusError
+from .projective import Flag, PappusError, meet
 from .markedbox import MarkedBox, bottom_flag, box_polarity, pattern_boxes, top_flag
 from .fareycomb import OrientedEdge, default_base_edge, word_apply
 from .symmspace import (
     Flat,
     XGeodesic,
-    XPoint,
     flat_distances,
     flat_from_triangle,
     flat_geodesic,
@@ -30,18 +30,15 @@ from .symmspace import (
     polarity_fixed_point,
     relative_frames,
 )
-from .projective import join, meet
 
 
 class PatternError(PappusError):
     pass
 
 
-def flat_of_box(m: MarkedBox) -> Flat:
-    """Flat of a box: vertices (top point, bottom point, top line ^ bottom line)."""
-    t_line = join(m.s, m.u)
-    b_line = join(m.a, m.c)
-    return flat_from_triangle(m.t, m.b, meet(t_line, b_line))
+def flat_of_flags(top: Flag, bottom: Flag) -> Flat:
+    """Flat of two flags: vertices (top point, bottom point, top line ^ bottom line)."""
+    return flat_from_triangle(top.point, bottom.point, meet(top.line, bottom.line))
 
 
 # log-diagonal velocity of the medial geodesic in (top, bottom, meet) order;
@@ -54,25 +51,24 @@ _MEDIAL_VELOCITY = (1.0, -1.0, 0.0)
 class PatternGeodesic:
     word: str
     flat: Flat
-    fixed_point: XPoint
-    fixed_log: np.ndarray  # fixed_point in the flat; the geodesic is fixed_log + plane_log(tau, 0)
+    fixed_log: np.ndarray  # the geodesic's base in the flat; the geodesic is fixed_log + plane_log(tau, 0)
     geodesic: XGeodesic
     top: Flag
     bottom: Flag
 
 
 def geodesic_of_box(m: MarkedBox, word: str = "") -> PatternGeodesic:
-    flat = flat_of_box(m)
+    top, bottom = top_flag(m), bottom_flag(m)
+    flat = flat_of_flags(top, bottom)
     p = polarity_fixed_point(box_polarity(m))
     u0 = flat.log_coords(p)
     return PatternGeodesic(
         word=word,
         flat=flat,
-        fixed_point=p,
         fixed_log=u0,
         geodesic=flat_geodesic(flat, p, u0, _MEDIAL_VELOCITY),
-        top=top_flag(m),
-        bottom=bottom_flag(m),
+        top=top,
+        bottom=bottom,
     )
 
 

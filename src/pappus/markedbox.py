@@ -382,23 +382,22 @@ def _levels(depth: int, rows: Sequence[Tuple[str, MarkedBox]]) -> List[List[Tupl
 
 def _hexagons_below(depth: int, rows: Sequence[Tuple[str, MarkedBox]]):
     """What a pool worker sends back for the ``depth`` levels below
-    ``rows``: level by level, each parent's hexagon points as plain
-    (triple, exact) pairs, read off its t-child's bottom edge: 1.5 points
-    per row instead of 6, and plain tuples pickle much faster than boxes."""
-    return [[tuple((p.v, p.exact) for p in (m.a, m.b, m.c)) for _, m in level[::2]]
-            for level in _levels(depth, rows)]
+    ``rows``: level by level, each parent's hexagon points as their three
+    stored triples, read off its t-child's bottom edge: 1.5 points per row
+    instead of 6, and plain tuples pickle much faster than boxes."""
+    return [[(m.a.v, m.b.v, m.c.v) for _, m in level[::2]] for level in _levels(depth, rows)]
 
 
 def _levels_from_hexagons(rows: Sequence[Tuple[str, MarkedBox]],
                           hexagon_levels) -> List[List[Tuple[str, MarkedBox]]]:
     """The levels below ``rows`` from ``_hexagons_below``: each child keeps
     its parent's edge and the hexagon points as the worker found them,
-    validated there and not again, so children share points as in the
-    serial walk."""
+    validated there and not again, on the parent's backend (a box has
+    one), so children share points as in the serial walk."""
     levels = []
     for hexagons in hexagon_levels:
         rows = [pair for (w, m), hexagon in zip(rows, hexagons) for pair in zip(
-            (w + "t", w + "b"), _children(m, *(_built(ProjPoint, v, e) for v, e in hexagon)))]
+            (w + "t", w + "b"), _children(m, *(_built(ProjPoint, v, m.s.exact) for v in hexagon)))]
         levels.append(rows)
     return levels
 

@@ -1,14 +1,15 @@
 """Prisms: flat triples over ideal triangles, their polarities and bending data.
 
-A triangle in the Farey pattern carries three flats.  The triple of
-flags at the triangle's vertices admits exactly three stabilizing
-polarities when its triple product is not +-1; each polarity swaps two
-flags, stabilizes the flat they bound, and reflects that flat through a
-single point.  Those points are the inflection points, the singular
-geodesics through them orthogonal to the medial direction are the
-inflection lines, and the signed offset between each flat's medial
-geodesic and its inflection point is the bending parameter reported
-here.
+A triangle in the Farey pattern carries three flags at its vertices and
+three flats, each the flat of two consecutive flags (``flat_of_flags``),
+as a box's flat is the flat of its top and bottom flags.  The flag
+triple admits exactly three stabilizing polarities when its triple
+product is not +-1; each polarity swaps two flags, stabilizes the flat
+they bound, and reflects that flat through a single point.  Those
+points are the inflection points, the singular geodesics through them
+orthogonal to the medial direction are the inflection lines, and the
+signed offset between each flat's medial geodesic and its inflection
+point is the bending parameter reported here.
 
 A flat's box polarity (fixed point: the medial point) and swap polarity
 (fixed point: the inflection point) are diagonal in its vertex frame
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -53,7 +54,7 @@ from .markedbox import (
     _check_params,
     _tb_children,
 )
-from .fareypattern import flat_of_box, geodesic_of_box
+from .fareypattern import flat_of_flags, geodesic_of_box
 from .symmspace import (
     FLAT_AXIS_MEDIAL,
     FLAT_AXIS_SINGULAR,
@@ -148,8 +149,9 @@ class Prism:
     """Triple of flats over one ideal triangle.
 
     base is the box M of the triangle and boxes are (i(M), t(M), b(M)).
-    boxes, flags, and flats are aligned: flats[0] is bounded by flags 0
-    and 1, flats[1] by flags 1 and 2, flats[2] by flags 2 and 0, and
+    boxes, flags, and flats are aligned: flags[j] is the top flag of
+    boxes[j] and the bottom flag of boxes[j - 1], so flats[j], the flat
+    of box j, is the flat of flags j and j + 1 (mod 3), and
     polarities[j] swaps exactly the pair bounding flats[j].
     """
 
@@ -163,7 +165,7 @@ class Prism:
 def prism_of_triangle(m: MarkedBox) -> Prism:
     boxes = (op_i(m), *_tb_children(m))
     flags = tuple(top_flag(b) for b in boxes)
-    flats = tuple(flat_of_box(b) for b in boxes)
+    flats = tuple(flat_of_flags(flags[j], flags[(j + 1) % 3]) for j in range(3))
     return Prism(
         base=m,
         boxes=boxes,
@@ -317,14 +319,18 @@ def bending_report(x, y, depth: int) -> BendingReport:
     (inflection_line_offset, zero when the inflection lines coincide)
     and along the singular axis (inflection_point_offset).
     """
-    boxes = dict(pattern_boxes(x, y, depth))
-    prisms: Dict[str, Prism] = {w: prism_of_triangle(m) for w, m in boxes.items()}
-    logs = {w: tuple(_slot_logs(pr, j) for j in range(3)) for w, pr in prisms.items()}
     # a box's invariant pair is one of four rotations of (x, y), read off its word
     invariants = [triple_invariant(*pair) for pair in invariant_rotations(x, y)]
+    # a child's word -> the flat its prism shares with its parent's (the
+    # parent's slot 1 for t, 2 for b) and the parent's inflection point there
+    shared = {}
     reports = []
-    for w in boxes:
-        coords = [_plane_coords(u_psi - u_q) for u_psi, u_q in logs[w]]
+    adjacent_pairs = []
+    # breadth first, children in their parents' order, so the pairs are too
+    for w, m in pattern_boxes(x, y, depth):
+        prism = prism_of_triangle(m)
+        logs = tuple(_slot_logs(prism, j) for j in range(3))
+        coords = [_plane_coords(u_psi - u_q) for u_psi, u_q in logs]
         reports.append(
             PrismReport(
                 word=w,
@@ -333,26 +339,22 @@ def bending_report(x, y, depth: int) -> BendingReport:
                 collinearity_residuals=tuple(abs(a) for a, _ in coords),
             )
         )
-    adjacent_pairs = []
-    for w in boxes:
-        for letter, slot in (("t", 1), ("b", 2)):
-            child = w + letter
-            if child not in prisms:
-                continue
-            shared = prisms[w].flats[slot]
+        if w:
+            flat, u_parent = shared.pop(w)
             # the same flat, so the child's swap polarity 0 is read on its frame
-            if not shared.same_flat(prisms[child].flats[0]):
+            if not flat.same_flat(prism.flats[0]):
                 raise ConsistencyFailure("adjacent prisms do not share a flat")
-            u_child = shared.log_diagonal(prisms[child].polarities[0])
-            a, b = _plane_coords(logs[w][slot][0] - u_child)
+            a, b = _plane_coords(u_parent - flat.log_diagonal(prism.polarities[0]))
             adjacent_pairs.append(
                 AdjacencyReport(
-                    word=w,
-                    child_word=child,
+                    word=w[:-1],
+                    child_word=w,
                     inflection_line_offset=abs(a),
                     inflection_point_offset=b,
                 )
             )
+        shared[w + "t"] = prism.flats[1], logs[1][0]
+        shared[w + "b"] = prism.flats[2], logs[2][0]
     return BendingReport(
         x=float(x),
         y=float(y),

@@ -16,7 +16,6 @@ maximal 2-dim pieces, one per triangle of points and lines.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence, Tuple
 
@@ -129,6 +128,8 @@ class XPoint:
         if det <= 0:
             raise NotPositiveDefinite("determinant is not positive")
         a = a / np.cbrt(det)
+        if not np.isfinite(a).all():
+            raise NumericalFailure("matrix is not finite at unit determinant")
         try:
             np.linalg.cholesky(a)
         except np.linalg.LinAlgError:
@@ -200,6 +201,8 @@ class XGeodesic:
         d = (d + d.T) / 2.0
         d = d - np.eye(3) * (np.trace(d) / 3.0)
         n = float(np.sqrt((d * d).sum()))
+        if not math.isfinite(n):
+            raise NumericalFailure("direction norm is not finite")
         if n < 1e-12:
             raise ZeroDirection("direction vanishes")
         d = d / n
@@ -234,37 +237,17 @@ def geodesic_between(e1: XPoint, e2: XPoint) -> Tuple[XGeodesic, float]:
 
 # --- boundary classification -------------------------------------------------
 
-@dataclass(frozen=True)
-class PointClass:
-    point: ProjPoint
-
-
-@dataclass(frozen=True)
-class LineClass:
-    line: ProjLine
-
-
-@dataclass(frozen=True)
-class FlagClass:
-    flag: Flag
-
-
-@dataclass(frozen=True)
-class Generic:
-    pass
-
-
 _PATTERN_POINT = np.array([2.0, -1.0, -1.0]) / math.sqrt(6.0)
 _PATTERN_LINE = np.array([1.0, 1.0, -2.0]) / math.sqrt(6.0)
 _PATTERN_FLAG = np.array([1.0, 0.0, -1.0]) / math.sqrt(2.0)
 
 
 def boundary_ray_class(gamma: XGeodesic, direction: int):
-    """Limit type of one end of a geodesic.
+    """What one end of a geodesic limits on: a ProjPoint, a ProjLine, a Flag or None.
 
     The eigenvalue pattern of the (possibly reversed) direction decides:
     one fat axis gives a point of P, one thin axis a line of P*, the
-    (1,0,-1) pattern a full flag, anything else Generic.
+    (1,0,-1) pattern a full flag, and any other pattern None.
     """
     if direction not in (1, -1):
         raise SymmSpaceError("direction must be +1 or -1")
@@ -272,14 +255,12 @@ def boundary_ray_class(gamma: XGeodesic, direction: int):
     w, v = jacobi_eigh(lam)
     half, half_inv = gamma.base._powers
     if np.max(np.abs(w - _PATTERN_POINT)) < 1e-8:
-        return PointClass(ProjPoint(tuple(half_inv @ v[:, 0])))
+        return ProjPoint(tuple(half_inv @ v[:, 0]))
     if np.max(np.abs(w - _PATTERN_LINE)) < 1e-8:
-        return LineClass(ProjLine(tuple(half @ v[:, 2])))
+        return ProjLine(tuple(half @ v[:, 2]))
     if np.max(np.abs(w - _PATTERN_FLAG)) < 1e-8:
-        pt = ProjPoint(tuple(half_inv @ v[:, 0]))
-        ln = ProjLine(tuple(half @ v[:, 2]))
-        return FlagClass(Flag(pt, ln))
-    return Generic()
+        return Flag(ProjPoint(tuple(half_inv @ v[:, 0])), ProjLine(tuple(half @ v[:, 2])))
+    return None
 
 
 # --- flats -------------------------------------------------------------------

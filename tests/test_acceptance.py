@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pappus.projective import is_elliptic, mat_det, standard_polarity
+from pappus.projective import Flag, is_elliptic, mat_det, standard_polarity
 from pappus.markedbox import (
     apply_word_box,
     base_box,
@@ -33,7 +33,6 @@ from pappus.markedbox import (
 )
 from pappus.fareycomb import limit_set_flags
 from pappus.symmspace import (
-    FlagClass,
     XPoint,
     boundary_ray_class,
     duality_action,
@@ -185,8 +184,8 @@ def test_criterion_06_pattern_membership_boundaries_adjacency():
             assert off / math.sqrt(float((c * c).sum())) < 1e-10
         fwd = boundary_ray_class(g.geodesic, 1)
         bwd = boundary_ray_class(g.geodesic, -1)
-        assert isinstance(fwd, FlagClass) and isinstance(bwd, FlagClass)
-        assert _flags_same(fwd.flag, g.bottom) and _flags_same(bwd.flag, g.top)
+        assert isinstance(fwd, Flag) and isinstance(bwd, Flag)
+        assert _flags_same(fwd, g.bottom) and _flags_same(bwd, g.top)
     for ga, gb in itertools.combinations(pat.geodesics, 2):
         ea, eb = pat.edge_of(ga.word), pat.edge_of(gb.word)
         shared = len({ea.tail, ea.head} & {eb.tail, eb.head})

@@ -195,6 +195,14 @@ PINNED_OUTPUTS = {
         "eca03491d608b65c5e54ffeebe96ac017269c3769f8c7dcc3f9648f2cb51bc06",
     ("orbit", "--x", "3/10", "--y", "2/5", "--format", "json", "--depth", "6"):
         "2f488da77aa945da814414a9c2fd6bd1f97a0ae749f5a950898dca48b140e94e",
+    # a float prism report, a deeper exact one and a float cone mesh, pinned
+    # before each prism's flats were built from its flags
+    ("prism", "--x", "0.3", "--y", "0.4", "--depth", "4"):
+        "7c748772398ed626c6defae08bb3064ad88831d15dd45f13f0ab9a998a1c1063",
+    ("prism", "--x", "3/10", "--y", "2/5", "--depth", "5"):
+        "0588a459e440f95b5b6b92590b2182462bc32da24510fe29894deea5a4cc5d70",
+    ("prism", "--x", "0.3", "--y", "0.4", "--format", "obj", "--cone", "-0.2", "--samples", "9"):
+        "6be624f2c958a232b52c17ece33d4d48f446c603f93de81269c1f470bccb10fd",
 }
 
 # a test id is the command and its last option; other changes refer to the
@@ -223,12 +231,18 @@ print(json.dumps(hashes))
 """
 
 
-def test_blas_threads_do_not_change_the_bytes():
-    argvs = [["pattern", "--x", "3/10", "--y", "2/5", "--depth", "4", "--distances"],
-             ["prism", "--x", "3/10", "--y", "2/5", "--depth", "4"]]
+def env_with_src():
+    """This environment with the package's sources first on the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(Path(__file__).resolve().parents[1] / "src"),
                                                     env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_blas_threads_do_not_change_the_bytes():
+    argvs = [["pattern", "--x", "3/10", "--y", "2/5", "--depth", "4", "--distances"],
+             ["prism", "--x", "3/10", "--y", "2/5", "--depth", "4"]]
+    env = env_with_src()
     hashes = {}
     for threads in ("1", "2"):
         env["OPENBLAS_NUM_THREADS"] = threads
@@ -237,6 +251,16 @@ def test_blas_threads_do_not_change_the_bytes():
         assert run.returncode == 0, run.stderr
         hashes[threads] = json.loads(run.stdout)
     assert hashes["1"] == hashes["2"]
+
+
+def test_a_cone_mesh_sample_out_of_range_is_a_numerical_failure():
+    # a window of 1000 takes exp(-2 tau w) past the float range; numpy warns on the
+    # way, which this suite makes an error, so the command runs in its own process
+    argv = ["prism", "--x", "3/10", "--y", "2/5", "--format", "obj", "--window", "1000"]
+    run = subprocess.run([sys.executable, "-m", "pappus.cli", *argv],
+                         capture_output=True, text=True, env=env_with_src(), timeout=60)
+    assert run.returncode == 3 and run.stdout == ""
+    assert run.stderr.endswith("geometry error: NumericalFailure: matrix is not finite at unit determinant\n")
 
 
 def test_float_orbit_rows_print_the_exact_rotation_rounded_once(capsys):

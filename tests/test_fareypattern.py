@@ -12,13 +12,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from pappus.projective import Flag
 from pappus.fareycomb import default_base_edge, limit_set_flags, word_apply
 from pappus.markedbox import (
     base_box, box_polarity, op_i, orbit_enumerate, pattern_boxes, top_flag, bottom_flag,
 )
 from pappus.symmspace import (
     FLAT_AXIS_MEDIAL,
-    FlagClass,
     boundary_ray_class,
     duality_action,
     geodesic_point,
@@ -59,7 +59,7 @@ def test_pattern_counts_and_words():
 def test_geodesic_record_structure():
     m = base_box(X, Y)
     g = geodesic_of_box(m)
-    _, off, norm = g.flat.frame(g.fixed_point.m)
+    _, off, norm = g.flat.frame(g.geodesic.base.m)
     assert off <= 1e-10 * norm
     assert flags_same(g.top, top_flag(m), 0.0)
     assert flags_same(g.bottom, bottom_flag(m), 0.0)
@@ -70,9 +70,9 @@ def test_boundary_classes_recover_the_box_flags():
     for g in pat.geodesics:
         fwd = boundary_ray_class(g.geodesic, 1)
         bwd = boundary_ray_class(g.geodesic, -1)
-        assert isinstance(fwd, FlagClass) and isinstance(bwd, FlagClass)
-        assert flags_same(fwd.flag, g.bottom)
-        assert flags_same(bwd.flag, g.top)
+        assert isinstance(fwd, Flag) and isinstance(bwd, Flag)
+        assert flags_same(fwd, g.bottom)
+        assert flags_same(bwd, g.top)
 
 
 def test_involution_shares_the_flat_with_reversed_geodesic():
@@ -80,7 +80,7 @@ def test_involution_shares_the_flat_with_reversed_geodesic():
     gm = geodesic_of_box(m)
     gi = geodesic_of_box(op_i(m))
     assert gm.flat.same_flat(gi.flat)
-    assert metric_d(gm.fixed_point, gi.fixed_point) < 1e-12
+    assert metric_d(gm.geodesic.base, gi.geodesic.base) < 1e-12
     for t in (-1.0, 0.5):
         diff = geodesic_point(gm.geodesic, t).m - geodesic_point(gi.geodesic, -t).m
         assert np.max(np.abs(diff)) < 1e-12
@@ -187,6 +187,6 @@ def test_symmetric_parameters_flatten_the_limit_set():
 def test_fixed_point_membership_is_tight_at_depth_three():
     pat = build_pattern(X, Y, 3)
     for g in pat.geodesics:
-        c = g.flat.basis.T @ g.fixed_point.m @ g.flat.basis
+        c = g.flat.basis.T @ g.geodesic.base.m @ g.flat.basis
         off = np.sqrt(2.0 * (c[0, 1] ** 2 + c[0, 2] ** 2 + c[1, 2] ** 2))
         assert off / np.sqrt((c * c).sum()) < 1e-10

@@ -137,12 +137,12 @@ ROOT_NAMES = """
     box_triple_product doppelganger model_box op_b op_i op_t orbit_enumerate
     order3_transform polarity_box_to_dual polarity_dual_to_box raw_invariant tb_tree
     top_flag INF FareyError NotAdjacent OrientedEdge Rational default_base_edge edge_b
-    edge_i edge_t word_apply CollinearVertices ConvergenceFailure Flat FlagClass Generic
-    LineClass NotPositiveDefinite NumericalFailure PointClass PointOffFlat
+    edge_i edge_t word_apply CollinearVertices ConvergenceFailure Flat
+    NotPositiveDefinite NumericalFailure PointOffFlat
     SymmSpaceError XGeodesic XPoint ZeroDirection boundary_ray_class duality_action
     flat_from_triangle flat_geodesic geodesic_between geodesic_point group_action
     jacobi_eigh metric_d polarity_fixed_point FareyPattern LimitFlag PatternError
-    PatternGeodesic base_box build_pattern flat_of_box fold_limit_flags geodesic_of_box
+    PatternGeodesic base_box build_pattern flat_of_flags fold_limit_flags geodesic_of_box
     limit_set_flags min_distance_flats one_end_asymptotic pattern_boxes AdjacencyReport
     BendingReport ConeMesh ConsistencyFailure DegenerateTriple DiagonalLocus
     InflectionData Prism PrismError PrismReport UnityTripleProduct bending_report

@@ -370,3 +370,44 @@ def test_boxes_joins_and_meets_take_one_backend():
     for l, k in ((d.S, ProjLine(d.T.floats())), (ProjLine(d.T.floats()), d.S)):
         with pytest.raises(ProjectiveError, match="one backend"):
             meet(l, k)
+
+
+def _vectors(cls, rows, exact):
+    return [cls(row if exact else tuple(float(x) for x in row)) for row in rows]
+
+
+# the unit-square box (top edge at height one, bottom edge at height zero)
+# and its six line entries through (0, 0, 1) and (1, 1, 1), each with one
+# entry replaced to break one condition
+SQUARE_BOX = ((-1, 1, 0), (0, 1, 0), (1, 1, 0), (1, 0, 1), (0, 0, 1), (-1, 0, 1))
+BAD_BOXES = {
+    "top_off_its_line": ({1: (0, 0, 1)}, "top triple (s, t, u) must be collinear"),
+    "bottom_off_its_line": ({4: (0, 1, 0)}, "bottom triple (a, b, c) must be collinear"),
+    "repeated_point": ({1: (-1, 1, 0)}, "marked edge points must be distinct"),
+    "one_line": ({3: (2, 1, 0), 4: (3, 1, 0), 5: (4, 1, 0)}, "top and bottom edges lie on one line"),
+}
+PENCIL_LINES = ((1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 0, -1), (0, 1, -1), (1, 1, -2))
+BAD_DUAL_BOXES = {
+    "top_not_concurrent": ({1: (0, 0, 1)}, "top line triple must be concurrent"),
+    "bottom_not_concurrent": ({4: (0, 0, 1)}, "bottom line triple must be concurrent"),
+}
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("change, message", list(BAD_BOXES.values()), ids=list(BAD_BOXES))
+def test_a_degenerate_box_is_refused_with_its_reason(change, message, exact):
+    rows = [change.get(k, row) for k, row in enumerate(SQUARE_BOX)]
+    MarkedBox(*_vectors(ProjPoint, SQUARE_BOX, exact))
+    with pytest.raises(DegenerateBox) as refused:
+        MarkedBox(*_vectors(ProjPoint, rows, exact))
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("change, message", list(BAD_DUAL_BOXES.values()), ids=list(BAD_DUAL_BOXES))
+def test_a_degenerate_dual_box_is_refused_with_its_reason(change, message, exact):
+    rows = [change.get(k, row) for k, row in enumerate(PENCIL_LINES)]
+    DualMarkedBox(*_vectors(ProjLine, PENCIL_LINES, exact))
+    with pytest.raises(DegenerateBox) as refused:
+        DualMarkedBox(*_vectors(ProjLine, rows, exact))
+    assert str(refused.value) == message

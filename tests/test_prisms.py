@@ -12,17 +12,17 @@ from pappus.projective import (
     ProjPoint, SingularMap, cross3, dot3, mat_det, mat_mul, mat_vec, triple_product,
 )
 from pappus.markedbox import (
-    OutOfRange, apply_word_box, base_box, box_polarity, op_i, order3_transform, top_flag,
+    OutOfRange, apply_word_box, base_box, bottom_flag, box_polarity, op_i, order3_transform,
+    top_flag,
     triple_invariant,
 )
 from pappus.symmspace import (
-    PointClass,
     boundary_ray_class,
     flat_geodesic,
     geodesic_point,
     metric_d,
 )
-from pappus.fareypattern import flat_of_box
+from pappus.fareypattern import flat_of_flags
 from pappus.prisms import (
     DegenerateTriple,
     DiagonalLocus,
@@ -132,9 +132,10 @@ def test_degenerate_flag_count_rejected():
 def test_prism_structure_over_the_base_triangle():
     m = base_box(X, Y)
     prism = prism_of_triangle(m)
-    assert prism.flats[0].same_flat(flat_of_box(m))
+    assert prism.flats[0].same_flat(flat_of_flags(top_flag(m), bottom_flag(m)))
     for j in range(3):
-        assert prism.flats[j].same_flat(flat_of_box(prism.boxes[j]))
+        box = prism.boxes[j]
+        assert prism.flats[j].same_flat(flat_of_flags(top_flag(box), bottom_flag(box)))
     g = order3_transform(m)
     g3 = mat_mul(g.m, mat_mul(g.m, g.m))
     assert all(g3[i][j] == (g3[0][0] if i == j else 0) for i in range(3) for j in range(3))
@@ -160,7 +161,7 @@ def test_inflection_line_is_singular_not_medial():
     flat = prism.flats[0]
     line = flat_geodesic(flat, item.point, flat.log_coords(item.point), SINGULAR_VELOCITY)
     fwd = boundary_ray_class(line, 1)
-    assert isinstance(fwd, PointClass)
+    assert isinstance(fwd, ProjPoint)
 
 
 def test_axial_parameters_put_the_inflection_on_the_medial_point():
@@ -211,7 +212,7 @@ def test_order3_axis_is_singular_with_central_fixed_point():
     m = base_box(X, Y)
     prism = prism_of_triangle(m)
     axis, center = order3_axis(prism)
-    assert isinstance(boundary_ray_class(axis, 1), PointClass)
+    assert isinstance(boundary_ray_class(axis, 1), ProjPoint)
     assert metric_d(geodesic_point(axis, 0.0), center) < 1e-12
     g = np.array([[float(v) for v in r] for r in order3_transform(m).m])
     g = g / np.cbrt(np.linalg.det(g))

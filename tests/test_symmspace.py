@@ -12,17 +12,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pappus.projective import Polarity, ProjMap, ProjPoint
-from pappus.markedbox import apply_word_box, base_box, box_polarity
+from pappus.projective import Flag, Polarity, ProjLine, ProjMap, ProjPoint
+from pappus.markedbox import apply_word_box, base_box, bottom_flag, box_polarity, top_flag
 from pappus.symmspace import (
     CollinearVertices,
-    FlagClass,
-    Generic,
-    LineClass,
     NotPositiveDefinite,
     NumericalFailure,
-    PointClass,
     PointOffFlat,
+    SymmSpaceError,
     XGeodesic,
     XPoint,
     ZeroDirection,
@@ -41,7 +38,7 @@ from pappus.symmspace import (
     polarity_fixed_point,
     relative_frames,
 )
-from pappus.fareypattern import build_pattern, flat_of_box
+from pappus.fareypattern import build_pattern, flat_of_flags
 
 RNG = np.random.default_rng(20260816)
 
@@ -134,6 +131,25 @@ def test_zero_direction_rejected():
         XGeodesic(XPoint(np.eye(3)), np.zeros((3, 3)))
 
 
+# the determinant, the scaling and the symmetrization of these make NaN and
+# inf on the way, which numpy reports as warnings
+@pytest.mark.parametrize("mat", [np.full((3, 3), np.nan), np.diag([np.inf, 1.0, 1.0]), np.diag([1e308] * 3)],
+                         ids=["nan", "inf", "overflow"])
+def test_a_matrix_not_finite_at_unit_determinant_is_refused(mat):
+    with np.errstate(invalid="ignore", over="ignore"), pytest.raises(NumericalFailure) as refused:
+        XPoint(mat)
+    assert str(refused.value) == "matrix is not finite at unit determinant"
+
+
+# the overflowing one was stored as a zero direction, its entries over an infinite norm
+@pytest.mark.parametrize("direction", [np.diag([np.nan, 0.0, 0.0]), np.diag([np.inf, 0.0, -np.inf]),
+                                       np.diag([1e200, 0.0, -1e200])], ids=["nan", "inf", "overflow"])
+def test_a_direction_not_finite_is_refused(direction):
+    with np.errstate(invalid="ignore", over="ignore"), pytest.raises(NumericalFailure) as refused:
+        XGeodesic(XPoint(np.eye(3)), direction)
+    assert str(refused.value) == "direction norm is not finite"
+
+
 # --- flats -------------------------------------------------------------------
 
 
@@ -155,7 +171,8 @@ def test_flat_from_collinear_triangle_rejected():
 def test_exact_triangles_are_decided_by_their_triple_product():
     # unit float columns of this thin depth-12 flat have |det| 2.3e-13, under
     # the float test's 1e-12, but its exact vertices are not collinear
-    f = flat_of_box(apply_word_box("tbtbtbtbtbtb", base_box(Fraction(17, 41), Fraction(5, 37))))
+    m = apply_word_box("tbtbtbtbtbtb", base_box(Fraction(17, 41), Fraction(5, 37)))
+    f = flat_of_flags(top_flag(m), bottom_flag(m))
     assert np.isfinite(np.linalg.inv(f.basis)).all()
     with pytest.raises(CollinearVertices):
         flat_from_triangle(ProjPoint((1, 0, 0)), ProjPoint((0, 1, 0)), ProjPoint((1, 1, 0)))
@@ -183,7 +200,7 @@ def test_log_diagonal_reads_the_diagonal_of_a_flat_polarity():
         assert np.max(np.abs(f.log_diagonal(Polarity(q)) - want)) < 1e-15
     # on a box's flat, the box polarity's diagonal is its fixed point's chart
     m = base_box(Fraction(3, 10), Fraction(2, 5))
-    f = flat_of_box(m)
+    f = flat_of_flags(top_flag(m), bottom_flag(m))
     u = f.log_diagonal(box_polarity(m))
     assert np.max(np.abs(u - f.log_coords(polarity_fixed_point(box_polarity(m))))) < 1e-12
     with pytest.raises(PointOffFlat):
@@ -192,7 +209,7 @@ def test_log_diagonal_reads_the_diagonal_of_a_flat_polarity():
 
 def test_flat_chart_is_isometric():
     m = base_box(Fraction(3, 10), Fraction(2, 5))
-    f = flat_of_box(m)
+    f = flat_of_flags(top_flag(m), bottom_flag(m))
     for _ in range(10):
         a1, b1, a2, b2 = RNG.uniform(-2, 2, size=4)
         d = metric_d(f.point_at(a1, b1), f.point_at(a2, b2))
@@ -276,7 +293,7 @@ def test_boundary_class_of_medial_directions_is_a_flag():
     gamma = flat_geodesic(f, f.point_at(0.0, 0.0), np.zeros(3), (1.0, -1.0, 0.0))
     fwd = boundary_ray_class(gamma, 1)
     bwd = boundary_ray_class(gamma, -1)
-    assert isinstance(fwd, FlagClass) and isinstance(bwd, FlagClass)
+    assert isinstance(fwd, Flag) and isinstance(bwd, Flag)
 
 
 def test_boundary_class_of_singular_directions_splits_point_line():
@@ -284,26 +301,32 @@ def test_boundary_class_of_singular_directions_splits_point_line():
     # the reverse end fattens two axes and leaves a line class
     f = unit_triangle_flat()
     gamma = flat_geodesic(f, f.point_at(0.0, 0.0), np.zeros(3), (1.0, 1.0, -2.0))
-    assert isinstance(boundary_ray_class(gamma, 1), PointClass)
-    assert isinstance(boundary_ray_class(gamma, -1), LineClass)
+    assert isinstance(boundary_ray_class(gamma, 1), ProjPoint)
+    assert isinstance(boundary_ray_class(gamma, -1), ProjLine)
 
 
 def test_boundary_class_generic_direction():
     gamma = XGeodesic(XPoint(np.eye(3)), np.diag([2.0, 1.0, -3.0]))
-    assert isinstance(boundary_ray_class(gamma, 1), Generic)
+    assert boundary_ray_class(gamma, 1) is None
+
+
+@pytest.mark.parametrize("end", [0, 2, -0.5])
+def test_a_geodesic_end_is_plus_or_minus_one(end):
+    gamma = XGeodesic(XPoint(np.eye(3)), np.diag([1.0, -1.0, 0.0]))
+    with pytest.raises(SymmSpaceError) as refused:
+        boundary_ray_class(gamma, end)
+    assert str(refused.value) == "direction must be +1 or -1"
 
 
 def test_medial_limits_of_a_box_flat_are_the_marked_flags():
     m = base_box(Fraction(3, 10), Fraction(2, 5))
-    f = flat_of_box(m)
-    from pappus.markedbox import top_flag, bottom_flag
     from pappus.fareypattern import geodesic_of_box
     g = geodesic_of_box(m)
     fwd = boundary_ray_class(g.geodesic, 1)
     bwd = boundary_ray_class(g.geodesic, -1)
     bot, top = bottom_flag(m), top_flag(m)
-    assert fwd.flag.point.same(bot.point, 1e-8) and fwd.flag.line.same(bot.line, 1e-8)
-    assert bwd.flag.point.same(top.point, 1e-8) and bwd.flag.line.same(top.line, 1e-8)
+    assert fwd.point.same(bot.point, 1e-8) and fwd.line.same(bot.line, 1e-8)
+    assert bwd.point.same(top.point, 1e-8) and bwd.line.same(top.line, 1e-8)
 
 
 def test_same_flat_is_vertex_order_insensitive():
