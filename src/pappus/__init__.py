@@ -30,7 +30,6 @@ from .projective import (
     join,
     meet,
     standard_polarity,
-    transform_from_correspondence,
     triple_product,
 )
 from .markedbox import (
@@ -49,7 +48,6 @@ from .markedbox import (
     op_i,
     op_t,
     orbit_enumerate,
-    order3_transform,
     pattern_boxes,
     polarity_box_to_dual,
     polarity_dual_to_box,
@@ -93,8 +91,8 @@ _LAZY = {
         "AdjacencyReport", "BendingReport", "ConeMesh", "ConsistencyFailure",
         "DegenerateTriple", "DiagonalLocus", "InflectionData", "Prism", "PrismError",
         "PrismReport", "UnityTripleProduct", "bending_report", "cone_fill_sample",
-        "mesh_to_obj", "order3_axis", "prism_inflection_data", "prism_of_triangle",
-        "stabilizing_polarities", "translation_T",
+        "mesh_to_obj", "order3_axis", "order3_transform", "prism_inflection_data",
+        "prism_of_triangle", "stabilizing_polarities", "translation_T",
     ),
 }
 _HOME = {name: module for module, names in _LAZY.items() for name in names}

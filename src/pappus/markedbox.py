@@ -30,7 +30,6 @@ from .projective import (
     Polarity,
     ProjectiveError,
     ProjLine,
-    ProjMap,
     ProjPoint,
     Scalar,
     _built,
@@ -44,7 +43,6 @@ from .projective import (
     mat_mul,
     mat_transpose,
     meet,
-    transform_from_correspondence,
     triple_product,
 )
 
@@ -356,14 +354,6 @@ def triple_invariant(x, y) -> float:
     _check_params(x, y)
     ratio = (x * (1 - x)) / (y * (1 - y))
     return abs(math.log(float(ratio)))
-
-
-def order3_transform(m: MarkedBox) -> ProjMap:
-    """Projective map of order three cycling t(M) -> b(M) -> i(M) -> t(M):
-    the one sending t(M)'s corners to b(M)'s, scaled by the corners c of
-    t(M) and b(M) as ``frame_rows`` scales a frame."""
-    tb, bb = _tb_children(m)
-    return transform_from_correspondence((tb.s, tb.u, tb.a, tb.c), (bb.s, bb.u, bb.a, bb.c))
 
 
 def _expand_chunk(rows: Sequence[Tuple[str, MarkedBox]]) -> List[Tuple[str, MarkedBox]]:

@@ -46,7 +46,6 @@ from .markedbox import (
     box_polarity,
     invariant_rotations,
     op_i,
-    order3_transform,
     pattern_boxes,
     top_flag,
     triple_invariant,
@@ -148,14 +147,13 @@ def stabilizing_polarities(flags: Sequence[Flag]) -> Tuple[Polarity, Polarity, P
 class Prism:
     """Triple of flats over one ideal triangle.
 
-    base is the box M of the triangle and boxes are (i(M), t(M), b(M)).
-    boxes, flags, and flats are aligned: flags[j] is the top flag of
-    boxes[j] and the bottom flag of boxes[j - 1], so flats[j], the flat
-    of box j, is the flat of flags j and j + 1 (mod 3), and
-    polarities[j] swaps exactly the pair bounding flats[j].
+    boxes are (i(M), t(M), b(M)) for the box M of the triangle.  boxes,
+    flags, and flats are aligned: flags[j] is the top flag of boxes[j]
+    and the bottom flag of boxes[j - 1], so flats[j], the flat of box j,
+    is the flat of flags j and j + 1 (mod 3), and polarities[j] swaps
+    exactly the pair bounding flats[j].
     """
 
-    base: MarkedBox
     boxes: Tuple[MarkedBox, MarkedBox, MarkedBox]
     flags: Tuple[Flag, Flag, Flag]
     flats: Tuple[Flat, Flat, Flat]
@@ -167,7 +165,6 @@ def prism_of_triangle(m: MarkedBox) -> Prism:
     flags = tuple(top_flag(b) for b in boxes)
     flats = tuple(flat_of_flags(flags[j], flags[(j + 1) % 3]) for j in range(3))
     return Prism(
-        base=m,
         boxes=boxes,
         flags=flags,
         flats=flats,
@@ -232,6 +229,17 @@ def translation_T(x, y) -> ProjMap:
 
 # --- order-3 axis ---------------------------------------------------------------
 
+def order3_transform(p: Prism) -> ProjMap:
+    """The order-3 map i(M) -> t(M) -> b(M): psi_0^-1 psi_1, as psi_1 swaps flags 1
+    and 2 and psi_0 flags 0 and 1, scaled to send t(M)'s corner c to b(M)'s, each
+    read first-nonzero-is-one, as ``frame_rows`` scales a frame."""
+    g = mat_mul(mat_adjugate(p.polarities[0].q), p.polarities[1].q)
+    ct, cb = p.boxes[1].c.v, p.boxes[2].c.v
+    k = max(range(3), key=lambda i: abs(cb[i]))  # g c_t is a multiple of c_b
+    scale = (ct[0] or ct[1] or ct[2]) * cb[k] / ((cb[0] or cb[1] or cb[2]) * dot3(g[k], ct))
+    return ProjMap(mat_scale(g, scale))
+
+
 def _rotation_axis(e: XPoint, g: np.ndarray) -> np.ndarray:
     """Unit axis n of the third-of-a-turn rotation r = e^(1/2) g e^(-1/2), e g-invariant."""
     half, half_inv = e._powers
@@ -246,21 +254,22 @@ def _rotation_axis(e: XPoint, g: np.ndarray) -> np.ndarray:
 def order3_axis(p: Prism) -> Tuple[XGeodesic, XPoint]:
     """Fixed singular geodesic of the order-3 symmetry and the prism center.
 
-    g is the det-1 order-3 map, acting by S -> g'Sg, and e1 = I + g'g +
-    g^2'g^2 its averaged invariant form.  In e1's frame r = e1^(1/2) g
-    e1^(-1/2) is a rotation by a third of a turn about a unit axis n, so
-    the g-invariant forms are e1^(1/2) (a nn' + b (I - nn')) e1^(1/2): the
-    geodesic through e1 with direction (3nn' - I)/sqrt 6, whose forward
-    end is a point class.  A swap polarity q reflects that axis, sending
-    e1 to the axis point at parameter 2c; with M = e1^(-1/2) (q e1^-1 q)
-    e1^(-1/2), lambda_n = n'Mn and lambda_perp = (tr M - lambda_n)/2,
+    g is ``order3_transform(p)`` scaled to det 1, acting by S -> g'Sg,
+    and e1 = I + g'g + g^2'g^2 its averaged invariant form.  In e1's
+    frame r = e1^(1/2) g e1^(-1/2) is a rotation by a third of a turn
+    about a unit axis n, so the g-invariant forms are
+    e1^(1/2) (a nn' + b (I - nn')) e1^(1/2): the geodesic through e1 with
+    direction (3nn' - I)/sqrt 6, whose forward end is a point class.  A
+    swap polarity q reflects that axis, sending e1 to the axis point at
+    parameter 2c; with M = e1^(-1/2) (q e1^-1 q) e1^(-1/2),
+    lambda_n = n'Mn and lambda_perp = (tr M - lambda_n)/2,
     c = -log(lambda_n / lambda_perp) / (2 sqrt 6).  The center is the
     axis point at the mean of the three c.  A direction is read in its
     base point's frame, so the axis is returned based at the center with
     n read again in the center's frame; e1's direction moved there would
     leave the fixed set away from the center.
     """
-    g = _map_matrix(order3_transform(p.base))
+    g = _map_matrix(order3_transform(p))
     g2 = g @ g
     e1 = XPoint(np.eye(3) + g.T @ g + g2.T @ g2)
     n = _rotation_axis(e1, g)

@@ -24,12 +24,10 @@ take vectors of one backend, as marked boxes hold points of one;
 ``same``, ``incident``, the cross ratio and the triple product read an
 exact vector among float ones through ``floats()``.  Polarities multiply
 ``v`` (a line is imaged through the adjugate), and their images are
-exact when both matrix and vector are.
-``frame_rows`` is the one map from a quadruple to the standard frame,
-scaled by its fourth point read first-nonzero-is-one, so its rational
-matrix does not depend on the representatives stored; the box polarity
-is built on it, and ``transform_from_correspondence`` (the order-3
-symmetry of a marked box) composes two of them.
+exact when both matrix and vector are.  ``frame_rows``, the one map
+from a quadruple to the standard frame, which the box polarity is built
+on, is scaled by its fourth point read first-nonzero-is-one, so its
+rational matrix does not depend on the representatives stored.
 """
 
 from __future__ import annotations
@@ -368,19 +366,6 @@ def mat_adjugate(m: Mat) -> Mat:
     return mat_transpose((c0, c1, c2))
 
 
-def mat_inv(m: Mat) -> Mat:
-    """Inverse over the determinant's backend: a float entry makes it a float."""
-    d = mat_det(m)
-    if is_exact_scalar(d):
-        if d == 0:
-            raise SingularMap("matrix is singular")
-        return mat_scale(mat_adjugate(m), Fraction(1, 1) / d)
-    scale = max(abs(float(x)) for row in m for x in row)
-    if abs(float(d)) <= DEFAULT_TOL * max(scale, 1.0) ** 3 * 1e-3:
-        raise SingularMap("matrix is numerically singular")
-    return mat_scale(mat_adjugate(m), 1.0 / d)
-
-
 class ProjMap:
     """Invertible projective transformation, as its matrix acting on points."""
 
@@ -473,10 +458,3 @@ def frame_rows(quad) -> Mat:
     f = Fraction(p4[0] or p4[1] or p4[2]) if quad[3].exact else 1
     return tuple(tuple(f * e / d for e in r) for r, d in zip(rows, dots))
 
-
-def transform_from_correspondence(src, dst) -> ProjMap:
-    """Unique projective map sending one general-position quadruple to
-    another: the source's frame map, then the inverse of the target's."""
-    if len(src) != 4 or len(dst) != 4:
-        raise DegenerateQuadruple("need exactly four source and four target points")
-    return ProjMap(mat_mul(mat_inv(frame_rows(dst)), frame_rows(src)))

@@ -30,6 +30,7 @@ from .projective import (
     ProjPoint,
     NonElliptic,
     PappusError,
+    _MIN_NORMAL,
     cross3,
     dot3,
     is_elliptic,
@@ -117,17 +118,21 @@ def jacobi_eigh(mat):
 
 
 class XPoint:
-    """Unit-determinant SPD matrix; renormalized on construction."""
+    """Unit-determinant SPD matrix, renormalized on construction (by 2^k first if det is out of range)."""
 
     def __init__(self, mat):
         a = np.array(mat, dtype=float)
         if a.shape != (3, 3):
             raise SymmSpaceError("expected a 3x3 matrix")
-        a = (a + a.T) / 2.0
-        det = float(np.linalg.det(a))
-        if det <= 0:
-            raise NotPositiveDefinite("determinant is not positive")
-        a = a / np.cbrt(det)
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = (a + a.T) / 2.0
+            det = float(np.linalg.det(a))
+            if not _MIN_NORMAL <= abs(det) < math.inf and np.isfinite(a).all():
+                a = np.ldexp(a, -math.frexp(float(np.max(np.abs(a))))[1])
+                det = float(np.linalg.det(a))
+            if det <= 0:
+                raise NotPositiveDefinite("determinant is not positive")
+            a = a / np.cbrt(det)
         if not np.isfinite(a).all():
             raise NumericalFailure("matrix is not finite at unit determinant")
         try:

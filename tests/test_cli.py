@@ -201,8 +201,11 @@ PINNED_OUTPUTS = {
         "7c748772398ed626c6defae08bb3064ad88831d15dd45f13f0ab9a998a1c1063",
     ("prism", "--x", "3/10", "--y", "2/5", "--depth", "5"):
         "0588a459e440f95b5b6b92590b2182462bc32da24510fe29894deea5a4cc5d70",
+    # the mesh re-pinned when the order-3 map came to be the product of two
+    # swap polarities: 2 of 438 lines moved, by at most 1.0e-11, and the axis
+    # moved toward its 60-digit reference
     ("prism", "--x", "0.3", "--y", "0.4", "--format", "obj", "--cone", "-0.2", "--samples", "9"):
-        "6be624f2c958a232b52c17ece33d4d48f446c603f93de81269c1f470bccb10fd",
+        "fc7059d70d41ff680674752d3c8f9b2f86e83a4c5caf467895f87a8a5f5f231b",
 }
 
 # a test id is the command and its last option; other changes refer to the

@@ -100,9 +100,10 @@ def test_polarity_carries_the_geodesic_to_its_dual_reversal():
 
 
 def test_order3_rotation_permutes_the_children_geodesics():
-    from pappus.markedbox import order3_transform, op_t, op_b
+    from pappus.markedbox import op_t, op_b
+    from pappus.prisms import order3_transform, prism_of_triangle
     m = base_box(X, Y)
-    g = order3_transform(m)
+    g = order3_transform(prism_of_triangle(m))
     gi = geodesic_of_box(op_i(m))
     gt = geodesic_of_box(op_t(m))
     gb = geodesic_of_box(op_b(m))

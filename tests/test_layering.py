@@ -132,10 +132,10 @@ ROOT_NAMES = """
     CoincidentLines CoincidentPoints DegenerateFlags DegenerateQuadruple Flag HomVec
     NonElliptic NotCollinear Polarity ProjLine ProjMap ProjPoint PappusError
     ProjectiveError SingularMap cross_ratio incident is_elliptic join meet
-    standard_polarity transform_from_correspondence triple_product DegenerateBox
-    DualMarkedBox MarkedBox OutOfRange apply_word_box bottom_flag box_polarity
-    box_triple_product doppelganger model_box op_b op_i op_t orbit_enumerate
-    order3_transform polarity_box_to_dual polarity_dual_to_box raw_invariant tb_tree
+    standard_polarity triple_product DegenerateBox DualMarkedBox MarkedBox OutOfRange
+    apply_word_box bottom_flag box_polarity box_triple_product doppelganger model_box
+    op_b op_i op_t orbit_enumerate polarity_box_to_dual polarity_dual_to_box
+    raw_invariant tb_tree
     top_flag INF FareyError NotAdjacent OrientedEdge Rational default_base_edge edge_b
     edge_i edge_t word_apply CollinearVertices ConvergenceFailure Flat
     NotPositiveDefinite NumericalFailure PointOffFlat
@@ -146,8 +146,8 @@ ROOT_NAMES = """
     limit_set_flags min_distance_flats one_end_asymptotic pattern_boxes AdjacencyReport
     BendingReport ConeMesh ConsistencyFailure DegenerateTriple DiagonalLocus
     InflectionData Prism PrismError PrismReport UnityTripleProduct bending_report
-    cone_fill_sample mesh_to_obj order3_axis prism_inflection_data prism_of_triangle
-    stabilizing_polarities translation_T triple_invariant
+    cone_fill_sample mesh_to_obj order3_axis order3_transform prism_inflection_data
+    prism_of_triangle stabilizing_polarities translation_T triple_invariant
 """.split()
 
 

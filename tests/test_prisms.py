@@ -1,7 +1,7 @@
 """Prisms, inflection lines, and the bending report."""
 
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +12,7 @@ from pappus.projective import (
     ProjPoint, SingularMap, cross3, dot3, mat_det, mat_mul, mat_vec, triple_product,
 )
 from pappus.markedbox import (
-    OutOfRange, apply_word_box, base_box, bottom_flag, box_polarity, op_i, order3_transform,
+    OutOfRange, apply_word_box, base_box, bottom_flag, box_polarity, op_i,
     top_flag,
     triple_invariant,
 )
@@ -24,6 +24,7 @@ from pappus.symmspace import (
 )
 from pappus.fareypattern import flat_of_flags
 from pappus.prisms import (
+    ConsistencyFailure,
     DegenerateTriple,
     DiagonalLocus,
     UnityTripleProduct,
@@ -32,6 +33,7 @@ from pappus.prisms import (
     cone_fill_sample,
     mesh_to_obj,
     order3_axis,
+    order3_transform,
     prism_inflection_data,
     prism_of_triangle,
     translation_T,
@@ -136,7 +138,7 @@ def test_prism_structure_over_the_base_triangle():
     for j in range(3):
         box = prism.boxes[j]
         assert prism.flats[j].same_flat(flat_of_flags(top_flag(box), bottom_flag(box)))
-    g = order3_transform(m)
+    g = order3_transform(prism)
     g3 = mat_mul(g.m, mat_mul(g.m, g.m))
     assert all(g3[i][j] == (g3[0][0] if i == j else 0) for i in range(3) for j in range(3))
 
@@ -214,7 +216,7 @@ def test_order3_axis_is_singular_with_central_fixed_point():
     axis, center = order3_axis(prism)
     assert isinstance(boundary_ray_class(axis, 1), ProjPoint)
     assert metric_d(geodesic_point(axis, 0.0), center) < 1e-12
-    g = np.array([[float(v) for v in r] for r in order3_transform(m).m])
+    g = np.array([[float(v) for v in r] for r in order3_transform(prism).m])
     g = g / np.cbrt(np.linalg.det(g))
     moved = g.T @ center.m @ g
     assert np.max(np.abs(moved - center.m)) < 1e-9
@@ -232,7 +234,7 @@ def _unit_det(s):
 def test_order3_axis_is_fixed_and_each_swap_polarity_reflects_it(x, y):
     prism = prism_of_triangle(base_box(x, y))
     axis, center = order3_axis(prism)
-    g = _unit_det(np.array([[float(v) for v in r] for r in order3_transform(prism.base).m]))
+    g = _unit_det(np.array([[float(v) for v in r] for r in order3_transform(prism).m]))
     for t in (-1.0, 0.3, 1.5):
         s = geodesic_point(axis, t).m
         assert np.max(np.abs(g.T @ s @ g - s)) < 1e-12 * np.max(np.abs(s))
@@ -271,7 +273,7 @@ def test_order3_axis_matches_a_60_digit_reference(x, y):
         def trace(m):
             return m[0, 0] + m[1, 1] + m[2, 2]
 
-        g = unit_det(mat(order3_transform(prism.base).m))
+        g = unit_det(mat(order3_transform(prism).m))
         e1 = unit_det(mpmath.eye(3) + g.T * g + (g * g).T * (g * g))
         half, half_inv = frame(e1)
         nn = axis_projector(half, half_inv)
@@ -289,6 +291,23 @@ def test_order3_axis_matches_a_60_digit_reference(x, y):
         direction_err = mpmath.mnorm(mat(axis.direction) - ref_direction, 1)
     assert center_err < 1e-13
     assert direction_err < 1e-13
+
+
+# a polarity of another prism: with a foreign psi_0 or psi_1 the map
+# psi_0^-1 psi_1 is no third-turn rotation, and a foreign psi_2 does not
+# reflect the axis the other two make
+@pytest.mark.parametrize("j, message", [
+    (0, "order-3 map is not a third-turn rotation"),
+    (1, "order-3 map is not a third-turn rotation"),
+    (2, "polarity does not stabilize the axis"),
+], ids=["psi0", "psi1", "psi2"])
+def test_order3_axis_refuses_a_foreign_polarity(j, message):
+    prism = prism_of_triangle(base_box(X, Y))
+    foreign = prism_of_triangle(base_box(Fraction(1, 3), Fraction(1, 5))).polarities[j]
+    polarities = tuple(foreign if k == j else psi for k, psi in enumerate(prism.polarities))
+    with pytest.raises(ConsistencyFailure) as refused:
+        order3_axis(replace(prism, polarities=polarities))
+    assert str(refused.value).startswith(message)
 
 
 def test_bending_report_shape_and_adjacency_offsets():

@@ -131,14 +131,22 @@ def test_zero_direction_rejected():
         XGeodesic(XPoint(np.eye(3)), np.zeros((3, 3)))
 
 
-# the determinant, the scaling and the symmetrization of these make NaN and
-# inf on the way, which numpy reports as warnings
+# the symmetrization and the determinant of these make NaN and inf on the
+# way; XPoint refuses them without letting numpy's warnings out
 @pytest.mark.parametrize("mat", [np.full((3, 3), np.nan), np.diag([np.inf, 1.0, 1.0]), np.diag([1e308] * 3)],
                          ids=["nan", "inf", "overflow"])
 def test_a_matrix_not_finite_at_unit_determinant_is_refused(mat):
-    with np.errstate(invalid="ignore", over="ignore"), pytest.raises(NumericalFailure) as refused:
+    with pytest.raises(NumericalFailure) as refused:
         XPoint(mat)
     assert str(refused.value) == "matrix is not finite at unit determinant"
+
+
+# positive definite, with a determinant that overflows (1e309, 1e600) or
+# underflows (1e-600) in floats
+@pytest.mark.parametrize("scale", [1e103, 1e200, 1e-200])
+def test_a_determinant_out_of_the_float_range_still_normalizes(scale):
+    e = XPoint(np.diag([scale] * 3))
+    assert np.max(np.abs(e.m - np.eye(3))) <= 4 * np.finfo(float).eps
 
 
 # the overflowing one was stored as a zero direction, its entries over an infinite norm
