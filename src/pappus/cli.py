@@ -12,7 +12,9 @@ The spelling of --x and --y picks the backend: two rationals like 3/10
 run exact end to end, and any decimal runs the float backend (with a
 warning when both are decimals).  Exit codes: 2 for an invalid
 configuration, 3 for degenerate geometry, 1 for a failed verification,
-0 otherwise.
+0 otherwise.  ``orbit`` and ``limitset`` with ``--workers N`` above 1
+split the walk between this process and N - 1 forked children
+(``markedbox.tb_tree``), so they need ``os.fork``.
 
 The CLI runs BLAS on one thread unless the caller set OPENBLAS_NUM_THREADS:
 every matrix is 3x3 or a stack of them, and OpenBLAS's helper pool only
@@ -28,7 +30,6 @@ import math
 import os
 import random
 import sys
-from contextlib import nullcontext
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
@@ -58,7 +59,6 @@ from .markedbox import (
     polarity_box_to_dual,
     polarity_dual_to_box,
     raw_invariant,
-    split_level,
     triple_invariant,
     word_rotation,
 )
@@ -206,25 +206,18 @@ def _check_positive(**options) -> None:
             raise ConfigError(f"--{name} must be positive and finite, got {value}")
 
 
-def _pool(workers: int, roots: int, depth: int):
-    """A pool of ``workers`` processes when the t/b walk from ``roots`` roots
-    to ``depth`` hands one work (see ``split_level``), else none; only a
-    pool imports multiprocessing."""
-    if workers == 1 or split_level(roots, depth, workers) is None:
-        return nullcontext()
-    import multiprocessing
-
-    return multiprocessing.Pool(workers)
+def _check_workers(workers: int) -> None:
+    """A positive --workers; above 1 the walk forks children, which needs os.fork."""
+    _check_positive(workers=workers)
+    if workers > 1 and not hasattr(os, "fork"):
+        raise ConfigError(f"--workers {workers} needs os.fork, which this platform lacks")
 
 
 def cmd_orbit(args) -> int:
     x, y, backend = _params(args)
     depth = _depth(args.depth)
-    workers = args.workers
-    _check_positive(workers=workers)
-    # the orbit walks from two roots, the box and its i-image
-    with _pool(workers, 2, depth) as pool:
-        boxes = orbit_enumerate(base_box(x, y), depth, pool, workers)
+    _check_workers(args.workers)
+    boxes = orbit_enumerate(base_box(x, y), depth, args.workers)
     # each row's invariant pair is one of four, read off its word
     rotations = invariant_rotations(x, y)
     if args.format == "csv":
@@ -319,12 +312,11 @@ def _limitset_svg(flags, window: float) -> str:
 def cmd_limitset(args) -> int:
     x, y, _ = _params(args)
     depth = _depth(args.depth)
-    workers = args.workers
-    _check_positive(window=args.window, workers=workers)
+    _check_positive(window=args.window)
+    _check_workers(args.workers)
     if not math.isfinite(2 * args.window):
         raise ConfigError(f"--window must be at most half the largest float, got {args.window}")
-    with _pool(workers, 1, depth) as pool:
-        flags = limit_set_flags(x, y, depth, pool, workers)
+    flags = limit_set_flags(x, y, depth, args.workers)
     if args.format == "csv":
         lines = ["word,px,py,pz,lx,ly,lz,farey_tail,farey_head"]
         for lf in flags:

@@ -167,6 +167,6 @@ def fold_limit_flags(rows: Sequence[Tuple[str, MarkedBox]]) -> List[LimitFlag]:
     return sorted(seen.values(), key=lambda lf: lf.vertex.circular_key())
 
 
-def limit_set_flags(x, y, depth: int, pool=None, workers: int = 1) -> List[LimitFlag]:
+def limit_set_flags(x, y, depth: int, workers: int = 1) -> List[LimitFlag]:
     """Flags of the one-sided orbit, one per Farey vertex, in circular order."""
-    return fold_limit_flags(pattern_boxes(x, y, depth, pool, workers))
+    return fold_limit_flags(pattern_boxes(x, y, depth, workers))

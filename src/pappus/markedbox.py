@@ -21,7 +21,7 @@ so <i, t, b> is the free product of a 2-cycle and a 3-cycle.
 from __future__ import annotations
 
 import math
-from functools import partial
+import os
 from typing import List, Optional, Sequence, Tuple
 
 from .projective import (
@@ -371,7 +371,7 @@ def _levels(depth: int, rows: Sequence[Tuple[str, MarkedBox]]) -> List[List[Tupl
 
 
 def _hexagons_below(depth: int, rows: Sequence[Tuple[str, MarkedBox]]):
-    """What a pool worker sends back for the ``depth`` levels below
+    """What a walk child sends back for the ``depth`` levels below
     ``rows``: level by level, each parent's hexagon points as their three
     stored triples, read off its t-child's bottom edge: 1.5 points per row
     instead of 6, and plain tuples pickle much faster than boxes."""
@@ -381,69 +381,139 @@ def _hexagons_below(depth: int, rows: Sequence[Tuple[str, MarkedBox]]):
 def _levels_from_hexagons(rows: Sequence[Tuple[str, MarkedBox]],
                           hexagon_levels) -> List[List[Tuple[str, MarkedBox]]]:
     """The levels below ``rows`` from ``_hexagons_below``: each child keeps
-    its parent's edge and the hexagon points as the worker found them,
+    its parent's edge and the hexagon points as the child found them,
     validated there and not again, on the parent's backend (a box has
     one), so children share points as in the serial walk."""
     levels = []
     for hexagons in hexagon_levels:
-        rows = [pair for (w, m), hexagon in zip(rows, hexagons) for pair in zip(
-            (w + "t", w + "b"), _children(m, *(_built(ProjPoint, v, m.s.exact) for v in hexagon)))]
+        children = []
+        for (w, m), (a2, b2, c2) in zip(rows, hexagons):
+            exact = m.s.exact
+            tm, bm = _children(m, _built(ProjPoint, a2, exact), _built(ProjPoint, b2, exact),
+                               _built(ProjPoint, c2, exact))
+            children += ((w + "t", tm), (w + "b", bm))
+        rows = children
         levels.append(rows)
     return levels
 
 
 def split_level(roots: int, depth: int, workers: int) -> Optional[int]:
-    """The level at which :func:`tb_tree` hands the walk below it to a pool
-    of ``workers``: the shallowest level k < ``depth`` with at least
+    """The level at which :func:`tb_tree` cuts the walk below it into
+    ``workers`` chunks: the shallowest level k < ``depth`` with at least
     ``8 * workers`` rows, a walk from ``roots`` roots having ``roots * 2**k``
-    rows at level k.  None when there is no such level: a pool would get
-    no work."""
+    rows at level k.  None when there is no such level: the chunks would be
+    too small to pay for a fork."""
     k = 0
     while k < depth and roots << k < 8 * workers:
         k += 1
     return k if k < depth else None
 
 
-def tb_tree(roots: Sequence[Tuple[str, MarkedBox]], depth: int, pool=None,
+def _fork_chunk(depth: int, chunk: Sequence[Tuple[str, MarkedBox]]):
+    """Fork a child that sends ``(True, _hexagons_below(depth, chunk))``, or
+    ``(False, exc)`` for the exception the walk raised, as one pickle down a
+    pipe; the parent gets the child's pid and the pipe's read end.  The child
+    leaves through ``os._exit``: it flushes none of the parent's buffers and
+    runs none of its exit handlers, and it exits 0 only once the whole
+    message is written."""
+    import pickle  # before forking, so the child never waits on the import lock
+
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write)
+        return pid, open(read, "rb")
+    code = 1
+    try:
+        os.close(read)
+        try:
+            message = True, _hexagons_below(depth, chunk)
+        except Exception as exc:
+            message = False, exc
+        with open(write, "wb") as pipe:
+            pickle.dump(message, pipe, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _forked_levels(depth: int, chunks) -> List[List[Tuple[str, MarkedBox]]]:
+    """The ``depth`` levels below the rows of ``chunks``, each level joined
+    in chunk order.  One forked child per chunk after the first expands its
+    chunk and sends back its hexagon points while this process expands the
+    first chunk itself; the children's rows are then rebuilt in chunk order
+    (``_levels_from_hexagons``).  The first chunk in chunk order to fail
+    raises its error here, with the class and text it was raised with; a
+    child that ends without a whole message raises ``ChildProcessError``.
+    Every child is reaped on every path, and one whose message was not read
+    is killed first."""
+    import pickle
+
+    children = []
+    try:
+        for chunk in chunks[1:]:
+            children.append(_fork_chunk(depth, chunk))
+        parts = [_levels(depth, chunks[0])]
+        for i, chunk in enumerate(chunks[1:], 1):
+            pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            del children[0]
+            status = os.waitpid(pid, 0)[1]
+            if status:
+                raise ChildProcessError(
+                    f"walk child {pid} for chunk {i} ended without a result (wait status {status})")
+            ok, result = pickle.loads(data)
+            if not ok:
+                raise result
+            parts.append(_levels_from_hexagons(chunk, result))
+    finally:
+        if children:  # the walk failed: the children whose message was not read
+            import signal
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return [[pair for part in same_depth for pair in part] for same_depth in zip(*parts)]
+
+
+def tb_tree(roots: Sequence[Tuple[str, MarkedBox]], depth: int,
             workers: int = 1) -> List[Tuple[str, MarkedBox]]:
     """The roots and every t/b word below them up to ``depth``, breadth first.
 
     Each level lists the children in the order of their parents, so
-    words of one length keep the order of the roots.  With a pool, the
-    walk is serial down to the ``split_level``; that level is cut into
-    ``workers`` contiguous chunks, each worker expands its chunk through
-    every level below and returns its parents' hexagon points in one
-    message (``_hexagons_below``), and the chunks are rebuilt and joined
-    level by level in chunk order: the same list as the serial walk.
+    words of one length keep the order of the roots.  With ``workers``
+    above 1 the walk is serial down to the ``split_level``; that level is
+    cut into ``workers`` contiguous chunks, this process expands the first
+    and one forked child each of the others (``_forked_levels``): the same
+    list as the serial walk.  Forking needs ``os.fork``, and a fork copies
+    only the calling thread, so split walks belong in processes that run
+    no other threads, as the command line does.
     """
     if depth < 0:
         raise OutOfRange("depth must be nonnegative")
-    k = split_level(len(roots), depth, workers) if pool is not None else None
+    k = split_level(len(roots), depth, workers) if workers > 1 else None
     levels = [list(roots)]
     levels += _levels(depth if k is None else k, levels[0])
     if k is not None:
         level = levels[-1]
         step = -(-len(level) // workers)
-        chunks = [level[i:i + step] for i in range(0, len(level), step)]
-        hexagons = pool.map(partial(_hexagons_below, depth - k), chunks)
-        parts = map(_levels_from_hexagons, chunks, hexagons)
-        levels += [[pair for part in same_depth for pair in part] for same_depth in zip(*parts)]
+        levels += _forked_levels(depth - k, [level[i:i + step] for i in range(0, len(level), step)])
     return [pair for level in levels for pair in level]
 
 
-def orbit_enumerate(m: MarkedBox, depth: int, pool=None,
-                    workers: int = 1) -> List[Tuple[str, MarkedBox]]:
+def orbit_enumerate(m: MarkedBox, depth: int, workers: int = 1) -> List[Tuple[str, MarkedBox]]:
     """All boxes w(M) and w(i(M)) for words w over {t, b} of length <= depth.
 
     Breadth first, t-child before b-child, M-rooted words before the
     i(M)-rooted words of the same length.  Words read left to right in
-    application order, so "it" means i first, then t.  ``pool`` and
-    ``workers`` are passed to :func:`tb_tree`.
+    application order, so "it" means i first, then t.  ``workers`` is
+    passed to :func:`tb_tree`.
     """
-    return tb_tree([("", m), ("i", op_i(m))], depth, pool, workers)
+    return tb_tree([("", m), ("i", op_i(m))], depth, workers)
 
 
-def pattern_boxes(x, y, depth: int, pool=None, workers: int = 1) -> List[Tuple[str, MarkedBox]]:
+def pattern_boxes(x, y, depth: int, workers: int = 1) -> List[Tuple[str, MarkedBox]]:
     """The one-sided orbit of ``base_box(x, y)``: breadth-first t/b words with
     their boxes, one per pattern geodesic."""
-    return tb_tree([("", base_box(x, y))], depth, pool, workers)
+    return tb_tree([("", base_box(x, y))], depth, workers)

@@ -91,28 +91,20 @@ def test_workers_do_not_change_the_float_bytes(capsys, xy):
         assert outs[0] and outs[1] == outs[0] and outs[2] == outs[0]
 
 
-def test_a_pool_starts_only_where_the_walk_hands_it_rows(capsys, monkeypatch):
-    import multiprocessing
+def test_the_walk_forks_only_where_it_splits(capsys, monkeypatch):
+    real_fork, children = os.fork, []
 
-    started = []
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            children.append(pid)
+        return pid
 
-    class InProcessPool:
-        def __init__(self, workers):
-            started.append(workers)
-
-        def map(self, fn, items):
-            return list(map(fn, items))
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    monkeypatch.setattr(os, "fork", counting_fork)
     xy = ("--x", "3/10", "--y", "2/5")
-    # (argv, workers, pools started): the orbit walks from two roots and the
-    # limit set from one, and w workers take a level of 8 w rows with children
+    # (argv, workers, children forked): the orbit walks from two roots and the
+    # limit set from one, and w workers split a level of 8 w rows with
+    # children, forking one process per chunk after the first
     cases = [
         (("orbit", *xy, "--depth", "2"), "4", 0),
         (("orbit", *xy, "--depth", "3"), "2", 0),
@@ -120,12 +112,32 @@ def test_a_pool_starts_only_where_the_walk_hands_it_rows(capsys, monkeypatch):
         (("limitset", *xy, "--depth", "4"), "2", 0),
         (("limitset", *xy, "--depth", "5", "--format", "csv"), "2", 1),
     ]
-    for argv, workers, pools in cases:
+    for argv, workers, forked in cases:
         _, serial, _ = run(capsys, *argv)
-        started.clear()
+        children.clear()
         _, out, _ = run(capsys, *argv, "--workers", workers)
-        assert len(started) == pools, argv
+        assert len(children) == forked, argv
         assert out == serial
+
+
+@pytest.mark.parametrize("workers", ["2", "3"])
+def test_a_float_stop_in_a_split_walk_prints_the_serial_error(capsys, workers):
+    # tbtbtbt, the first parent at (3/41, 6/41) whose children fail, falls in
+    # the first chunk, which the forking process expands itself
+    argv = ("orbit", "--x", repr(3 / 41), "--y", repr(6 / 41), "--depth", "8")
+    serial = run(capsys, *argv)
+    assert serial[0] == 3 and "DegenerateBox" in serial[2]
+    assert run(capsys, *argv, "--workers", workers) == serial
+
+
+def test_workers_above_one_need_fork(capsys, monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    argv = ("orbit", "--x", "3/10", "--y", "2/5", "--depth", "4")
+    code, out, err = run(capsys, *argv, "--workers", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: --workers 2 needs os.fork, which this platform lacks\n"
+    assert run(capsys, "limitset", *argv[1:], "--workers", "2")[0] == 2
+    assert run(capsys, *argv, "--workers", "1")[0] == 0
 
 
 # SHA-256 of stdout, pinned before exact coordinates became integer triples;

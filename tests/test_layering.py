@@ -1,7 +1,7 @@
 """The exact layers stay free of floats: ``projective``, ``markedbox`` and
 ``fareycomb`` import neither numpy nor ``symmspace``, so floats enter the
 package only for metric geometry in X.  The commands that read only the
-exact layers start without numpy, the geometry modules, a process pool or
+exact layers start without numpy, the geometry modules, ``multiprocessing`` or
 ``dataclasses`` (and the ``inspect`` it loads), and a command that loads
 numpy runs its BLAS on one thread unless told otherwise."""
 
@@ -45,7 +45,13 @@ def test_exact_layer_imports_no_float_geometry(name):
     assert not found, f"{name} imports {', '.join(sorted(found))}"
 
 
-# the geometry in X, the pool a serial run never starts, and the dataclass
+def test_no_module_imports_multiprocessing():
+    # a walk split between processes forks its own children
+    for path in PACKAGE.glob("*.py"):
+        assert "multiprocessing" not in imported_modules(path.read_text()), path.name
+
+
+# the geometry in X, multiprocessing (a split walk forks its own children), and the dataclass
 # machinery (with the inspect module it loads) only the geometry records use
 UNREAD = ("numpy", "pappus.symmspace", "pappus.fareypattern", "pappus.prisms", "multiprocessing",
           "dataclasses", "inspect")
@@ -68,6 +74,8 @@ EXACT_COMMANDS = [
     ["orbit", "--x", "3/10", "--y", "2/5", "--depth", "3"],
     # no level of this walk is wide enough to hand four workers rows
     ["orbit", "--x", "3/10", "--y", "2/5", "--depth", "2", "--workers", "4"],
+    # this one splits its depth-3 level between two processes
+    ["orbit", "--x", "3/10", "--y", "2/5", "--depth", "4", "--workers", "2"],
     ["orbit", "--x", "0.3", "--y", "0.4", "--depth", "3", "--format", "json"],
     ["limitset", "--x", "3/10", "--y", "2/5", "--depth", "3"],
     ["limitset", "--x", "17/41", "--y", "5/37", "--depth", "3", "--format", "csv"],

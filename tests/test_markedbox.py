@@ -6,8 +6,10 @@ back reversed.
 """
 
 import math
-import multiprocessing
+import os
 import pickle
+import signal
+import time
 from fractions import Fraction
 
 import pytest
@@ -28,6 +30,7 @@ from pappus.projective import (
     mat_vec,
     meet,
 )
+from pappus import markedbox
 from pappus.fareycomb import OrientedEdge, Rational
 from pappus.markedbox import (
     DegenerateBox,
@@ -284,15 +287,96 @@ def test_pooled_walk_is_the_serial_walk():
     assert split_level(1, 7, 3) == 5 and split_level(2, 6, 3) == 4
     assert split_level(2, 4, 3) is None and split_level(1, 5, 3) is None
     walks = [
-        lambda pool: pattern_boxes(0.3, 0.4, 7, pool, 3),
-        lambda pool: orbit_enumerate(base_box(0.3, 0.4), 6, pool, 3),
+        lambda workers: pattern_boxes(0.3, 0.4, 7, workers),
+        lambda workers: orbit_enumerate(base_box(0.3, 0.4), 6, workers),
     ]
-    with multiprocessing.Pool(3) as pool:
-        for walk in walks:
-            serial, pooled = walk(None), walk(pool)
-            assert [w for w, _ in pooled] == [w for w, _ in serial]
-            assert [[p.v for p in m.sextuple()] for _, m in pooled] == \
-                [[p.v for p in m.sextuple()] for _, m in serial]
+    for walk in walks:
+        serial, pooled = walk(1), walk(3)
+        assert [w for w, _ in pooled] == [w for w, _ in serial]
+        assert [[p.v for p in m.sextuple()] for _, m in pooled] == \
+            [[p.v for p in m.sextuple()] for _, m in serial]
+
+
+@pytest.fixture
+def no_child_left():
+    """Fails a test that hangs past 20 s or leaves a child process, running
+    or not, behind."""
+    def hang(signum, frame):
+        raise TimeoutError("the walk hung")
+
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(20)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def in_children_only(monkeypatch, name, act):
+    """Replace markedbox's ``name`` by a function that runs ``act(*args)``
+    in a forked child and the real function in this process."""
+    real, parent = getattr(markedbox, name), os.getpid()
+
+    def patched(*args):
+        return real(*args) if os.getpid() == parent else act(*args)
+
+    monkeypatch.setattr(markedbox, name, patched)
+
+
+def test_a_split_walk_leaves_no_child(no_child_left):
+    assert len(orbit_enumerate(base_box(Fraction(3, 10), Fraction(2, 5)), 6, 3)) == 254
+
+
+def test_a_failing_first_chunk_kills_and_reaps_the_children(monkeypatch, no_child_left):
+    # tbtbtbt, the first parent at (3/41, 6/41) whose children fail, is in
+    # the first chunk, which this process expands; it waits for no child
+    in_children_only(monkeypatch, "_hexagons_below", lambda depth, rows: time.sleep(60))
+    start = time.monotonic()
+    with pytest.raises(DegenerateBox, match="^top and bottom edges lie on one line$"):
+        orbit_enumerate(base_box(3 / 41, 6 / 41), 8, 2)
+    assert time.monotonic() - start < 10
+
+
+def test_a_childs_error_is_raised_here_first_chunk_first(monkeypatch, no_child_left):
+    def fail(depth, rows):
+        # the first child's chunk fails last
+        time.sleep(0.3 if rows[0][0] == "tbtbb" else 0)
+        raise DegenerateBox(f"failed below {rows[0][0]}")
+
+    in_children_only(monkeypatch, "_hexagons_below", fail)
+    # three workers cut the 32-row level 5 into chunks from ttttt, tbtbb and btbbt
+    with pytest.raises(DegenerateBox, match="^failed below tbtbb$"):
+        pattern_boxes(0.3, 0.4, 7, 3)
+
+
+def test_a_killed_child_is_an_error_not_a_hang(monkeypatch, no_child_left):
+    in_children_only(monkeypatch, "_hexagons_below", lambda depth, rows: os.kill(os.getpid(), signal.SIGKILL))
+    # a process killed by a signal has that signal's number as its wait status
+    with pytest.raises(ChildProcessError) as dead:
+        pattern_boxes(0.3, 0.4, 7, 2)
+    assert str(dead.value).endswith(f"for chunk 1 ended without a result (wait status {signal.SIGKILL})")
+
+
+def test_an_interrupted_split_walk_kills_and_reaps_the_children(monkeypatch, no_child_left):
+    real, calls, parent = markedbox._levels, [], os.getpid()
+
+    def interrupted(depth, rows):
+        # the first call walks down to the split, the second expands the first chunk
+        if os.getpid() == parent:
+            calls.append(depth)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+        return real(depth, rows)
+
+    monkeypatch.setattr(markedbox, "_levels", interrupted)
+    in_children_only(monkeypatch, "_hexagons_below", lambda depth, rows: time.sleep(60))
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        pattern_boxes(0.3, 0.4, 7, 2)
+    assert calls == [4, 3] and time.monotonic() - start < 10
 
 
 def test_per_row_values_are_slotted_and_survive_the_pool():
