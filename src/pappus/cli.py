@@ -41,7 +41,6 @@ from .projective import (
     HomVec,
     PappusError,
     is_elliptic,
-    mat_det,
 )
 from .markedbox import (
     MarkedBox,
@@ -344,7 +343,8 @@ def _matrix_json(m):
     return [[float(v) for v in row] for row in m]
 
 
-# grid matrices per kernel call of the distance summary, which bounds its memory
+# grid entries per kernel call of the distance summary: it bounds the k x n x n bound array
+# line_minima keeps, and the matrices it forms are a part of that grid
 _SUMMARY_MATRICES = 2 ** 16
 
 
@@ -352,7 +352,7 @@ def _distance_summary(pat, window: float, samples: int) -> Dict:
     """Sampled minimum distance between every two pattern geodesics, each sampled on
     its flat's line fixed_log + plane_log(tau, 0), consecutive samples 2 window / (samples - 1)
     apart in X.  One ``line_minima`` call measures a geodesic against a run of later ones: it
-    forms every sample matrix, takes the singular values on a coarse subgrid of samples, and
+    checks the whole grid finite, takes the singular values on a coarse subgrid of samples, and
     then only where the triangle inequality leaves room for a smaller distance, with a margin
     that dominates the float error (derived at ``line_minima``); each minimum is the same float
     as over the whole grid."""
@@ -460,12 +460,14 @@ def cmd_prism(args) -> int:
         mesh = cone_fill_sample(prism_of_triangle(base_box(x, y)), cone, samples, window)
         _emit(args.out, mesh_to_obj(mesh))
         return EXIT_OK
-    from dataclasses import asdict
-
     from .prisms import bending_report
 
+    def fields(record) -> Dict:
+        return {name: getattr(record, name) for name in record.__slots__}
+
     report = bending_report(x, y, depth)
-    payload = {"command": "prism", **asdict(report)}
+    payload = {"command": "prism", **fields(report), "prisms": [fields(p) for p in report.prisms],
+               "adjacent_pairs": [fields(a) for a in report.adjacent_pairs]}
     _emit(args.out, _dump_json(payload))
     return EXIT_OK
 
@@ -525,8 +527,7 @@ def _suite_duality(rng: random.Random) -> List[Dict]:
         # the polarity carries M to the doppelganger of i(M) and back
         incid = incid and polarity_box_to_dual(delta, m).same_dual(doppelganger(op_i(m)))
         incid = incid and polarity_dual_to_box(delta, doppelganger(m)).same_box(op_i(m))
-        det = mat_det(delta.q)
-        dets = dets and det == (p * p - 1) * (q * q - 1)
+        dets = dets and delta.det() == (p * p - 1) * (q * q - 1)
         definite = definite and is_elliptic(delta)
     checks.append(_check("duality.twelve_incidences_exact", incid))
     checks.append(_check("duality.det_closed_form", dets))

@@ -12,7 +12,6 @@ stored once, oriented.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
@@ -47,14 +46,19 @@ def flat_of_flags(top: Flag, bottom: Flag) -> Flat:
 _MEDIAL_VELOCITY = (1.0, -1.0, 0.0)
 
 
-@dataclass(frozen=True, eq=False)
 class PatternGeodesic:
-    word: str
-    flat: Flat
-    fixed_log: np.ndarray  # the geodesic's base in the flat; the geodesic is fixed_log + plane_log(tau, 0)
-    geodesic: XGeodesic
-    top: Flag
-    bottom: Flag
+    """The medial geodesic of the box of a word, with the flat and the flags it runs between."""
+
+    __slots__ = ("word", "flat", "fixed_log", "geodesic", "top", "bottom")
+
+    def __init__(self, word: str, flat: Flat, fixed_log: np.ndarray, geodesic: XGeodesic,
+                 top: Flag, bottom: Flag):
+        self.word = word
+        self.flat = flat
+        self.fixed_log = fixed_log  # the geodesic's base in the flat; the geodesic is fixed_log + plane_log(tau, 0)
+        self.geodesic = geodesic
+        self.top = top
+        self.bottom = bottom
 
 
 def geodesic_of_box(m: MarkedBox, word: str = "") -> PatternGeodesic:
@@ -72,9 +76,11 @@ def geodesic_of_box(m: MarkedBox, word: str = "") -> PatternGeodesic:
     )
 
 
-@dataclass(frozen=True, eq=False)
 class FareyPattern:
-    geodesics: Tuple[PatternGeodesic, ...]
+    __slots__ = ("geodesics",)
+
+    def __init__(self, geodesics: Tuple[PatternGeodesic, ...]):
+        self.geodesics = geodesics
 
     def edge_of(self, word: str) -> OrientedEdge:
         return word_apply(word, default_base_edge())

@@ -34,7 +34,9 @@ from .projective import (
     Scalar,
     _built,
     _exact_cross,
+    _exact_polarity,
     _float_cross,
+    cross3,
     cross_ratio,
     dot3,
     frame_rows,
@@ -311,9 +313,11 @@ def polarity_dual_to_box(delta: Polarity, d: DualMarkedBox) -> MarkedBox:
 def box_polarity(m: MarkedBox) -> Polarity:
     """The polarity swapping a marked box with its involution image.
 
-    Closed form on the corner triples: ``frame_rows`` carries s, u, a, c
-    to the standard frame by rows rho_k, and there t and b give the model
-    parameters p = (x + y)/(y - x) and q = (z - 2x')/z, with
+    Closed form on the corner triples: the rows rho_k = f r_k / d_k, with
+    r = (u x a, a x s, s x u), d_k = r_k.c and f the first nonzero entry of
+    c (1 on floats), carry s, u, a, c to the standard frame (as
+    ``frame_rows`` does), and there t and b give the model parameters
+    p = (x + y)/(y - x) and q = (z - 2x')/z, with
     (x, y, x', z) = (rho_1.t, rho_2.t, rho_1.b, rho_3.b); the box is
     convex iff |p| < 1 and |q| < 1.  The matrix is rho' K rho, where
     K = [[2(1+p), 0, -(1-q)(1+p)], [0, 2(1-p), -(1-q)(1-p)],
@@ -322,21 +326,45 @@ def box_polarity(m: MarkedBox) -> Polarity:
     So this is N' m N for the box's normalization N onto the model, and
     the frame's one scale (c read first-nonzero-is-one) keeps an exact
     box's rational matrix independent of the stored representatives.
+
+    On exact boxes every step runs on the stored int triples: f cancels
+    from p = P / P_d and q = Q / Q_d, K = K' / (P_d Q_d) with K' an int
+    matrix, and rho = f R / D with D = d1 d2 d3 and R_k = r_k D / d_k, so
+    the matrix is f^2 R' K' R / (P_d Q_d D^2): an int matrix and one
+    rational scale.
     """
-    try:
-        rho = frame_rows((m.s, m.u, m.a, m.c))
-        t, b = m.t.v, m.b.v
-        x, y = dot3(rho[0], t), dot3(rho[1], t)
-        x2, z = dot3(rho[0], b), dot3(rho[2], b)
-        p, q = (x + y) / (y - x), (z - 2 * x2) / z
-    except (DegenerateQuadruple, ZeroDivisionError):  # a corner or marked point on the edges' meet
-        raise DegenerateBox("box polarity needs a convex box") from None
-    if not (abs(p) < 1 and abs(q) < 1):
+    if not m.s.exact:
+        try:
+            rho = frame_rows((m.s, m.u, m.a, m.c))
+            t, b = m.t.v, m.b.v
+            x, y = dot3(rho[0], t), dot3(rho[1], t)
+            x2, z = dot3(rho[0], b), dot3(rho[2], b)
+            p, q = (x + y) / (y - x), (z - 2 * x2) / z
+        except (DegenerateQuadruple, ZeroDivisionError):  # a corner or marked point on the edges' meet
+            raise DegenerateBox("box polarity needs a convex box") from None
+        if not (abs(p) < 1 and abs(q) < 1):
+            raise DegenerateBox("box polarity needs a convex box")
+        k = ((2 * (1 + p), 0, -(1 - q) * (1 + p)),
+             (0, 2 * (1 - p), -(1 - q) * (1 - p)),
+             (-(1 - q) * (1 + p), -(1 - q) * (1 - p), 2 * (1 - q)))
+        return Polarity(mat_mul(mat_transpose(rho), mat_mul(k, rho)))
+    s, u, a, c, t, b = m.s.v, m.u.v, m.a.v, m.c.v, m.t.v, m.b.v
+    r1, r2, r3 = cross3(u, a), cross3(a, s), cross3(s, u)
+    d1, d2, d3 = dot3(r1, c), dot3(r2, c), dot3(r3, c)
+    x, y, x2, z = dot3(r1, t) * d2, dot3(r2, t) * d1, dot3(r1, b) * d3, dot3(r3, b) * d1
+    # p = (x + y) / (y - x) and q = (z - 2 x2) / z, f cancelled and the d_k cleared
+    pn, pd, qn, qd = x + y, y - x, z - 2 * x2, z
+    if dot3(s, r1) == 0 or 0 in (d1, d2, d3, pd, qd) or not (abs(pn) < abs(pd) and abs(qn) < abs(qd)):
+        # a corner or marked point on the edges' meet, or a marked point outside its edge
         raise DegenerateBox("box polarity needs a convex box")
-    k = ((2 * (1 + p), 0, -(1 - q) * (1 + p)),
-         (0, 2 * (1 - p), -(1 - q) * (1 - p)),
-         (-(1 - q) * (1 + p), -(1 - q) * (1 - p), 2 * (1 - q)))
-    return Polarity(mat_mul(mat_transpose(rho), mat_mul(k, rho)))
+    ap, am, cq = pd + pn, pd - pn, qd - qn  # P_d (1 + p), P_d (1 - p), Q_d (1 - q)
+    k = ((2 * ap * qd, 0, -cq * ap),
+         (0, 2 * am * qd, -cq * am),
+         (-cq * ap, -cq * am, 2 * cq * pd))
+    rho = tuple(tuple(e * w for e in r) for r, w in ((r1, d2 * d3), (r2, d1 * d3), (r3, d1 * d2)))
+    f = c[0] or c[1] or c[2]
+    dd = d1 * d2 * d3
+    return _exact_polarity(mat_mul(mat_transpose(rho), mat_mul(k, rho)), f * f, pd * qd * dd * dd)
 
 
 def box_triple_product(m: MarkedBox) -> Scalar:

@@ -22,9 +22,8 @@ and builds no point of X.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,6 +32,7 @@ from .projective import (
     PappusError,
     Polarity,
     ProjMap,
+    _exact_polarity,
     dot3,
     is_exact_scalar,
     mat_adjugate,
@@ -108,10 +108,11 @@ def stabilizing_polarities(flags: Sequence[Flag]) -> Tuple[Polarity, Polarity, P
 
     q p_k is a multiple of l_pi(k), and these weights make P'qP, hence q,
     symmetric.  Rescaling a point or line rescales q as a whole, so an
-    exact q is divided by the last nonzero entry of (q00, q01, q02, q11,
-    q12, q22): the entry a reduced-echelon solution of the six symmetric
-    unknowns sets to 1, so q is the rational matrix elimination gives.  A
-    float q is divided by its largest |entry| and symmetrized.
+    exact q is held as its int matrix with the scale 1 / last, for last the
+    last nonzero entry of (q00, q01, q02, q11, q12, q22): the entry a
+    reduced-echelon solution of the six symmetric unknowns sets to 1, so q
+    reads as the rational matrix elimination gives.  A float q is divided
+    by its largest |entry| and symmetrized.
     """
     if len(flags) != 3:
         raise DegenerateTriple("need exactly three flags")
@@ -133,17 +134,15 @@ def stabilizing_polarities(flags: Sequence[Flag]) -> Tuple[Polarity, Polarity, P
             raise DegenerateTriple("flag points collinear, lines concurrent or a pairing zero")
         if exact:
             last = next(x for x in (q[2][2], q[1][2], q[1][1], q[0][2], q[0][1], q[0][0]) if x != 0)
-            q = mat_scale(q, Fraction(1, last))
+            out.append(_exact_polarity(q, 1, last))
         else:
             top = 2 * max(abs(x) for row in q for x in row)
-            q = tuple(tuple((q[i][j] + q[j][i]) / top for j in range(3)) for i in range(3))
-        out.append(Polarity(q))
+            out.append(Polarity(tuple(tuple((q[i][j] + q[j][i]) / top for j in range(3)) for i in range(3))))
     return tuple(out)
 
 
 # --- prisms --------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class Prism:
     """Triple of flats over one ideal triangle.
 
@@ -154,10 +153,14 @@ class Prism:
     exactly the pair bounding flats[j].
     """
 
-    boxes: Tuple[MarkedBox, MarkedBox, MarkedBox]
-    flags: Tuple[Flag, Flag, Flag]
-    flats: Tuple[Flat, Flat, Flat]
-    polarities: Tuple[Polarity, Polarity, Polarity]
+    __slots__ = ("boxes", "flags", "flats", "polarities")
+
+    def __init__(self, boxes: Tuple[MarkedBox, MarkedBox, MarkedBox], flags: Tuple[Flag, Flag, Flag],
+                 flats: Tuple[Flat, Flat, Flat], polarities: Tuple[Polarity, Polarity, Polarity]):
+        self.boxes = boxes
+        self.flags = flags
+        self.flats = flats
+        self.polarities = polarities
 
 
 def prism_of_triangle(m: MarkedBox) -> Prism:
@@ -172,19 +175,26 @@ def prism_of_triangle(m: MarkedBox) -> Prism:
     )
 
 
-@dataclass(frozen=True, eq=False)
 class InflectionData:
-    point: XPoint
-    medial_point: XPoint
-    signed_distance: float
-    collinearity_residual: float
+    __slots__ = ("point", "medial_point", "signed_distance", "collinearity_residual")
+
+    def __init__(self, point: XPoint, medial_point: XPoint, signed_distance: float,
+                 collinearity_residual: float):
+        self.point = point
+        self.medial_point = medial_point
+        self.signed_distance = signed_distance
+        self.collinearity_residual = collinearity_residual
 
 
-def _slot_logs(p: Prism, j: int) -> Tuple[np.ndarray, np.ndarray]:
+def _slot_logs(p: Prism, j: int, medial: Optional[Polarity] = None) -> Tuple[np.ndarray, np.ndarray]:
     """Log-coordinates on flat j of its inflection point, the fixed point of
-    the swap polarity, and of its medial point, the box polarity's."""
+    the swap polarity, and of its medial point, the fixed point of ``medial``:
+    box j's box polarity, built here unless the caller holds it or a multiple
+    of it (``log_diagonal`` reads only ratios)."""
     flat = p.flats[j]
-    return flat.log_diagonal(p.polarities[j]), flat.log_diagonal(box_polarity(p.boxes[j]))
+    if medial is None:
+        medial = box_polarity(p.boxes[j])
+    return flat.log_diagonal(p.polarities[j]), flat.log_diagonal(medial)
 
 
 def _plane_coords(u: np.ndarray) -> Tuple[float, float]:
@@ -232,12 +242,15 @@ def translation_T(x, y) -> ProjMap:
 def order3_transform(p: Prism) -> ProjMap:
     """The order-3 map i(M) -> t(M) -> b(M): psi_0^-1 psi_1, as psi_1 swaps flags 1
     and 2 and psi_0 flags 0 and 1, scaled to send t(M)'s corner c to b(M)'s, each
-    read first-nonzero-is-one, as ``frame_rows`` scales a frame."""
-    g = mat_mul(mat_adjugate(p.polarities[0].q), p.polarities[1].q)
+    read first-nonzero-is-one, as ``frame_rows`` scales a frame.  That scale is
+    the map's only one, so it is built from the polarities' matrices m (ints on
+    exact input), whatever their own scales."""
+    psi0, psi1 = p.polarities[:2]
+    g = mat_mul(psi0.adj, psi1.m)
     ct, cb = p.boxes[1].c.v, p.boxes[2].c.v
     k = max(range(3), key=lambda i: abs(cb[i]))  # g c_t is a multiple of c_b
-    scale = (ct[0] or ct[1] or ct[2]) * cb[k] / ((cb[0] or cb[1] or cb[2]) * dot3(g[k], ct))
-    return ProjMap(mat_scale(g, scale))
+    num, den = (ct[0] or ct[1] or ct[2]) * cb[k], (cb[0] or cb[1] or cb[2]) * dot3(g[k], ct)
+    return ProjMap(mat_scale(g, Fraction(num, den) if psi0.exact else num / den))
 
 
 def _rotation_axis(e: XPoint, g: np.ndarray) -> np.ndarray:
@@ -295,29 +308,40 @@ def order3_axis(p: Prism) -> Tuple[XGeodesic, XPoint]:
 
 # --- bending report --------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
+# a report record's __slots__ are its fields, and the keys of its json object
+
 class PrismReport:
-    word: str
-    triple_invariant: float
-    distances: Tuple[float, float, float]
-    collinearity_residuals: Tuple[float, float, float]
+    __slots__ = ("word", "triple_invariant", "distances", "collinearity_residuals")
+
+    def __init__(self, word: str, triple_invariant: float, distances: Tuple[float, float, float],
+                 collinearity_residuals: Tuple[float, float, float]):
+        self.word = word
+        self.triple_invariant = triple_invariant
+        self.distances = distances
+        self.collinearity_residuals = collinearity_residuals
 
 
-@dataclass(frozen=True, eq=False)
 class AdjacencyReport:
-    word: str
-    child_word: str
-    inflection_line_offset: float
-    inflection_point_offset: float
+    __slots__ = ("word", "child_word", "inflection_line_offset", "inflection_point_offset")
+
+    def __init__(self, word: str, child_word: str, inflection_line_offset: float,
+                 inflection_point_offset: float):
+        self.word = word
+        self.child_word = child_word
+        self.inflection_line_offset = inflection_line_offset
+        self.inflection_point_offset = inflection_point_offset
 
 
-@dataclass(frozen=True, eq=False)
 class BendingReport:
-    x: float
-    y: float
-    depth: int
-    prisms: Tuple[PrismReport, ...]
-    adjacent_pairs: Tuple[AdjacencyReport, ...]
+    __slots__ = ("x", "y", "depth", "prisms", "adjacent_pairs")
+
+    def __init__(self, x: float, y: float, depth: int, prisms: Tuple[PrismReport, ...],
+                 adjacent_pairs: Tuple[AdjacencyReport, ...]):
+        self.x = x
+        self.y = y
+        self.depth = depth
+        self.prisms = prisms
+        self.adjacent_pairs = adjacent_pairs
 
 
 def bending_report(x, y, depth: int) -> BendingReport:
@@ -331,14 +355,20 @@ def bending_report(x, y, depth: int) -> BendingReport:
     # a box's invariant pair is one of four rotations of (x, y), read off its word
     invariants = [triple_invariant(*pair) for pair in invariant_rotations(x, y)]
     # a child's word -> the flat its prism shares with its parent's (the
-    # parent's slot 1 for t, 2 for b) and the parent's inflection point there
+    # parent's slot 1 for t, 2 for b), the parent's inflection point there
+    # and the parent's box polarity of that slot: the child c's slot-0 box is
+    # i(c), whose box polarity is a multiple of c's (both swap c and i(c));
+    # exact, the two hold one int matrix, while on floats they are multiples
+    # only up to rounding, so a float prism builds its own
     shared = {}
     reports = []
     adjacent_pairs = []
     # breadth first, children in their parents' order, so the pairs are too
     for w, m in pattern_boxes(x, y, depth):
         prism = prism_of_triangle(m)
-        logs = tuple(_slot_logs(prism, j) for j in range(3))
+        flat, u_parent, inherited = shared.pop(w) if w else (None, None, None)
+        medial = [inherited if m.s.exact else None, box_polarity(prism.boxes[1]), box_polarity(prism.boxes[2])]
+        logs = tuple(_slot_logs(prism, j, medial[j]) for j in range(3))
         coords = [_plane_coords(u_psi - u_q) for u_psi, u_q in logs]
         reports.append(
             PrismReport(
@@ -349,7 +379,6 @@ def bending_report(x, y, depth: int) -> BendingReport:
             )
         )
         if w:
-            flat, u_parent = shared.pop(w)
             # the same flat, so the child's swap polarity 0 is read on its frame
             if not flat.same_flat(prism.flats[0]):
                 raise ConsistencyFailure("adjacent prisms do not share a flat")
@@ -362,8 +391,8 @@ def bending_report(x, y, depth: int) -> BendingReport:
                     inflection_point_offset=b,
                 )
             )
-        shared[w + "t"] = prism.flats[1], logs[1][0]
-        shared[w + "b"] = prism.flats[2], logs[2][0]
+        shared[w + "t"] = prism.flats[1], logs[1][0], medial[1]
+        shared[w + "b"] = prism.flats[2], logs[2][0], medial[2]
     return BendingReport(
         x=float(x),
         y=float(y),
@@ -375,7 +404,6 @@ def bending_report(x, y, depth: int) -> BendingReport:
 
 # --- cone filling -----------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class ConeMesh:
     """Sampled cone over a geodesic triangle.
 
@@ -384,9 +412,13 @@ class ConeMesh:
     walk one triangle side, columns walk toward the apex.
     """
 
-    vertices: List[Tuple[float, float, float, float, float, float]]
-    pieces: List[List[List[int]]]
-    faces: List[Tuple[int, int, int, int]]
+    __slots__ = ("vertices", "pieces", "faces")
+
+    def __init__(self, vertices: List[Tuple[float, float, float, float, float, float]],
+                 pieces: List[List[List[int]]], faces: List[Tuple[int, int, int, int]]):
+        self.vertices = vertices
+        self.pieces = pieces
+        self.faces = faces
 
 
 def _flatten_sym(s: np.ndarray) -> Tuple[float, ...]:

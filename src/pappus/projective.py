@@ -22,12 +22,14 @@ entry by entry, for speed, in the operation order of ``cross3`` and
 first-nonzero-is-one form as correctly rounded floats.  Joins and meets
 take vectors of one backend, as marked boxes hold points of one;
 ``same``, ``incident``, the cross ratio and the triple product read an
-exact vector among float ones through ``floats()``.  Polarities multiply
-``v`` (a line is imaged through the adjugate), and their images are
-exact when both matrix and vector are.  ``frame_rows``, the one map
-from a quadruple to the standard frame, which the box polarity is built
-on, is scaled by its fourth point read first-nonzero-is-one, so its
-rational matrix does not depend on the representatives stored.
+exact vector among float ones through ``floats()``.  An exact polarity
+holds a primitive int matrix and one rational scale, so its images (a
+line is imaged through the adjugate), determinant and definiteness test
+run on ints; an image is exact when both polarity and vector are.
+``frame_rows``, the one map from a quadruple to the standard frame, on
+which the float box polarity is built, is scaled by its fourth point
+read first-nonzero-is-one, so its rational matrix does not depend on the
+representatives stored.
 """
 
 from __future__ import annotations
@@ -186,8 +188,9 @@ def _built(cls, v: Triple, exact: bool):
 
 
 def _image(cls, v: Sequence[Scalar], exact: bool):
-    """A ``cls`` vector from a triple whose backend the caller already knows."""
-    return _built(cls, _exact_canonical(v) if exact else _float_canonical(v), exact)
+    """A ``cls`` vector from a triple whose backend the caller already knows,
+    an int triple when it is exact."""
+    return _built(cls, _primitive(*v) if exact else _float_canonical(v), exact)
 
 
 class ProjPoint(HomVec):
@@ -377,43 +380,99 @@ class ProjMap:
             raise SingularMap("projective map must be invertible")
 
 
+def _rounded(m: Mat, num: int, den: int) -> Mat:
+    """The float matrix (num / den) m of an int matrix m, each entry the correctly
+    rounded int quotient: the float ``float(Fraction)`` gives for the same value."""
+    return tuple(tuple(num * x / den for x in row) for row in m)
+
+
 class Polarity:
     """Order-2 duality given by a symmetric invertible matrix q.
 
     Points map to lines by q and lines map to points by q^{-1}, so
-    applying the polarity twice is the identity on each side.  Two
-    polarities are equal when their matrices are; ``exact`` takes no part.
+    applying the polarity twice is the identity on each side.  An exact
+    polarity holds q = scale * m: m a primitive symmetric int matrix (its
+    entries' gcd divided out, its first nonzero entry positive, as
+    ``HomVec`` does) and scale a ``Fraction``.  Images, the adjugate, the
+    determinant and the definiteness test run on m; the rational q is
+    built only when read, and ``floats()`` rounds each entry of q once.  A
+    float polarity holds q itself as m, with scale 1.  Two polarities are
+    equal when their matrices q are; ``exact`` takes no part.
     """
 
     def __init__(self, q):
         qq = mat_from_rows(q)
-        d = mat_det(qq)
-        exact = is_exact_scalar(d)
+        if all(is_exact_scalar(x) for row in qq for x in row):
+            fs = tuple(tuple(Fraction(x) for x in row) for row in qq)
+            den = math.lcm(*(x.denominator for row in fs for x in row))
+            self._hold(tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in fs), 1, den)
+            return
         for i in range(3):
             for j in range(i + 1, 3):
-                same = qq[i][j] == qq[j][i] if exact else \
-                    math.isclose(float(qq[i][j]), float(qq[j][i]), rel_tol=1e-9, abs_tol=1e-12)
-                if not same:
+                if not math.isclose(float(qq[i][j]), float(qq[j][i]), rel_tol=1e-9, abs_tol=1e-12):
                     raise ProjectiveError("polarity matrix must be symmetric")
-        if (exact and d == 0) or (not exact and float(d) == 0.0):
+        if float(mat_det(qq)) == 0.0:
             raise SingularMap("polarity matrix must be invertible")
-        self.q = qq
-        self.exact = exact
+        self.m, self.scale, self.exact = qq, 1, False
+
+    def _hold(self, m: Mat, num: int, den: int) -> None:
+        """Hold the exact polarity q = (num / den) m of an int matrix m."""
+        (a, b, c), (b2, e, f), (c2, f2, i) = m
+        if b != b2 or c != c2 or f != f2:
+            raise ProjectiveError("polarity matrix must be symmetric")
+        g = math.gcd(a, b, c, e, f, i)
+        if g == 0:
+            raise SingularMap("polarity matrix must be invertible")
+        if (a or b or c or e or f or i) < 0:
+            g = -g
+        m = tuple(tuple(x // g for x in row) for row in m)
+        if mat_det(m) == 0:
+            raise SingularMap("polarity matrix must be invertible")
+        self.m, self.scale, self.exact = m, Fraction(num * g, den), True
 
     def __eq__(self, other):
         return isinstance(other, Polarity) and self.q == other.q
 
+    @cached_property
+    def q(self) -> Mat:
+        """The matrix of the polarity: rational entries when it is exact."""
+        return mat_scale(self.m, self.scale) if self.exact else self.m
+
+    def floats(self) -> Mat:
+        """q as floats, each entry of an exact q rounded once."""
+        if not self.exact:
+            return self.m
+        return _rounded(self.m, self.scale.numerator, self.scale.denominator)
+
+    def det(self) -> Scalar:
+        """det(q), from the determinant of m."""
+        return self.scale ** 3 * mat_det(self.m)
+
     def point_to_line(self, p: ProjPoint) -> ProjLine:
-        return _image(ProjLine, mat_vec(self.q, p.v), self.exact and p.exact)
+        exact = self.exact and p.exact
+        return _image(ProjLine, mat_vec(self.m if exact else self.floats(), p.v), exact)
 
     @cached_property
     def adj(self) -> Mat:
-        """adj(q) = det(q) q^-1, built once: it maps lines to the same points
+        """adj(m) = det(m) m^-1, built once: it maps lines to the same points
         as q^-1, and no inverse is built."""
-        return mat_adjugate(self.q)
+        return mat_adjugate(self.m)
 
     def line_to_point(self, l: ProjLine) -> ProjPoint:
-        return _image(ProjPoint, mat_vec(self.adj, l.v), self.exact and l.exact)
+        exact = self.exact and l.exact
+        adj = self.adj
+        if self.exact and not exact:
+            # adj(q) = scale^2 adj(m), each entry rounded once
+            n, d = self.scale.numerator, self.scale.denominator
+            adj = _rounded(adj, n * n, d * d)
+        return _image(ProjPoint, mat_vec(adj, l.v), exact)
+
+
+def _exact_polarity(m: Mat, num: int, den: int) -> Polarity:
+    """The exact polarity (num / den) m of a symmetric int matrix m."""
+    delta = object.__new__(Polarity)
+    delta._hold(m, num, den)
+    return delta
 
 
 def standard_polarity(exact: bool = True) -> Polarity:
@@ -425,10 +484,11 @@ def standard_polarity(exact: bool = True) -> Polarity:
 def is_elliptic(delta: Polarity) -> bool:
     """True when the symmetric matrix of the polarity is definite.
 
-    Sign pattern of the leading principal minors, on both backends; the
-    test reads signs only, so it does not depend on the matrix's scale.
+    Sign pattern of the leading principal minors of m, on both backends;
+    the pattern is the same for every nonzero multiple of m, so the test
+    does not depend on the polarity's scale.
     """
-    q = delta.q
+    q = delta.m
     m1 = q[0][0]
     m2 = q[0][0] * q[1][1] - q[0][1] * q[1][0]
     m3 = mat_det(q)

@@ -179,7 +179,7 @@ def _polarity_push(q: np.ndarray, e: XPoint) -> XPoint:
 
 
 def _polarity_matrix(delta: Polarity) -> np.ndarray:
-    q = np.array([[float(x) for x in row] for row in delta.q], dtype=float)
+    q = np.array(delta.floats(), dtype=float)
     return q / np.max(np.abs(q))
 
 
@@ -307,13 +307,12 @@ class Flat:
         """Centered u_k = log|v_k' q v_k / v_k' v_k| over the vertices v_k:
         the log-coordinates of psi's fixed point when psi is diagonal in the
         vertex frame, as the flat's box polarity and a prism's swap polarity
-        of the flat are, so nothing off the diagonal is read.  On exact input
-        q's denominators are cleared and each u_k - u_0 is the log of a
-        correctly rounded int quotient, whatever the height of the ints."""
+        of the flat are, so nothing off the diagonal is read.  Only ratios of
+        the diagonal are read, so on exact input q's int matrix m stands for
+        q, and each u_k - u_0 is the log of a correctly rounded int quotient,
+        whatever the height of the ints."""
         if psi.exact and all(v.exact for v in self.vertices):
-            den = math.lcm(*(x.denominator for row in psi.q for x in row))
-            q = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in psi.q)
-            vs = tuple(v.v for v in self.vertices)
+            q, vs = psi.m, tuple(v.v for v in self.vertices)
         else:
             q, vs = _polarity_matrix(psi), tuple(self.basis.T)
         diag = [(dot3(v, mat_vec(q, v)), dot3(v, v)) for v in vs]
@@ -367,9 +366,12 @@ _NOT_POSITIVE = "singular values of the flats' relative frame not finite and pos
 
 def _frame_matrices(c: np.ndarray, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     """D1^(-1/2) C D2^(1/2) for every point u1 (n x 3) against every u2 (... x m x 3), with
-    c (... x 3 x 3) the matching relative frames: ... x n x m x 3 x 3 matrices, all finite."""
+    c (... x 3 x 3) the matching relative frames: ... x n x m x 3 x 3 matrices, unchecked."""
     with np.errstate(over="ignore", invalid="ignore"):
-        m = c[..., None, None, :, :] * np.exp((u2[..., None, :, None, :] - u1[:, None, :, None]) / 2.0)
+        return c[..., None, None, :, :] * np.exp((u2[..., None, :, None, :] - u1[:, None, :, None]) / 2.0)
+
+
+def _finite(m: np.ndarray) -> np.ndarray:
     if not np.isfinite(m).all():
         raise NumericalFailure(_NOT_POSITIVE)
     return m
@@ -388,20 +390,36 @@ def flat_distances(c: np.ndarray, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     centered log-coordinates, given the relative frames c = ``relative_frames(F1, F2s)``
     (or one of them): ... x n x m.  A point of a flat is B^-T D B^-1 with D = diag(e^u), so by
     affine invariance the distance is sqrt(sum log^2 s) over the singular values s of
-    D1^(-1/2) C D2^(1/2); no point of X is formed."""
-    return _singular_distances(_frame_matrices(c, u1, u2))
+    D1^(-1/2) C D2^(1/2), each matrix checked finite; no point of X is formed."""
+    return _singular_distances(_finite(_frame_matrices(c, u1, u2)))
 
 
-# sample indices per axis measured first; they bound the rest of a line's samples
-_COARSE_SAMPLES = 5
+def _coarse_indices(n: int) -> np.ndarray:
+    """The sample indices per axis that ``line_minima`` measures first, on a line of n samples:
+    the first, the last and evenly spaced ones between them, about sqrt(n - 1) samples apart
+    (0, 3, 7, 10 and 14 of 15).  A coarse subgrid of K^2 matrices leaves unmeasured a region
+    around the minimum of about the square of its step, (n - 1)^2 / (K - 1)^2 samples, and the
+    sum of the two is least near K - 1 = sqrt(n - 1)."""
+    steps = max(1, round(math.sqrt(n - 1)))
+    return np.array(sorted({i * (n - 1) // steps for i in range(steps + 1)}))
 
 
 def line_minima(c: np.ndarray, u1: np.ndarray, u2: np.ndarray, step: float) -> np.ndarray:
     """The minimum of each n x n grid of ``flat_distances(c, u1, u2)``, for k relative frames c
     and u1, u2[0], ..., u2[k-1] each n samples of a line in its flat, consecutive samples
-    ``step`` apart in X.  Every matrix is formed and checked finite, but the singular values
-    are taken only at a coarse subgrid and at the samples that it cannot rule out, so each
-    minimum is the same float as over the whole grid.
+    ``step`` apart in X.  The singular values are taken only at a coarse subgrid and at the
+    samples that it cannot rule out, and only those matrices are formed, each by the
+    elementwise expression of the whole grid, so each minimum is the same float as over the
+    whole grid.
+
+    The grid is still checked finite, on one matrix per frame.  Entry (a, b) of grid matrix
+    (k, i, j) is c[k, a, b] * exp((u2[k, j, b] - u1[i, a]) / 2), and a float difference is
+    nondecreasing in its first operand and nonincreasing in its second, as halving, exp and
+    the product with a fixed c[k, a, b] are nondecreasing in size.  So over (i, j) the entry
+    is largest in size at the exponent max_j u2[k, j, b] - min_i u1[i, a], and is finite
+    everywhere if it is finite there.  Where it is not, the grid holds that same non-finite
+    entry: an infinite exponent, a NaN sample, a non-finite c, c * inf and 0 * inf all show
+    at the largest exponent.
 
     X has nonpositive curvature, so for any measured (k, l) the triangle inequality gives
     d(i, j) >= d(k, l) - step * (|i - k| + |j - l|), and an entry whose bound exceeds the
@@ -416,22 +434,24 @@ def line_minima(c: np.ndarray, u1: np.ndarray, u2: np.ndarray, step: float) -> n
     d(i, j) < 2 d(k, l) - best there: the bound and the skipped entry together err by at most
     128 eps e^(sqrt 2 (2 d(k, l) - best)).  1e-12 more covers the rounding of the samples, of
     their spacing and of the bound itself.  A margin that overflows rules nothing out."""
-    m = _frame_matrices(c, u1, u2)
+    _finite(_frame_matrices(c, u1.min(axis=0)[None], u2.max(axis=-2)[:, None]))
     n = len(u1)
-    coarse = np.array(sorted({i * (n - 1) // (_COARSE_SAMPLES - 1) for i in range(_COARSE_SAMPLES)}))
-    d = _singular_distances(m[:, coarse[:, None], coarse])
+    coarse = _coarse_indices(n)
+    d = _singular_distances(_frame_matrices(c, u1[coarse], u2[:, coarse]))
     best = d.min(axis=(1, 2))
     with np.errstate(over="ignore"):
         margin = 1e-12 + 128.0 * np.finfo(float).eps * np.exp(math.sqrt(2.0) * (2.0 * d - best[:, None, None]))
     off = step * np.abs(np.arange(n)[:, None] - coarse)  # n x coarse
-    bound = np.full((len(m), n, n), -np.inf)
+    bound = np.full((len(c), n, n), -np.inf)
     for a, b in np.ndindex(len(coarse), len(coarse)):
         np.maximum(bound, (d[:, a, b] - margin[:, a, b])[:, None, None] - (off[:, a, None] + off[None, :, b]),
                    out=bound)
     bound[:, coarse[:, None], coarse] = np.inf  # measured already
-    todo = bound <= best[:, None, None]
-    if todo.any():
-        np.minimum.at(best, np.nonzero(todo)[0], _singular_distances(m[todo]))
+    k, i, j = np.nonzero(bound <= best[:, None, None])
+    if len(k):
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = c[k] * np.exp((u2[k, j][:, None, :] - u1[i][:, :, None]) / 2.0)
+        np.minimum.at(best, k, _singular_distances(m))
     return best
 
 

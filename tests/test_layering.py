@@ -2,8 +2,9 @@
 ``fareycomb`` import neither numpy nor ``symmspace``, so floats enter the
 package only for metric geometry in X.  The commands that read only the
 exact layers start without numpy, the geometry modules, ``multiprocessing`` or
-``dataclasses`` (and the ``inspect`` it loads), and a command that loads
-numpy runs its BLAS on one thread unless told otherwise."""
+``dataclasses`` (and the ``inspect`` it loads), the geometry commands start
+without ``dataclasses`` too, and a command that loads numpy runs its BLAS on
+one thread unless told otherwise."""
 
 import ast
 import json
@@ -94,6 +95,25 @@ def fresh_env():
 def test_exact_commands_start_without_numpy():
     run = subprocess.run(
         [sys.executable, "-c", COLD_START, json.dumps(EXACT_COMMANDS), json.dumps(UNREAD)],
+        capture_output=True, text=True, env=fresh_env(), timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == []
+
+
+GEOMETRY_COMMANDS = [
+    ["pattern", "--x", "3/10", "--y", "2/5", "--depth", "2", "--distances"],
+    ["prism", "--x", "3/10", "--y", "2/5", "--depth", "2"],
+    ["prism", "--x", "0.3", "--y", "0.4", "--format", "obj", "--samples", "3"],
+    ["verify", "--suite", "all"],
+]
+
+
+def test_geometry_commands_start_without_dataclasses():
+    # the geometry records are plain classes too; numpy loads inspect, not dataclasses
+    run = subprocess.run(
+        [sys.executable, "-c", COLD_START, json.dumps(GEOMETRY_COMMANDS),
+         json.dumps(["dataclasses", "multiprocessing"])],
         capture_output=True, text=True, env=fresh_env(), timeout=60,
     )
     assert run.returncode == 0, run.stderr

@@ -231,6 +231,45 @@ def test_box_polarity_needs_a_convex_box():
             box_polarity(box)
 
 
+def _frame_formula_polarity(m):
+    """rho' K(p, q) rho in Fractions, the closed form box_polarity evaluates on ints: rows
+    rho_k = f r_k / d_k with r = (u x a, a x s, s x u), d_k = r_k.c and f the first nonzero
+    entry of c, the model parameters p and q read off t and b in that frame, and K the model
+    form in the model corners' frame."""
+    s, u, a, c, t, b = (x.v for x in (m.s, m.u, m.a, m.c, m.t, m.b))
+    f = Fraction(c[0] or c[1] or c[2])
+    rho = tuple(tuple(f * e / dot3(r, c) for e in r) for r in (cross3(u, a), cross3(a, s), cross3(s, u)))
+    x, y, x2, z = dot3(rho[0], t), dot3(rho[1], t), dot3(rho[0], b), dot3(rho[2], b)
+    p, q = (x + y) / (y - x), (z - 2 * x2) / z
+    k = ((2 * (1 + p), 0, -(1 - q) * (1 + p)),
+         (0, 2 * (1 - p), -(1 - q) * (1 - p)),
+         (-(1 - q) * (1 + p), -(1 - q) * (1 - p), 2 * (1 - q)))
+    return mat_mul(mat_transpose(rho), mat_mul(k, rho))
+
+
+def test_box_polarity_on_ints_is_the_rational_frame_formula():
+    # the int matrix and its one rational scale give, entry for entry, the
+    # rational matrix of the Fraction formula, on every box to depth 6
+    pairs = [(Fraction(3, 10), Fraction(2, 5)), (Fraction(17, 41), Fraction(5, 37))] + sweep_pairs()
+    for x, y in pairs:
+        for _, m in pattern_boxes(x, y, 6):
+            delta = box_polarity(m)
+            assert delta.exact and all(type(e) is int for row in delta.m for e in row)
+            assert math.gcd(*(e for row in delta.m for e in row)) == 1
+            assert next(e for row in delta.m for e in row if e) > 0
+            assert delta.q == _frame_formula_polarity(m)
+
+
+def test_box_polarity_refuses_a_degenerate_box_with_its_text():
+    m = model_box(Fraction(1, 3), Fraction(1, 2))
+    meet_point = ProjPoint((1, 0, 0))
+    for box in (_non_convex_box(), MarkedBox(m.s, meet_point, m.u, m.a, m.b, m.c),
+                MarkedBox(m.s, m.t, meet_point, m.a, m.b, m.c),
+                MarkedBox(m.s, m.t, m.u, meet_point, m.b, m.c)):
+        with pytest.raises(DegenerateBox, match="^box polarity needs a convex box$"):
+            box_polarity(box)
+
+
 def test_convexity_predicate():
     with pytest.raises(OutOfRange):
         model_box(Fraction(3, 2), Fraction(0))

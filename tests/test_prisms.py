@@ -1,7 +1,7 @@
 """Prisms, inflection lines, and the bending report."""
 
+import json
 import math
-from dataclasses import asdict, replace
 from fractions import Fraction
 
 import numpy as np
@@ -9,10 +9,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from pappus.projective import (
-    ProjPoint, SingularMap, cross3, dot3, mat_det, mat_mul, mat_vec, triple_product,
+    ProjLine, ProjPoint, SingularMap, cross3, dot3, mat_adjugate, mat_det, mat_mul, mat_vec,
+    triple_product,
 )
 from pappus.markedbox import (
-    OutOfRange, apply_word_box, base_box, bottom_flag, box_polarity, op_i,
+    OutOfRange, apply_word_box, base_box, bottom_flag, box_polarity, op_i, pattern_boxes,
     top_flag,
     triple_invariant,
 )
@@ -22,6 +23,8 @@ from pappus.symmspace import (
     geodesic_point,
     metric_d,
 )
+from pappus import prisms
+from pappus.cli import main
 from pappus.fareypattern import flat_of_flags
 from pappus.prisms import (
     ConsistencyFailure,
@@ -35,9 +38,11 @@ from pappus.prisms import (
     order3_axis,
     order3_transform,
     prism_inflection_data,
+    Prism,
     prism_of_triangle,
     translation_T,
 )
+from sweep import sweep_pairs
 
 X, Y = Fraction(3, 10), Fraction(2, 5)
 
@@ -306,7 +311,7 @@ def test_order3_axis_refuses_a_foreign_polarity(j, message):
     foreign = prism_of_triangle(base_box(Fraction(1, 3), Fraction(1, 5))).polarities[j]
     polarities = tuple(foreign if k == j else psi for k, psi in enumerate(prism.polarities))
     with pytest.raises(ConsistencyFailure) as refused:
-        order3_axis(replace(prism, polarities=polarities))
+        order3_axis(Prism(prism.boxes, prism.flags, prism.flats, polarities))
     assert str(refused.value).startswith(message)
 
 
@@ -325,9 +330,11 @@ def test_bending_report_shape_and_adjacency_offsets():
         assert abs(a.inflection_point_offset) == pytest.approx(2 * INFLECTION_DIST, rel=1e-8)
 
 
-def test_bending_report_as_dict_keys():
-    # the field names are the json keys: cmd_prism prints asdict(report)
-    doc = asdict(bending_report(X, Y, 1))
+def test_bending_report_as_dict_keys(capsys):
+    # the field names are the json keys: cmd_prism prints each record's fields
+    assert main(["prism", "--x", "3/10", "--y", "2/5", "--depth", "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc.pop("command") == "prism"
     assert set(doc) == {"x", "y", "depth", "prisms", "adjacent_pairs"}
     assert set(doc["prisms"][0]) == {
         "word", "triple_invariant", "distances", "collinearity_residuals",
@@ -396,3 +403,102 @@ def test_flat_polarities_are_diagonal_in_the_vertex_frame(x, y, word):
 def test_swap_polarity_is_not_diagonal_on_a_foreign_flat():
     prism = prism_of_triangle(base_box(X, Y))
     assert any(c != 0 for c in _off_diagonal(prism.flats[1], prism.polarities[0]))
+
+
+_SYMMETRIC = ((0, 1, 2), (1, 3, 4), (2, 4, 5))  # q[i][j] as one of (q00, q01, q02, q11, q12, q22)
+
+
+def _eliminated_polarity(flags, perm):
+    """The symmetric q with q p_k a multiple of l_perm(k) for every flag k, by Gauss-Jordan
+    elimination in Fractions on its six unknowns (q00, q01, q02, q11, q12, q22): the one free
+    unknown set to 1, then the solution divided by its last nonzero entry."""
+    rows = []
+    for k in range(3):
+        p, l = flags[k].point.v, flags[perm[k]].line.v
+        qp = [[0] * 6 for _ in range(3)]  # the coefficients of the entries of q p
+        for i in range(3):
+            for j in range(3):
+                qp[i][_SYMMETRIC[i][j]] += p[j]
+        for a, b in ((1, 2), (2, 0), (0, 1)):  # (q p) x l = 0
+            rows.append([Fraction(qp[a][v] * l[b] - qp[b][v] * l[a]) for v in range(6)])
+    pivots = []
+    for col in range(6):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [v / rows[r][col] for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                rows[i] = [v - rows[i][col] * w for v, w in zip(rows[i], rows[r])]
+        pivots.append(col)
+    (free,) = [col for col in range(6) if col not in pivots]
+    sol = [Fraction(0)] * 6
+    sol[free] = Fraction(1)
+    for i, col in enumerate(pivots):
+        sol[col] = -rows[i][free]
+    last = [v for v in sol if v != 0][-1]
+    return tuple(tuple(sol[_SYMMETRIC[i][j]] / last for j in range(3)) for i in range(3))
+
+
+def _integer_route_prisms(depth):
+    pairs = [(X, Y), (Fraction(17, 41), Fraction(5, 37))] + sweep_pairs()
+    return [prism_of_triangle(m) for x, y in pairs for _, m in pattern_boxes(x, y, depth)]
+
+
+def test_swap_polarities_on_ints_are_the_rescaled_elimination_result():
+    perms = ((1, 0, 2), (0, 2, 1), (2, 1, 0))
+    for prism in _integer_route_prisms(2):
+        for psi, perm in zip(prism.polarities, perms):
+            assert all(type(e) is int for row in psi.m for e in row)
+            assert psi.q == _eliminated_polarity(prism.flags, perm)
+
+
+def test_polarity_images_are_the_rational_matrix_images():
+    # the images through the int matrix m (lines through its adjugate) are the
+    # images through the rational matrix q, exact and, bit for bit, on floats
+    for prism in _integer_route_prisms(1):
+        for delta in (*prism.polarities, *(box_polarity(b) for b in prism.boxes)):
+            q = delta.q
+            for flag in prism.flags:
+                p, l = flag.point, flag.line
+                assert delta.point_to_line(p).v == ProjLine(mat_vec(q, p.v)).v
+                assert delta.line_to_point(l).v == ProjPoint(mat_vec(mat_adjugate(q), l.v)).v
+                pf, lf = ProjPoint(p.floats()), ProjLine(l.floats())
+                assert delta.point_to_line(pf).v == ProjLine(mat_vec(q, pf.v)).v
+                assert delta.line_to_point(lf).v == ProjPoint(mat_vec(mat_adjugate(q), lf.v)).v
+
+
+def _cleared_log_diagonal(flat, psi):
+    """The log-diagonal read with q's denominators cleared by their lcm."""
+    den = math.lcm(*(x.denominator for row in psi.q for x in row))
+    q = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in psi.q)
+    diag = [(dot3(v.v, mat_vec(q, v.v)), dot3(v.v, v.v)) for v in flat.vertices]
+    a0, w0 = diag[0]
+    u = np.array([math.log(abs(a * w0 / (a0 * w))) for a, w in diag])
+    return u - u.mean()
+
+
+def test_log_diagonal_on_ints_gives_the_cleared_rational_floats():
+    for prism in _integer_route_prisms(2):
+        for j in range(3):
+            for psi in (prism.polarities[j], box_polarity(prism.boxes[j])):
+                assert np.array_equal(prism.flats[j].log_diagonal(psi),
+                                      _cleared_log_diagonal(prism.flats[j], psi))
+
+
+@pytest.mark.parametrize("x, y, calls", [(X, Y, 63), (0.3, 0.4, 93)], ids=["exact", "float"])
+def test_bending_report_builds_one_box_polarity_per_flat(monkeypatch, x, y, calls):
+    # an exact child prism reads its slot-0 flat through its parent's box polarity
+    # of that flat: 3 calls for the root prism and 2 for each of the other 30, not
+    # 93; a float prism builds its own, which equals the parent's only up to rounding
+    built = []
+
+    def counted(m):
+        built.append(m)
+        return box_polarity(m)
+
+    monkeypatch.setattr(prisms, "box_polarity", counted)
+    bending_report(x, y, 4)
+    assert len(built) == calls

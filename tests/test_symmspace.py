@@ -285,6 +285,36 @@ def test_line_samples_are_step_apart_and_bound_the_rest(monkeypatch):
     assert sum(measured) < len(later) * samples ** 2 / 3
 
 
+def _far_apart_lines(first, second):
+    """Two 15-sample lines on one flat, 6 / 14 apart each, whose grid minimum sits at the
+    corner (14, 0), far from sample (1, 1); samples (1, 1) are replaced by first and second."""
+    tau = np.linspace(-3.0, 3.0, 15)
+    u1, u2 = plane_log(tau, 0.0), plane_log(tau + 10.0, 0.0)
+    u1[1], u2[1] = first, second
+    return np.eye(3)[None], u1, u2[None], 6.0 / 14.0
+
+
+def test_line_minima_checks_the_matrices_it_does_not_measure(monkeypatch):
+    # only grid matrix (1, 1) overflows: (u2[1, 0] - u1[1, 0]) / 2 = 750, while every other
+    # exponent stays near 375 or below; the coarse subgrid and the bound rule (1, 1) out,
+    # and the whole grid is still checked finite
+    with pytest.raises(NumericalFailure):
+        line_minima(*_far_apart_lines([-750.0, 375.0, 375.0], [750.0, -375.0, -375.0]))
+    # at exponent 700 the grid is finite, the same samples take far fewer svds than the
+    # 225 of the grid, and the minimum is the corner's, |3 - (-3 + 10)| = 4 in X
+    measured = []
+    svd = np.linalg.svd
+
+    def counted(m, **kw):
+        measured.append(m.size // 9)
+        return svd(m, **kw)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    (best,) = line_minima(*_far_apart_lines([-700.0, 350.0, 350.0], [700.0, -350.0, -350.0]))
+    assert best == pytest.approx(4.0, rel=1e-12)
+    assert sum(measured) < 225 / 3
+
+
 def test_flat_geodesics_stay_in_the_flat_at_unit_speed():
     f = unit_triangle_flat()
     p = f.point_at(0.3, -0.2)
