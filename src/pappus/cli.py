@@ -462,12 +462,10 @@ def cmd_prism(args) -> int:
         return EXIT_OK
     from .prisms import bending_report
 
-    def fields(record) -> Dict:
-        return {name: getattr(record, name) for name in record.__slots__}
-
     report = bending_report(x, y, depth)
-    payload = {"command": "prism", **fields(report), "prisms": [fields(p) for p in report.prisms],
-               "adjacent_pairs": [fields(a) for a in report.adjacent_pairs]}
+    # json writes a named tuple as a list, so the nested records are converted too
+    payload = {"command": "prism", **report._asdict(), "prisms": [p._asdict() for p in report.prisms],
+               "adjacent_pairs": [a._asdict() for a in report.adjacent_pairs]}
     _emit(args.out, _dump_json(payload))
     return EXIT_OK
 

@@ -12,7 +12,8 @@ stored once, oriented.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from collections import namedtuple
+from typing import List
 
 import numpy as np
 
@@ -21,7 +22,6 @@ from .markedbox import MarkedBox, bottom_flag, box_polarity, pattern_boxes, top_
 from .fareycomb import OrientedEdge, default_base_edge, word_apply
 from .symmspace import (
     Flat,
-    XGeodesic,
     flat_distances,
     flat_from_triangle,
     flat_geodesic,
@@ -46,19 +46,14 @@ def flat_of_flags(top: Flag, bottom: Flag) -> Flat:
 _MEDIAL_VELOCITY = (1.0, -1.0, 0.0)
 
 
-class PatternGeodesic:
-    """The medial geodesic of the box of a word, with the flat and the flags it runs between."""
+class PatternGeodesic(namedtuple("PatternGeodesic", "word flat fixed_log geodesic top bottom")):
+    """The medial geodesic of the box of a word, with the flat and the flags it runs between.
 
-    __slots__ = ("word", "flat", "fixed_log", "geodesic", "top", "bottom")
+    fixed_log is the geodesic's base in the flat, so the geodesic is
+    fixed_log + plane_log(tau, 0).
+    """
 
-    def __init__(self, word: str, flat: Flat, fixed_log: np.ndarray, geodesic: XGeodesic,
-                 top: Flag, bottom: Flag):
-        self.word = word
-        self.flat = flat
-        self.fixed_log = fixed_log  # the geodesic's base in the flat; the geodesic is fixed_log + plane_log(tau, 0)
-        self.geodesic = geodesic
-        self.top = top
-        self.bottom = bottom
+    __slots__ = ()
 
 
 def geodesic_of_box(m: MarkedBox, word: str = "") -> PatternGeodesic:
@@ -76,11 +71,8 @@ def geodesic_of_box(m: MarkedBox, word: str = "") -> PatternGeodesic:
     )
 
 
-class FareyPattern:
-    __slots__ = ("geodesics",)
-
-    def __init__(self, geodesics: Tuple[PatternGeodesic, ...]):
-        self.geodesics = geodesics
+class FareyPattern(namedtuple("FareyPattern", "geodesics")):
+    __slots__ = ()
 
     def edge_of(self, word: str) -> OrientedEdge:
         return word_apply(word, default_base_edge())

@@ -25,7 +25,6 @@ import os
 from typing import List, Optional, Sequence, Tuple
 
 from .projective import (
-    DegenerateQuadruple,
     Flag,
     Polarity,
     ProjectiveError,
@@ -39,7 +38,6 @@ from .projective import (
     cross3,
     cross_ratio,
     dot3,
-    frame_rows,
     is_exact_scalar,
     join,
     mat_mul,
@@ -315,8 +313,11 @@ def box_polarity(m: MarkedBox) -> Polarity:
 
     Closed form on the corner triples: the rows rho_k = f r_k / d_k, with
     r = (u x a, a x s, s x u), d_k = r_k.c and f the first nonzero entry of
-    c (1 on floats), carry s, u, a, c to the standard frame (as
-    ``frame_rows`` does), and there t and b give the model parameters
+    c (1 on floats), carry s, u, a, c to the standard frame e1, e2, e3,
+    (1, 1, 1).  By Cramer's rule c = sum_k (d_k / det) p_k for
+    det = s.r_1, so the corners are in general position iff det and every
+    d_k are nonzero (on floats: |det| above 1e-12 and each |d_k| above
+    1e-12 |det|).  There t and b give the model parameters
     p = (x + y)/(y - x) and q = (z - 2x')/z, with
     (x, y, x', z) = (rho_1.t, rho_2.t, rho_1.b, rho_3.b); the box is
     convex iff |p| < 1 and |q| < 1.  The matrix is rho' K rho, where
@@ -333,14 +334,20 @@ def box_polarity(m: MarkedBox) -> Polarity:
     the matrix is f^2 R' K' R / (P_d Q_d D^2): an int matrix and one
     rational scale.
     """
+    s, u, a, c, t, b = m.s.v, m.u.v, m.a.v, m.c.v, m.t.v, m.b.v
+    r1, r2, r3 = cross3(u, a), cross3(a, s), cross3(s, u)
+    d1, d2, d3 = dot3(r1, c), dot3(r2, c), dot3(r3, c)
+    det = dot3(s, r1)
     if not m.s.exact:
+        # a corner or marked point on the edges' meet zeroes det, a weight or a denominator
+        if abs(det) <= 1e-12 or any(abs(d) <= 1e-12 * abs(det) for d in (d1, d2, d3)):
+            raise DegenerateBox("box polarity needs a convex box")
+        rho = tuple(tuple(e / d for e in r) for r, d in ((r1, d1), (r2, d2), (r3, d3)))
+        x, y = dot3(rho[0], t), dot3(rho[1], t)
+        x2, z = dot3(rho[0], b), dot3(rho[2], b)
         try:
-            rho = frame_rows((m.s, m.u, m.a, m.c))
-            t, b = m.t.v, m.b.v
-            x, y = dot3(rho[0], t), dot3(rho[1], t)
-            x2, z = dot3(rho[0], b), dot3(rho[2], b)
             p, q = (x + y) / (y - x), (z - 2 * x2) / z
-        except (DegenerateQuadruple, ZeroDivisionError):  # a corner or marked point on the edges' meet
+        except ZeroDivisionError:
             raise DegenerateBox("box polarity needs a convex box") from None
         if not (abs(p) < 1 and abs(q) < 1):
             raise DegenerateBox("box polarity needs a convex box")
@@ -348,13 +355,10 @@ def box_polarity(m: MarkedBox) -> Polarity:
              (0, 2 * (1 - p), -(1 - q) * (1 - p)),
              (-(1 - q) * (1 + p), -(1 - q) * (1 - p), 2 * (1 - q)))
         return Polarity(mat_mul(mat_transpose(rho), mat_mul(k, rho)))
-    s, u, a, c, t, b = m.s.v, m.u.v, m.a.v, m.c.v, m.t.v, m.b.v
-    r1, r2, r3 = cross3(u, a), cross3(a, s), cross3(s, u)
-    d1, d2, d3 = dot3(r1, c), dot3(r2, c), dot3(r3, c)
     x, y, x2, z = dot3(r1, t) * d2, dot3(r2, t) * d1, dot3(r1, b) * d3, dot3(r3, b) * d1
     # p = (x + y) / (y - x) and q = (z - 2 x2) / z, f cancelled and the d_k cleared
     pn, pd, qn, qd = x + y, y - x, z - 2 * x2, z
-    if dot3(s, r1) == 0 or 0 in (d1, d2, d3, pd, qd) or not (abs(pn) < abs(pd) and abs(qn) < abs(qd)):
+    if det == 0 or 0 in (d1, d2, d3, pd, qd) or not (abs(pn) < abs(pd) and abs(qn) < abs(qd)):
         # a corner or marked point on the edges' meet, or a marked point outside its edge
         raise DegenerateBox("box polarity needs a convex box")
     ap, am, cq = pd + pn, pd - pn, qd - qn  # P_d (1 + p), P_d (1 - p), Q_d (1 - q)
@@ -447,7 +451,12 @@ def _fork_chunk(depth: int, chunk: Sequence[Tuple[str, MarkedBox]]):
     import pickle  # before forking, so the child never waits on the import lock
 
     read, write = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
     if pid:
         os.close(write)
         return pid, open(read, "rb")

@@ -22,6 +22,7 @@ and builds no point of X.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -143,7 +144,7 @@ def stabilizing_polarities(flags: Sequence[Flag]) -> Tuple[Polarity, Polarity, P
 
 # --- prisms --------------------------------------------------------------------
 
-class Prism:
+class Prism(namedtuple("Prism", "boxes flags flats polarities")):
     """Triple of flats over one ideal triangle.
 
     boxes are (i(M), t(M), b(M)) for the box M of the triangle.  boxes,
@@ -153,14 +154,7 @@ class Prism:
     exactly the pair bounding flats[j].
     """
 
-    __slots__ = ("boxes", "flags", "flats", "polarities")
-
-    def __init__(self, boxes: Tuple[MarkedBox, MarkedBox, MarkedBox], flags: Tuple[Flag, Flag, Flag],
-                 flats: Tuple[Flat, Flat, Flat], polarities: Tuple[Polarity, Polarity, Polarity]):
-        self.boxes = boxes
-        self.flags = flags
-        self.flats = flats
-        self.polarities = polarities
+    __slots__ = ()
 
 
 def prism_of_triangle(m: MarkedBox) -> Prism:
@@ -175,15 +169,10 @@ def prism_of_triangle(m: MarkedBox) -> Prism:
     )
 
 
-class InflectionData:
-    __slots__ = ("point", "medial_point", "signed_distance", "collinearity_residual")
-
-    def __init__(self, point: XPoint, medial_point: XPoint, signed_distance: float,
-                 collinearity_residual: float):
-        self.point = point
-        self.medial_point = medial_point
-        self.signed_distance = signed_distance
-        self.collinearity_residual = collinearity_residual
+# the inflection point and the medial point of a flat, points of X; the
+# inflection point's signed offset from the medial point along the flat's
+# singular axis, and the size of its offset along the medial axis
+InflectionData = namedtuple("InflectionData", "point medial_point signed_distance collinearity_residual")
 
 
 def _slot_logs(p: Prism, j: int, medial: Optional[Polarity] = None) -> Tuple[np.ndarray, np.ndarray]:
@@ -242,7 +231,7 @@ def translation_T(x, y) -> ProjMap:
 def order3_transform(p: Prism) -> ProjMap:
     """The order-3 map i(M) -> t(M) -> b(M): psi_0^-1 psi_1, as psi_1 swaps flags 1
     and 2 and psi_0 flags 0 and 1, scaled to send t(M)'s corner c to b(M)'s, each
-    read first-nonzero-is-one, as ``frame_rows`` scales a frame.  That scale is
+    read first-nonzero-is-one, as ``box_polarity`` scales its frame.  That scale is
     the map's only one, so it is built from the polarities' matrices m (ints on
     exact input), whatever their own scales."""
     psi0, psi1 = p.polarities[:2]
@@ -308,40 +297,12 @@ def order3_axis(p: Prism) -> Tuple[XGeodesic, XPoint]:
 
 # --- bending report --------------------------------------------------------------
 
-# a report record's __slots__ are its fields, and the keys of its json object
-
-class PrismReport:
-    __slots__ = ("word", "triple_invariant", "distances", "collinearity_residuals")
-
-    def __init__(self, word: str, triple_invariant: float, distances: Tuple[float, float, float],
-                 collinearity_residuals: Tuple[float, float, float]):
-        self.word = word
-        self.triple_invariant = triple_invariant
-        self.distances = distances
-        self.collinearity_residuals = collinearity_residuals
-
-
-class AdjacencyReport:
-    __slots__ = ("word", "child_word", "inflection_line_offset", "inflection_point_offset")
-
-    def __init__(self, word: str, child_word: str, inflection_line_offset: float,
-                 inflection_point_offset: float):
-        self.word = word
-        self.child_word = child_word
-        self.inflection_line_offset = inflection_line_offset
-        self.inflection_point_offset = inflection_point_offset
-
-
-class BendingReport:
-    __slots__ = ("x", "y", "depth", "prisms", "adjacent_pairs")
-
-    def __init__(self, x: float, y: float, depth: int, prisms: Tuple[PrismReport, ...],
-                 adjacent_pairs: Tuple[AdjacencyReport, ...]):
-        self.x = x
-        self.y = y
-        self.depth = depth
-        self.prisms = prisms
-        self.adjacent_pairs = adjacent_pairs
+# per prism of the pattern, its word, the orbit invariant of its box and, per
+# flat, the inflection distance and collinearity residual
+PrismReport = namedtuple("PrismReport", "word triple_invariant distances collinearity_residuals")
+AdjacencyReport = namedtuple("AdjacencyReport",
+                             "word child_word inflection_line_offset inflection_point_offset")
+BendingReport = namedtuple("BendingReport", "x y depth prisms adjacent_pairs")
 
 
 def bending_report(x, y, depth: int) -> BendingReport:
@@ -357,9 +318,7 @@ def bending_report(x, y, depth: int) -> BendingReport:
     # a child's word -> the flat its prism shares with its parent's (the
     # parent's slot 1 for t, 2 for b), the parent's inflection point there
     # and the parent's box polarity of that slot: the child c's slot-0 box is
-    # i(c), whose box polarity is a multiple of c's (both swap c and i(c));
-    # exact, the two hold one int matrix, while on floats they are multiples
-    # only up to rounding, so a float prism builds its own
+    # i(c), whose box polarity is a multiple of c's (both swap c and i(c))
     shared = {}
     reports = []
     adjacent_pairs = []
@@ -367,7 +326,7 @@ def bending_report(x, y, depth: int) -> BendingReport:
     for w, m in pattern_boxes(x, y, depth):
         prism = prism_of_triangle(m)
         flat, u_parent, inherited = shared.pop(w) if w else (None, None, None)
-        medial = [inherited if m.s.exact else None, box_polarity(prism.boxes[1]), box_polarity(prism.boxes[2])]
+        medial = [inherited, box_polarity(prism.boxes[1]), box_polarity(prism.boxes[2])]
         logs = tuple(_slot_logs(prism, j, medial[j]) for j in range(3))
         coords = [_plane_coords(u_psi - u_q) for u_psi, u_q in logs]
         reports.append(
@@ -404,21 +363,16 @@ def bending_report(x, y, depth: int) -> BendingReport:
 
 # --- cone filling -----------------------------------------------------------------
 
-class ConeMesh:
+class ConeMesh(namedtuple("ConeMesh", "vertices pieces faces")):
     """Sampled cone over a geodesic triangle.
 
     Vertices are flattened symmetric matrices (xx, xy, xz, yy, yz, zz),
     not Euclidean points.  Each piece is a grid of vertex indices: rows
-    walk one triangle side, columns walk toward the apex.
+    walk one triangle side, columns walk toward the apex.  Faces are
+    quadruples of vertex indices.
     """
 
-    __slots__ = ("vertices", "pieces", "faces")
-
-    def __init__(self, vertices: List[Tuple[float, float, float, float, float, float]],
-                 pieces: List[List[List[int]]], faces: List[Tuple[int, int, int, int]]):
-        self.vertices = vertices
-        self.pieces = pieces
-        self.faces = faces
+    __slots__ = ()
 
 
 def _flatten_sym(s: np.ndarray) -> Tuple[float, ...]:

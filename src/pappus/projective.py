@@ -26,10 +26,6 @@ exact vector among float ones through ``floats()``.  An exact polarity
 holds a primitive int matrix and one rational scale, so its images (a
 line is imaged through the adjugate), determinant and definiteness test
 run on ints; an image is exact when both polarity and vector are.
-``frame_rows``, the one map from a quadruple to the standard frame, on
-which the float box polarity is built, is scaled by its fourth point
-read first-nonzero-is-one, so its rational matrix does not depend on the
-representatives stored.
 """
 
 from __future__ import annotations
@@ -493,28 +489,3 @@ def is_elliptic(delta: Polarity) -> bool:
     m2 = q[0][0] * q[1][1] - q[0][1] * q[1][0]
     m3 = mat_det(q)
     return bool(m2 > 0 and ((m1 > 0 and m3 > 0) or (m1 < 0 and m3 < 0)))
-
-
-def frame_rows(quad) -> Mat:
-    """The map sending a general-position quadruple p1..p4 to the frame
-    e1, e2, e3, f (1, 1, 1), as its rows rho_k = f r_k / (r_k.p4) with
-    r = (p2 x p3, p3 x p1, p1 x p2).
-
-    f is the first nonzero entry of an exact p4 (1 on floats).  That fixes
-    the map's one scale, so an exact quadruple gives the same rational
-    matrix whatever representatives are stored.  By Cramer's rule
-    p4 = sum_k (r_k.p4 / det) p_k, and the quadruple is degenerate when
-    det = p1.r_1 or a weight is zero.
-    """
-    p1, p2, p3, p4 = (p.v for p in quad)
-    rows = (cross3(p2, p3), cross3(p3, p1), cross3(p1, p2))
-    det, dots = dot3(p1, rows[0]), tuple(dot3(r, p4) for r in rows)
-    if all(p.exact for p in quad):
-        degenerate = det == 0 or 0 in dots
-    else:
-        degenerate = abs(det) <= 1e-12 or any(abs(d) <= 1e-12 * abs(det) for d in dots)
-    if degenerate:
-        raise DegenerateQuadruple("three of the four points are collinear")
-    f = Fraction(p4[0] or p4[1] or p4[2]) if quad[3].exact else 1
-    return tuple(tuple(f * e / d for e in r) for r, d in zip(rows, dots))
-

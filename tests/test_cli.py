@@ -208,9 +208,12 @@ PINNED_OUTPUTS = {
     ("orbit", "--x", "3/10", "--y", "2/5", "--format", "json", "--depth", "6"):
         "2f488da77aa945da814414a9c2fd6bd1f97a0ae749f5a950898dca48b140e94e",
     # a float prism report, a deeper exact one and a float cone mesh, pinned
-    # before each prism's flats were built from its flags
+    # before each prism's flats were built from its flags; the float report
+    # re-pinned when a float child prism came to read its shared flat through
+    # its parent's box polarity, as an exact one does: 59 of its 279 numbers
+    # moved, by at most 1.4e-13
     ("prism", "--x", "0.3", "--y", "0.4", "--depth", "4"):
-        "7c748772398ed626c6defae08bb3064ad88831d15dd45f13f0ab9a998a1c1063",
+        "0ab0958fecb46398a36233ae9dc2140189a260f2aed6bfc5f3d8c7ab7eb0bc7e",
     ("prism", "--x", "3/10", "--y", "2/5", "--depth", "5"):
         "0588a459e440f95b5b6b92590b2182462bc32da24510fe29894deea5a4cc5d70",
     # the mesh re-pinned when the order-3 map came to be the product of two

@@ -260,12 +260,16 @@ def test_box_polarity_on_ints_is_the_rational_frame_formula():
             assert delta.q == _frame_formula_polarity(m)
 
 
-def test_box_polarity_refuses_a_degenerate_box_with_its_text():
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_box_polarity_refuses_a_degenerate_box_with_its_text(exact):
     m = model_box(Fraction(1, 3), Fraction(1, 2))
     meet_point = ProjPoint((1, 0, 0))
     for box in (_non_convex_box(), MarkedBox(m.s, meet_point, m.u, m.a, m.b, m.c),
                 MarkedBox(m.s, m.t, meet_point, m.a, m.b, m.c),
                 MarkedBox(m.s, m.t, m.u, meet_point, m.b, m.c)):
+        if not exact:
+            box = MarkedBox(*(ProjPoint(p.floats()) for p in box.sextuple()))
+            assert not box.s.exact
         with pytest.raises(DegenerateBox, match="^box polarity needs a convex box$"):
             box_polarity(box)
 
@@ -397,6 +401,26 @@ def test_a_killed_child_is_an_error_not_a_hang(monkeypatch, no_child_left):
     with pytest.raises(ChildProcessError) as dead:
         pattern_boxes(0.3, 0.4, 7, 2)
     assert str(dead.value).endswith(f"for chunk 1 ended without a result (wait status {signal.SIGKILL})")
+
+
+def test_a_failed_fork_closes_its_pipe_and_reaps_the_children(monkeypatch, no_child_left):
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("needs /proc/self/fd to list open descriptors")
+    real, calls = os.fork, []
+
+    def second_fails():
+        calls.append(None)
+        if len(calls) == 2:
+            raise BlockingIOError("no process id free")
+        return real()
+
+    before = sorted(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(os, "fork", second_fails)
+    # three workers fork two children; the first is killed and reaped
+    with pytest.raises(BlockingIOError, match="^no process id free$"):
+        orbit_enumerate(base_box(Fraction(3, 10), Fraction(2, 5)), 6, 3)
+    assert len(calls) == 2
+    assert sorted(os.listdir("/proc/self/fd")) == before
 
 
 def test_an_interrupted_split_walk_kills_and_reaps_the_children(monkeypatch, no_child_left):

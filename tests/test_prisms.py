@@ -488,11 +488,10 @@ def test_log_diagonal_on_ints_gives_the_cleared_rational_floats():
                                       _cleared_log_diagonal(prism.flats[j], psi))
 
 
-@pytest.mark.parametrize("x, y, calls", [(X, Y, 63), (0.3, 0.4, 93)], ids=["exact", "float"])
+@pytest.mark.parametrize("x, y, calls", [(X, Y, 63), (0.3, 0.4, 63)], ids=["exact", "float"])
 def test_bending_report_builds_one_box_polarity_per_flat(monkeypatch, x, y, calls):
-    # an exact child prism reads its slot-0 flat through its parent's box polarity
-    # of that flat: 3 calls for the root prism and 2 for each of the other 30, not
-    # 93; a float prism builds its own, which equals the parent's only up to rounding
+    # a child prism reads its slot-0 flat through its parent's box polarity of
+    # that flat: 3 calls for the root prism and 2 for each of the other 30, not 93
     built = []
 
     def counted(m):

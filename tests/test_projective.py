@@ -20,7 +20,6 @@ from pappus.projective import (
     ProjectiveError,
     SingularMap,
     cross_ratio,
-    frame_rows,
     incident,
     is_elliptic,
     join,
@@ -200,18 +199,6 @@ def test_triple_product_projective_invariance():
         p = ProjPoint(mat_vec(g, f.point.v))
         moved.append(Flag(p, join(p, ProjPoint(mat_vec(g, other.v)))))
     assert triple_product(moved) == val
-
-
-def test_frame_rows_send_the_quadruple_to_the_standard_frame():
-    quad = (frac_point(1, 2, 1), frac_point(0, 1, 1), frac_point(1, 0, 1), frac_point(2, 1, 1))
-    rho = frame_rows(quad)
-    for k, p in enumerate(quad[:3]):
-        image = mat_vec(rho, p.v)
-        assert image[k] != 0 and all(image[j] == 0 for j in range(3) if j != k)
-    # the stored fourth point is (2, 1, 1): f = 2 fixes the one scale
-    assert mat_vec(rho, quad[3].v) == (2, 2, 2)
-    with pytest.raises(DegenerateQuadruple):
-        frame_rows((quad[0], quad[1], frac_point(1, 3, 2), quad[3]))
 
 
 def test_standard_polarity_is_an_involution():
