@@ -129,7 +129,11 @@ def _emit(out: Optional[str], text: Union[str, Iterable[str]]) -> None:
     --out file or to stdout."""
     chunks = [text] if isinstance(text, str) else text
     if out:
-        with open(out, "w", newline="\n") as fh:
+        try:
+            fh = open(out, "w", newline="\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out {out}: {exc.strerror}") from None
+        with fh:
             fh.writelines(chunks)
     else:
         sys.stdout.writelines(chunks)

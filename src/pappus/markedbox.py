@@ -33,7 +33,6 @@ from .projective import (
     Scalar,
     _built,
     _exact_cross,
-    _exact_polarity,
     _float_cross,
     cross3,
     cross_ratio,
@@ -368,7 +367,7 @@ def box_polarity(m: MarkedBox) -> Polarity:
     rho = tuple(tuple(e * w for e in r) for r, w in ((r1, d2 * d3), (r2, d1 * d3), (r3, d1 * d2)))
     f = c[0] or c[1] or c[2]
     dd = d1 * d2 * d3
-    return _exact_polarity(mat_mul(mat_transpose(rho), mat_mul(k, rho)), f * f, pd * qd * dd * dd)
+    return Polarity(mat_mul(mat_transpose(rho), mat_mul(k, rho)), f * f, pd * qd * dd * dd)
 
 
 def box_triple_product(m: MarkedBox) -> Scalar:

@@ -33,7 +33,6 @@ from .projective import (
     PappusError,
     Polarity,
     ProjMap,
-    _exact_polarity,
     dot3,
     is_exact_scalar,
     mat_adjugate,
@@ -135,7 +134,7 @@ def stabilizing_polarities(flags: Sequence[Flag]) -> Tuple[Polarity, Polarity, P
             raise DegenerateTriple("flag points collinear, lines concurrent or a pairing zero")
         if exact:
             last = next(x for x in (q[2][2], q[1][2], q[1][1], q[0][2], q[0][1], q[0][0]) if x != 0)
-            out.append(_exact_polarity(q, 1, last))
+            out.append(Polarity(q, 1, last))
         else:
             top = 2 * max(abs(x) for row in q for x in row)
             out.append(Polarity(tuple(tuple((q[i][j] + q[j][i]) / top for j in range(3)) for i in range(3))))
@@ -397,7 +396,7 @@ def cone_fill_sample(p: Prism, d: float, n: int, window: float) -> ConeMesh:
         for tau in np.linspace(-window, window, n):
             start = geodesic_point(gamma, float(tau))
             row = []
-            if start.same(apex, 1e-12):
+            if start.same(apex):
                 row = [len(vertices)] * n
                 vertices.append(_flatten_sym(start.m))
             else:

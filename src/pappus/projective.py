@@ -9,8 +9,8 @@ either backend:
   unless a check names its own).
 
 A vector's or polarity's backend is decided once, when it is built,
-and kept in its ``exact`` attribute: a vector reads its entries, a
-polarity its determinant (a float as soon as any entry is one).
+and kept in its ``exact`` attribute: a vector or a polarity reads its
+entries (a float as soon as one is neither an int nor a ``Fraction``).
 Canonical forms differ per backend: an exact vector is stored as a
 primitive integer triple (denominators cleared, divided by the gcd,
 first nonzero entry positive), so joins, meets and zero tests run on
@@ -22,10 +22,12 @@ entry by entry, for speed, in the operation order of ``cross3`` and
 first-nonzero-is-one form as correctly rounded floats.  Joins and meets
 take vectors of one backend, as marked boxes hold points of one;
 ``same``, ``incident``, the cross ratio and the triple product read an
-exact vector among float ones through ``floats()``.  An exact polarity
-holds a primitive int matrix and one rational scale, so its images (a
-line is imaged through the adjugate), determinant and definiteness test
-run on ints; an image is exact when both polarity and vector are.
+exact vector among float ones through ``floats()``.  A polarity is
+built one way, ``Polarity(q, num, den)``: an exact one holds a primitive
+int matrix m and one rational scale, so its determinant and
+definiteness test run on ints.  Every polarity images a point through m
+and a line through adj(m), whatever the vector's backend; an image is
+exact when both polarity and vector are.
 """
 
 from __future__ import annotations
@@ -376,55 +378,54 @@ class ProjMap:
             raise SingularMap("projective map must be invertible")
 
 
-def _rounded(m: Mat, num: int, den: int) -> Mat:
-    """The float matrix (num / den) m of an int matrix m, each entry the correctly
-    rounded int quotient: the float ``float(Fraction)`` gives for the same value."""
-    return tuple(tuple(num * x / den for x in row) for row in m)
-
-
 class Polarity:
     """Order-2 duality given by a symmetric invertible matrix q.
 
     Points map to lines by q and lines map to points by q^{-1}, so
-    applying the polarity twice is the identity on each side.  An exact
-    polarity holds q = scale * m: m a primitive symmetric int matrix (its
+    applying the polarity twice is the identity on each side.
+    ``Polarity(q, num, den)`` is the polarity of (num / den) q.  An exact
+    polarity (every entry of q an int or a ``Fraction``) holds
+    (num / den) q = scale * m: m a primitive symmetric int matrix (its
     entries' gcd divided out, its first nonzero entry positive, as
-    ``HomVec`` does) and scale a ``Fraction``.  Images, the adjugate, the
-    determinant and the definiteness test run on m; the rational q is
-    built only when read, and ``floats()`` rounds each entry of q once.  A
-    float polarity holds q itself as m, with scale 1.  Two polarities are
-    equal when their matrices q are; ``exact`` takes no part.
+    ``HomVec`` does) and scale a ``Fraction``.  A float polarity holds q
+    itself as m, with scale 1, and takes no other.  Points are imaged
+    through m and lines through adj(m), on vectors of either backend;
+    the determinant and the definiteness test also run on m.  The
+    rational q is built only when read, and ``floats()`` rounds each
+    entry of an exact q once.  Two polarities are equal when their
+    matrices q are; ``exact`` takes no part.
     """
 
-    def __init__(self, q):
-        qq = mat_from_rows(q)
-        if all(is_exact_scalar(x) for row in qq for x in row):
-            fs = tuple(tuple(Fraction(x) for x in row) for row in qq)
-            den = math.lcm(*(x.denominator for row in fs for x in row))
-            self._hold(tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in fs), 1, den)
+    def __init__(self, q, num=1, den=1):
+        (a, b, c), (b2, e, f), (c2, f2, i) = q
+        kinds = {type(a), type(b), type(c), type(b2), type(e), type(f), type(c2), type(f2), type(i)}
+        if kinds <= {int, Fraction}:
+            if Fraction in kinds:
+                lcm = math.lcm(*(x.denominator for row in q for x in row))
+                a, b, c, b2, e, f, c2, f2, i = (
+                    x.numerator * (lcm // x.denominator) for row in q for x in row)
+                den *= lcm
+            if b != b2 or c != c2 or f != f2:
+                raise ProjectiveError("polarity matrix must be symmetric")
+            g = math.gcd(a, b, c, e, f, i)
+            if not (g and num and den):
+                raise SingularMap("polarity matrix must be invertible")
+            if (a or b or c or e or f or i) < 0:
+                g = -g
+            m = ((a // g, b // g, c // g), (b // g, e // g, f // g), (c // g, f // g, i // g))
+            if mat_det(m) == 0:
+                raise SingularMap("polarity matrix must be invertible")
+            self.m, self.scale, self.exact = m, Fraction(num * g, den), True
             return
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if not math.isclose(float(qq[i][j]), float(qq[j][i]), rel_tol=1e-9, abs_tol=1e-12):
-                    raise ProjectiveError("polarity matrix must be symmetric")
-        if float(mat_det(qq)) == 0.0:
-            raise SingularMap("polarity matrix must be invertible")
-        self.m, self.scale, self.exact = qq, 1, False
-
-    def _hold(self, m: Mat, num: int, den: int) -> None:
-        """Hold the exact polarity q = (num / den) m of an int matrix m."""
-        (a, b, c), (b2, e, f), (c2, f2, i) = m
-        if b != b2 or c != c2 or f != f2:
+        q = mat_from_rows(q)
+        if (num, den) != (1, 1):
+            raise ProjectiveError("a float polarity takes no scale")
+        if not all(math.isclose(float(q[i][j]), float(q[j][i]), rel_tol=1e-9, abs_tol=1e-12)
+                   for i, j in ((0, 1), (0, 2), (1, 2))):
             raise ProjectiveError("polarity matrix must be symmetric")
-        g = math.gcd(a, b, c, e, f, i)
-        if g == 0:
+        if float(mat_det(q)) == 0.0:
             raise SingularMap("polarity matrix must be invertible")
-        if (a or b or c or e or f or i) < 0:
-            g = -g
-        m = tuple(tuple(x // g for x in row) for row in m)
-        if mat_det(m) == 0:
-            raise SingularMap("polarity matrix must be invertible")
-        self.m, self.scale, self.exact = m, Fraction(num * g, den), True
+        self.m, self.scale, self.exact = q, 1, False
 
     def __eq__(self, other):
         return isinstance(other, Polarity) and self.q == other.q
@@ -435,18 +436,17 @@ class Polarity:
         return mat_scale(self.m, self.scale) if self.exact else self.m
 
     def floats(self) -> Mat:
-        """q as floats, each entry of an exact q rounded once."""
-        if not self.exact:
-            return self.m
-        return _rounded(self.m, self.scale.numerator, self.scale.denominator)
+        """q as floats, each entry of an exact q the correctly rounded int
+        quotient: the float ``float(Fraction)`` gives for it."""
+        n, d = self.scale.numerator, self.scale.denominator
+        return tuple(tuple(n * x / d for x in row) for row in self.m) if self.exact else self.m
 
     def det(self) -> Scalar:
         """det(q), from the determinant of m."""
         return self.scale ** 3 * mat_det(self.m)
 
     def point_to_line(self, p: ProjPoint) -> ProjLine:
-        exact = self.exact and p.exact
-        return _image(ProjLine, mat_vec(self.m if exact else self.floats(), p.v), exact)
+        return _image(ProjLine, mat_vec(self.m, p.v), self.exact and p.exact)
 
     @cached_property
     def adj(self) -> Mat:
@@ -455,20 +455,7 @@ class Polarity:
         return mat_adjugate(self.m)
 
     def line_to_point(self, l: ProjLine) -> ProjPoint:
-        exact = self.exact and l.exact
-        adj = self.adj
-        if self.exact and not exact:
-            # adj(q) = scale^2 adj(m), each entry rounded once
-            n, d = self.scale.numerator, self.scale.denominator
-            adj = _rounded(adj, n * n, d * d)
-        return _image(ProjPoint, mat_vec(adj, l.v), exact)
-
-
-def _exact_polarity(m: Mat, num: int, den: int) -> Polarity:
-    """The exact polarity (num / den) m of a symmetric int matrix m."""
-    delta = object.__new__(Polarity)
-    delta._hold(m, num, den)
-    return delta
+        return _image(ProjPoint, mat_vec(self.adj, l.v), self.exact and l.exact)
 
 
 def standard_polarity(exact: bool = True) -> Polarity:

@@ -148,8 +148,8 @@ class XPoint:
         w, v = jacobi_eigh(self.m)
         return v @ np.diag(np.sqrt(w)) @ v.T, v @ np.diag(1.0 / np.sqrt(w)) @ v.T
 
-    def same(self, other: "XPoint", tol: float = 1e-10) -> bool:
-        return bool(np.max(np.abs(self.m - other.m)) <= tol * max(1.0, float(np.max(np.abs(self.m)))))
+    def same(self, other: "XPoint") -> bool:
+        return bool(np.max(np.abs(self.m - other.m)) <= 1e-12 * max(1.0, float(np.max(np.abs(self.m)))))
 
 
 def metric_d(e1: XPoint, e2: XPoint) -> float:

@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, formats, determinism, schema."""
 
+import errno
 import hashlib
 import itertools
 import json
@@ -457,6 +458,17 @@ def test_out_file_matches_stdout(tmp_path, capsys):
     assert code == 0 and out == ""
     _, stdout, _ = run(capsys, "orbit", "--x", "3/10", "--y", "2/5")
     assert target.read_text() == stdout
+
+
+@pytest.mark.parametrize("argv, path, errno_", [
+    (("orbit", "--x", "3/10", "--y", "2/5", "--depth", "2"), "missing/x.csv", errno.ENOENT),
+    (("verify", "--suite", "duality"), ".", errno.EISDIR),
+], ids=["missing-directory", "a-directory"])
+def test_an_out_path_that_cannot_be_written_exits_two(tmp_path, capsys, argv, path, errno_):
+    target = tmp_path / path
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write --out {target}: {os.strerror(errno_)}\n"
 
 
 @pytest.mark.parametrize("xy, depth", [(("--x", "3/10", "--y", "2/5"), "9"),

@@ -218,19 +218,6 @@ def _non_convex_box():
     return MarkedBox(s, outside, u, a, b, c)
 
 
-def test_box_polarity_needs_a_convex_box():
-    with pytest.raises(DegenerateBox):
-        box_polarity(_non_convex_box())
-    # a marked point or a corner on the meet (1, 0, 0) of the two edges
-    # zeroes a denominator of the closed form
-    m = model_box(Fraction(1, 3), Fraction(1, 2))
-    meet_point = ProjPoint((1, 0, 0))
-    for box in (MarkedBox(m.s, meet_point, m.u, m.a, m.b, m.c),
-                MarkedBox(m.s, m.t, meet_point, m.a, m.b, m.c)):
-        with pytest.raises(DegenerateBox):
-            box_polarity(box)
-
-
 def _frame_formula_polarity(m):
     """rho' K(p, q) rho in Fractions, the closed form box_polarity evaluates on ints: rows
     rho_k = f r_k / d_k with r = (u x a, a x s, s x u), d_k = r_k.c and f the first nonzero

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from pappus.projective import (
-    ProjLine, ProjPoint, SingularMap, cross3, dot3, mat_adjugate, mat_det, mat_mul, mat_vec,
-    triple_product,
+    Polarity, ProjLine, ProjPoint, SingularMap, cross3, dot3, mat_adjugate, mat_det, mat_mul,
+    mat_vec, triple_product,
 )
 from pappus.markedbox import (
     OutOfRange, apply_word_box, base_box, bottom_flag, box_polarity, op_i, pattern_boxes,
@@ -457,7 +457,7 @@ def test_swap_polarities_on_ints_are_the_rescaled_elimination_result():
 
 def test_polarity_images_are_the_rational_matrix_images():
     # the images through the int matrix m (lines through its adjugate) are the
-    # images through the rational matrix q, exact and, bit for bit, on floats
+    # images through the rational matrix q
     for prism in _integer_route_prisms(1):
         for delta in (*prism.polarities, *(box_polarity(b) for b in prism.boxes)):
             q = delta.q
@@ -465,9 +465,13 @@ def test_polarity_images_are_the_rational_matrix_images():
                 p, l = flag.point, flag.line
                 assert delta.point_to_line(p).v == ProjLine(mat_vec(q, p.v)).v
                 assert delta.line_to_point(l).v == ProjPoint(mat_vec(mat_adjugate(q), l.v)).v
+                # a float vector is imaged through the same int matrices, which
+                # agrees with the image through q up to rounding
                 pf, lf = ProjPoint(p.floats()), ProjLine(l.floats())
-                assert delta.point_to_line(pf).v == ProjLine(mat_vec(q, pf.v)).v
-                assert delta.line_to_point(lf).v == ProjPoint(mat_vec(mat_adjugate(q), lf.v)).v
+                assert delta.point_to_line(pf).v == ProjLine(mat_vec(delta.m, pf.v)).v
+                assert delta.line_to_point(lf).v == ProjPoint(mat_vec(mat_adjugate(delta.m), lf.v)).v
+                assert delta.point_to_line(pf).same(ProjLine(mat_vec(q, pf.v)))
+                assert delta.line_to_point(lf).same(ProjPoint(mat_vec(mat_adjugate(q), lf.v)))
 
 
 def _cleared_log_diagonal(flat, psi):
@@ -486,6 +490,21 @@ def test_log_diagonal_on_ints_gives_the_cleared_rational_floats():
             for psi in (prism.polarities[j], box_polarity(prism.boxes[j])):
                 assert np.array_equal(prism.flats[j].log_diagonal(psi),
                                       _cleared_log_diagonal(prism.flats[j], psi))
+
+
+def test_every_polarity_of_the_report_is_built_by_its_constructor(monkeypatch):
+    # 63 box polarities and 93 swap polarities (3 for each of 31 prisms), none
+    # built around Polarity.__init__
+    built = []
+    init = Polarity.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Polarity, "__init__", counted)
+    bending_report(X, Y, 4)
+    assert len(built) == 156
 
 
 @pytest.mark.parametrize("x, y, calls", [(X, Y, 63), (0.3, 0.4, 63)], ids=["exact", "float"])

@@ -229,6 +229,34 @@ def test_ellipticity_detects_definiteness():
     assert not is_elliptic(diag(eps, eps, -eps))
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.lists(rationals, min_size=6, max_size=6),
+       st.integers(-9, 9).filter(bool), st.integers(-30, 30).filter(bool))
+def test_every_spelling_of_an_exact_polarity_holds_one_matrix_and_scale(entries, k, num):
+    a, b, c, e, f, i = entries
+    q = ((a, b, c), (b, e, f), (c, f, i))
+    assume(mat_det(q) != 0)
+    lcm = math.lcm(*(x.denominator for x in entries))
+    ints = tuple(tuple(int(x * lcm) for x in row) for row in q)
+    held = [Polarity(q), Polarity(ints, 1, lcm),
+            Polarity(tuple(tuple(k * x for x in row) for row in ints), num, k * num * lcm)]
+    assert held[0].q == q
+    for delta in held:
+        assert delta.exact and all(type(x) is int for row in delta.m for x in row)
+        assert (delta.m, delta.scale, delta.q) == (held[0].m, held[0].scale, held[0].q)
+
+
+def test_a_polarity_refuses_a_scale_it_cannot_hold():
+    q = ((1.0, 0.0, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 3.0))
+    for num, den in ((2, 1), (1, 3), (2, 3)):
+        with pytest.raises(ProjectiveError, match="^a float polarity takes no scale$"):
+            Polarity(q, num, den)
+    assert not Polarity(q, 1, 1).exact
+    for num, den in ((0, 5), (5, 0)):
+        with pytest.raises(SingularMap):
+            Polarity(((1, 0, 0), (0, 2, 0), (0, 0, 3)), num, den)
+
+
 def test_mat_det_exact():
     m = ((Fraction(2), Fraction(0), Fraction(0)),
          (Fraction(0), Fraction(3), Fraction(0)),
