@@ -25,6 +25,7 @@ environment alone.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -124,6 +125,29 @@ def _depth(depth: int) -> int:
     return depth
 
 
+def _check_out(out: Optional[str]) -> None:
+    """Refuse, before any work, an --out path that is a directory or whose directory is
+    missing, as opening it would; the file itself is opened only once the output is made."""
+    if not out:
+        return
+    if os.path.isdir(out):
+        reason = errno.EISDIR
+    elif not os.path.exists(os.path.dirname(out) or "."):
+        reason = errno.ENOENT
+    else:
+        return
+    raise ConfigError(f"cannot write --out {out}: {os.strerror(reason)}")
+
+
+def _stdout_lost(exc: OSError) -> ConfigError:
+    """Point stdout at the null device, so no later flush writes to the closed reader again,
+    and say why the output stopped."""
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, sys.stdout.fileno())
+    os.close(null)
+    return ConfigError(f"cannot write stdout: {exc.strerror}")
+
+
 def _emit(out: Optional[str], text: Union[str, Iterable[str]]) -> None:
     """Write ``text``, one string or an iterable of them in order, to the
     --out file or to stdout."""
@@ -136,7 +160,10 @@ def _emit(out: Optional[str], text: Union[str, Iterable[str]]) -> None:
         with fh:
             fh.writelines(chunks)
     else:
-        sys.stdout.writelines(chunks)
+        try:
+            sys.stdout.writelines(chunks)
+        except BrokenPipeError as exc:
+            raise _stdout_lost(exc) from None
 
 
 def _fmt_scalar(v) -> str:
@@ -356,15 +383,14 @@ def _distance_summary(pat, window: float, samples: int) -> Dict:
     """Sampled minimum distance between every two pattern geodesics, each sampled on
     its flat's line fixed_log + plane_log(tau, 0), consecutive samples 2 window / (samples - 1)
     apart in X.  One ``line_minima`` call measures a geodesic against a run of later ones: it
-    checks the whole grid finite, takes the singular values on a coarse subgrid of samples, and
-    then only where the triangle inequality leaves room for a smaller distance, with a margin
-    that dominates the float error (derived at ``line_minima``); each minimum is the same float
-    as over the whole grid."""
+    checks the whole grid finite, and takes the singular values first at each pair's entry of
+    least norm bound and then only where that bound leaves room for a smaller distance, with a
+    margin that dominates the float error (derived at ``line_minima``); each minimum is the same
+    float as over the whole grid."""
     import numpy as np
     from .symmspace import line_minima, plane_log, relative_frames
 
     line = plane_log(np.linspace(-window, window, samples), 0.0)
-    step = 2.0 * window / (samples - 1)
     run = max(1, _SUMMARY_MATRICES // samples ** 2)
     gs = pat.geodesics
     pairs = []
@@ -372,7 +398,7 @@ def _distance_summary(pat, window: float, samples: int) -> Dict:
         for lo in range(a + 1, len(gs), run):
             later = gs[lo:lo + run]
             minima = line_minima(relative_frames(ga.flat, [g.flat for g in later]), ga.fixed_log + line,
-                                 np.stack([g.fixed_log + line for g in later]), step)
+                                 np.stack([g.fixed_log + line for g in later]))
             pairs += [{"words": [ga.word or "-", gb.word or "-"], "min": float(d)}
                       for gb, d in zip(later, minima)]
     return {
@@ -763,18 +789,46 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _end_process(code: int) -> None:
+    """Flush stdout and stderr and leave at once: the interpreter's teardown (about 15 ms once
+    numpy is loaded) frees nothing that the exit does not.  Output lost to a closed stdout
+    exits 2, as an unwritable --out does."""
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        print(f"error: {_stdout_lost(exc)}", file=sys.stderr)
+        code = EXIT_CONFIG
+    try:
+        sys.stderr.flush()
+    except OSError:
+        pass
+    os._exit(code)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command and return its exit code.  As the process entry point (argv None: the
+    console script, ``python -m pappus.cli``) it ends the process itself, --help and usage
+    errors included, once its output is flushed."""
     # before numpy loads: OpenBLAS reads this once, and a pool for 3x3 work only spins
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's --help and usage errors, with an int code
+        if argv is not None:
+            raise
+        _end_process(exc.code or 0)
+    try:
+        _check_out(args.out)
+        code = args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        code = EXIT_CONFIG
     except PappusError as exc:
         print(f"geometry error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_GEOMETRY
+        code = EXIT_GEOMETRY
+    if argv is None:
+        _end_process(code)
+    return code
 
 
 if __name__ == "__main__":

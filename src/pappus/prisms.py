@@ -62,6 +62,7 @@ from .symmspace import (
     XPoint,
     geodesic_between,
     geodesic_point,
+    geodesic_points,
     _map_matrix,
     _polarity_push,
     _polarity_matrix,
@@ -393,17 +394,14 @@ def cone_fill_sample(p: Prism, d: float, n: int, window: float) -> ConeMesh:
     for box in p.boxes:
         gamma = geodesic_of_box(box).geodesic
         grid: List[List[int]] = []
-        for tau in np.linspace(-window, window, n):
-            start = geodesic_point(gamma, float(tau))
-            row = []
+        for start in geodesic_points(gamma, np.linspace(-window, window, n)):
             if start.same(apex):
                 row = [len(vertices)] * n
                 vertices.append(_flatten_sym(start.m))
             else:
                 seg, dist = geodesic_between(start, apex)
-                for frac in np.linspace(0.0, 1.0, n):
-                    row.append(len(vertices))
-                    vertices.append(_flatten_sym(geodesic_point(seg, float(frac) * dist).m))
+                row = list(range(len(vertices), len(vertices) + n))
+                vertices += [_flatten_sym(e.m) for e in geodesic_points(seg, np.linspace(0.0, 1.0, n) * dist)]
             grid.append(row)
         pieces.append(grid)
         for i in range(n - 1):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,45 +76,54 @@ def _float_triple(v: HomVec) -> np.ndarray:
 # Cyclic Jacobi, deterministic sweep order (0,1),(0,2),(1,2).  Chosen over a
 # closed-form cubic for robustness on near-degenerate spectra.
 
-_JACOBI_PAIRS = ((0, 1), (0, 2), (1, 2))
+# each pair with its rotation, the identity but for c at (p, p) and (q, q), s at (p, q), -s at (q, p)
+_JACOBI_PAIRS = (
+    (0, 1, lambda c, s: [[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]]),
+    (0, 2, lambda c, s: [[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]]),
+    (1, 2, lambda c, s: [[1.0, 0.0, 0.0], [0.0, c, s], [0.0, -s, c]]),
+)
+
+
+def _off_norm(a) -> float:
+    try:
+        return math.sqrt(a[0][1] ** 2 + a[0][2] ** 2 + a[1][2] ** 2)
+    except OverflowError:  # a float square past the range, which numpy's is as inf
+        return math.inf
 
 
 def jacobi_eigh(mat):
-    """Eigenvalues (descending) and orthonormal eigenvector columns."""
+    """Eigenvalues (descending) and orthonormal eigenvector columns.
+
+    The pivots are read as Python floats, one ``tolist()`` per rotation, and
+    the rotations are applied as numpy 3x3 products; v starts as the first."""
     a = np.array(mat, dtype=float)
     a = (a + a.T) / 2.0
     scale = max(1.0, float(np.sqrt((a * a).sum())))
-    v = np.eye(3)
+    v = None
+    al = a.tolist()
     for _ in range(64):
-        off = math.sqrt(a[0, 1] ** 2 + a[0, 2] ** 2 + a[1, 2] ** 2)
-        if off <= 1e-13 * scale:
+        if _off_norm(al) <= 1e-13 * scale:
             break
-        for p, q in _JACOBI_PAIRS:
-            apq = a[p, q]
+        for p, q, rotation in _JACOBI_PAIRS:
+            apq = al[p][q]
             if abs(apq) <= 1e-300:
                 continue
-            theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+            theta = (al[q][q] - al[p][p]) / (2.0 * apq)
             t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
             c = 1.0 / math.hypot(t, 1.0)
-            s = t * c
-            rot = np.eye(3)
-            rot[p, p] = c
-            rot[q, q] = c
-            rot[p, q] = s
-            rot[q, p] = -s
+            rot = np.array(rotation(c, t * c))
             a = rot.T @ a @ rot
-            v = v @ rot
+            v = rot if v is None else v @ rot
+            al = a.tolist()
     else:
         raise ConvergenceFailure("jacobi sweep limit reached")
-    w = np.diag(a).copy()
-    order = np.argsort(-w, kind="stable")
-    w = w[order]
-    v = v[:, order]
-    for j in range(3):
-        k = int(np.argmax(np.abs(v[:, j])))
-        if v[k, j] < 0:
-            v[:, j] = -v[:, j]
-    return w, v
+    if v is None:
+        v = np.eye(3)
+    # descending, ties in index order; each column's largest entry (the first of equals) made positive
+    order = sorted(range(3), key=lambda i: -al[i][i])
+    vl = v.tolist()
+    signs = [math.copysign(1.0, max((vl[i][j] for i in range(3)), key=abs)) for j in order]
+    return np.array([al[i][i] for i in order]), v[:, order] * signs
 
 
 class XPoint:
@@ -141,6 +150,13 @@ class XPoint:
             raise NotPositiveDefinite("matrix is not positive definite")
         a.flags.writeable = False
         self.m = a
+
+    @classmethod
+    def _checked(cls, a: np.ndarray) -> "XPoint":
+        """The point of a read-only matrix that has passed ``__init__``'s checks unchanged."""
+        e = cls.__new__(cls)
+        e.m = a
+        return e
 
     @cached_property
     def _powers(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -225,6 +241,38 @@ def geodesic_point(gamma: XGeodesic, tau: float) -> XPoint:
     half, _ = gamma.base._powers
     inner = v @ np.diag(np.exp(-2.0 * tau * w)) @ v.T
     return XPoint(half @ inner @ half)
+
+
+def _xpoints(mats: np.ndarray) -> Optional[List[XPoint]]:
+    """XPoint(m) for each m of a stack, checked as ``XPoint`` checks one matrix, in one batched
+    det, cbrt and Cholesky; None when any m would take its rescaling or fail."""
+    with np.errstate(all="ignore"):
+        a = (mats + mats.swapaxes(1, 2)) / 2.0
+        det = np.linalg.det(a)
+        if not (np.isfinite(a).all() and (det >= _MIN_NORMAL).all() and (det < math.inf).all()):
+            return None
+        a = a / np.cbrt(det)[:, None, None]
+    if not np.isfinite(a).all():
+        return None
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return None
+    a.flags.writeable = False
+    return [XPoint._checked(m) for m in a]
+
+
+def geodesic_points(gamma: XGeodesic, taus: np.ndarray) -> Iterable[XPoint]:
+    """``geodesic_point(gamma, tau)`` for each tau of taus, in order, the same matrices: from one
+    stacked product when every point passes the checks as it stands, else one by one as they
+    are read, so a failure raises where and as ``geodesic_point`` raises it."""
+    w, v = gamma._direction_eig
+    half, _ = gamma.base._powers
+    with np.errstate(all="ignore"):
+        diag = np.zeros((len(taus), 3, 3))
+        diag[:, [0, 1, 2], [0, 1, 2]] = np.exp(-2.0 * taus[:, None] * w)
+        points = _xpoints(half @ (v @ diag @ v.T) @ half)
+    return (geodesic_point(gamma, float(tau)) for tau in taus) if points is None else points
 
 
 def geodesic_between(e1: XPoint, e2: XPoint) -> Tuple[XGeodesic, float]:
@@ -361,6 +409,8 @@ def relative_frames(f1: Flat, flats: Sequence[Flat]) -> np.ndarray:
     return c / np.cbrt(abs(np.linalg.det(c)))[:, None, None]
 
 
+_EPS = 2.0 ** -52
+
 _NOT_POSITIVE = "singular values of the flats' relative frame not finite and positive"
 
 
@@ -394,23 +444,39 @@ def flat_distances(c: np.ndarray, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     return _singular_distances(_finite(_frame_matrices(c, u1, u2)))
 
 
-def _coarse_indices(n: int) -> np.ndarray:
-    """The sample indices per axis that ``line_minima`` measures first, on a line of n samples:
-    the first, the last and evenly spaced ones between them, about sqrt(n - 1) samples apart
-    (0, 3, 7, 10 and 14 of 15).  A coarse subgrid of K^2 matrices leaves unmeasured a region
-    around the minimum of about the square of its step, (n - 1)^2 / (K - 1)^2 samples, and the
-    sum of the two is least near K - 1 = sqrt(n - 1)."""
-    steps = max(1, round(math.sqrt(n - 1)))
-    return np.array(sorted({i * (n - 1) // steps for i in range(steps + 1)}))
+_SQRT6 = math.sqrt(6.0)
 
 
-def line_minima(c: np.ndarray, u1: np.ndarray, u2: np.ndarray, step: float) -> np.ndarray:
+def _norm_bound(d: np.ndarray) -> np.ndarray:
+    """h(d) = e^(4d/sqrt 6) + 2 e^(-2d/sqrt 6), the most that sum s^2 reaches over positive s with
+    sum log s = 0 and sum log^2 s = d^2 (derived at ``line_minima``); increasing in d >= 0."""
+    with np.errstate(over="ignore"):
+        return np.exp(4.0 * d / _SQRT6) + 2.0 * np.exp(-2.0 * d / _SQRT6)
+
+
+def _square_sums(w: np.ndarray, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """sum over (a, b) of w[k, a, b] e^(u2[k, j, b] - u1[i, a]) for every frame k and samples i, j:
+    k x n x n products e^(-u1) w e^(u2)'.  Both factors are shifted by half of max u2 - min u1, so
+    neither overflows where e^((u2 - u1) / 2) does not; a factor below e^-700, whose term could
+    underflow, is taken as inf, so a sum that might have lost a term is not finite."""
+    shift = (u2.max(axis=(1, 2)) + u1.min())[:, None, None] / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        left, right = (np.exp(np.where(e < -700.0, np.inf, e)) for e in (shift - u1, u2 - shift))
+        return left @ w @ right.swapaxes(1, 2)
+
+
+def _grid_matrices(c, u1, u2, k, i, j) -> np.ndarray:
+    """Grid matrices (k, i, j) of ``flat_distances(c, u1, u2)``, by the same elementwise expression."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return c[k] * np.exp((u2[k, j][:, None, :] - u1[i][:, :, None]) / 2.0)
+
+
+def line_minima(c: np.ndarray, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     """The minimum of each n x n grid of ``flat_distances(c, u1, u2)``, for k relative frames c
-    and u1, u2[0], ..., u2[k-1] each n samples of a line in its flat, consecutive samples
-    ``step`` apart in X.  The singular values are taken only at a coarse subgrid and at the
-    samples that it cannot rule out, and only those matrices are formed, each by the
-    elementwise expression of the whole grid, so each minimum is the same float as over the
-    whole grid.
+    from ``relative_frames`` and centered samples u1, u2[0], ..., u2[k-1], n of each.  The
+    singular values are taken only where a norm bound leaves room for a smaller distance, and
+    only those matrices are formed, each by the elementwise expression of the whole grid, so
+    each minimum is the same float as over the whole grid.
 
     The grid is still checked finite, on one matrix per frame.  Entry (a, b) of grid matrix
     (k, i, j) is c[k, a, b] * exp((u2[k, j, b] - u1[i, a]) / 2), and a float difference is
@@ -421,37 +487,50 @@ def line_minima(c: np.ndarray, u1: np.ndarray, u2: np.ndarray, step: float) -> n
     entry: an infinite exponent, a NaN sample, a non-finite c, c * inf and 0 * inf all show
     at the largest exponent.
 
-    X has nonpositive curvature, so for any measured (k, l) the triangle inequality gives
-    d(i, j) >= d(k, l) - step * (|i - k| + |j - l|), and an entry whose bound exceeds the
-    smallest measured distance cannot hold the minimum.  The margin keeps that true of the
-    computed distances.  The svd is backward stable and each entry of M carries a few ulps,
-    so each singular value moves by a small multiple of eps * s_max, and each log s by that
-    multiple of eps * kappa(M), kappa(M) = s_max / s_min = exp(log s_max - log s_min).  Since
-    (log s_max - log s_min)^2 <= 2 (log^2 s_max + log^2 s_min) <= 2 d^2, kappa(M) <= e^(sqrt 2 d),
-    and a computed distance errs by at most 64 eps e^(sqrt 2 d).  (k, l) rules out only entries
-    whose slack step * (|i - k| + |j - l|) is below d(k, l) - best, for best the smallest
-    measured distance, and the triangle inequality also gives d(i, j) <= d(k, l) + slack, so
-    d(i, j) < 2 d(k, l) - best there: the bound and the skipped entry together err by at most
-    128 eps e^(sqrt 2 (2 d(k, l) - best)).  1e-12 more covers the rounding of the samples, of
-    their spacing and of the bound itself.  A margin that overflows rules nothing out."""
+    The bound.  A grid matrix M = D1^(-1/2) C D2^(1/2) has |det M| = 1, so the logs x of its
+    singular values s sum to 0 and its distance is d = |x|.  On that circle sum s^2 is at most
+    h(d) = e^(4d/sqrt 6) + 2 e^(-2d/sqrt 6) (``_norm_bound``), reached at x = d (2, -1, -1)/sqrt 6:
+    there x_m = r cos(theta - 2 pi m/3) with r = 2d/sqrt 6, and summed over m = 0, 1, 2 the series
+    e^(2r cos p) = I_0(2r) + 2 sum I_l(2r) cos(l p) keeps I_0 and the terms I_3l(2r) cos(3l theta),
+    all of positive weight, so theta = 0 is largest.  With -x for x the same holds of sum s^-2.
+    So d >= h^-1(max(F, G)) for F = |M|_F^2 and G = |adj M|_F^2, which is |M^-1|_F^2 at |det M| = 1.
+    Over a frame's grid F is e^(-u1) (C o C) e^(u2)' and G is e^(u1) (A o A) e^(-u2)', A the
+    cofactors of C (``_square_sums``); no 3 x 3 matrix is formed.  The svd runs first at each
+    frame's entry of least max(F, G), and then only where max(F, G) (1 - mu) <= h(best), best
+    the distance measured first; every other entry has a computed distance above best.
+
+    The margin mu makes max(F, G) (1 - mu) a lower bound for h(d') of the computed distance d'.
+    Let kappa = s_max / s_min, at most sqrt(F G) <= max(F, G).  (1) The svd is backward stable:
+    its values are those of M + E, |E| <= 64 eps |M|, so each is within a factor 1 +- 64 eps
+    kappa of s (Weyl), which lowers sum s^2 and sum s^-2 by at most 128 eps kappa.  (2) |det M|
+    is 1 only up to rounding: C's determinant, which ``relative_frames`` divides out, errs by a
+    few eps kappa(C) <= eps kc, kc = (|C|_F^2 |A|_F^2)^(1/2); each entry of M is in the normal
+    range only at an exponent below about 750 in size and carries (750 + 4) eps there, which
+    moves det M by up to 3 sqrt 3 (754 eps) kappa; the centered u sum to 0 within a few eps |u|;
+    and the svd's values in (1) move their product by up to 192 eps kappa.  For computed logs x
+    with sum t, sum e^(2x) <= e^(2t/3) h(|x|) and G = e^(2t) sum e^(-2x) <= e^(4t/3) h(|x|), since
+    centering x shortens it; (4/3) |t| is at most about 5500 eps kappa + 40 eps kc.  (3) F and G
+    as computed: each exponent rounds by at most 710 eps, exp, the products and the sums of
+    positive terms by a few eps, and each cofactor, one 2 x 2 minor, by 2 eps (|m m| + |m m|)
+    over the matching entries of M, which is at most a relative 4 eps F on G.  (4) d' is within
+    4 eps (1 + d') < 4e-13 of |x| wherever h(d') is finite, and h(d + e) <= h(d) e^(1.64 e).
+    So mu = 1e-11 + 8192 eps (max(F, G) + kc) covers (1)-(4) with room, and where mu is 1 or
+    more, or F or G is not finite, nothing is ruled out."""
     _finite(_frame_matrices(c, u1.min(axis=0)[None], u2.max(axis=-2)[:, None]))
-    n = len(u1)
-    coarse = _coarse_indices(n)
-    d = _singular_distances(_frame_matrices(c, u1[coarse], u2[:, coarse]))
-    best = d.min(axis=(1, 2))
-    with np.errstate(over="ignore"):
-        margin = 1e-12 + 128.0 * np.finfo(float).eps * np.exp(math.sqrt(2.0) * (2.0 * d - best[:, None, None]))
-    off = step * np.abs(np.arange(n)[:, None] - coarse)  # n x coarse
-    bound = np.full((len(c), n, n), -np.inf)
-    for a, b in np.ndindex(len(coarse), len(coarse)):
-        np.maximum(bound, (d[:, a, b] - margin[:, a, b])[:, None, None] - (off[:, a, None] + off[None, :, b]),
-                   out=bound)
-    bound[:, coarse[:, None], coarse] = np.inf  # measured already
-    k, i, j = np.nonzero(bound <= best[:, None, None])
+    cof = np.cross(c[:, [1, 2, 0]], c[:, [2, 0, 1]])
+    c2, cof2 = c * c, cof * cof
+    bound = np.maximum(_square_sums(c2, u1, u2), _square_sums(cof2, -u1, -u2))
+    kc = np.sqrt(c2.sum(axis=(1, 2)) * cof2.sum(axis=(1, 2)))[:, None, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        lower = bound * (1.0 - (1e-11 + 8192.0 * _EPS * (bound + kc)))
+    frames = np.arange(len(c))
+    i, j = np.divmod(np.where(np.isnan(bound), np.inf, bound).reshape(len(c), -1).argmin(axis=1), len(u1))
+    best = _singular_distances(_grid_matrices(c, u1, u2, frames, i, j))
+    measure = ~(lower > _norm_bound(best)[:, None, None])
+    measure[frames, i, j] = False
+    k, i, j = np.nonzero(measure)
     if len(k):
-        with np.errstate(over="ignore", invalid="ignore"):
-            m = c[k] * np.exp((u2[k, j][:, None, :] - u1[i][:, :, None]) / 2.0)
-        np.minimum.at(best, k, _singular_distances(m))
+        np.minimum.at(best, k, _singular_distances(_grid_matrices(c, u1, u2, k, i, j)))
     return best
 
 

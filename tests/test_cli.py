@@ -222,6 +222,17 @@ PINNED_OUTPUTS = {
     # moved toward its 60-digit reference
     ("prism", "--x", "0.3", "--y", "0.4", "--format", "obj", "--cone", "-0.2", "--samples", "9"):
         "fc7059d70d41ff680674752d3c8f9b2f86e83a4c5caf467895f87a8a5f5f231b",
+    # the benchmark's float-geometry sizes, pinned before the distance summary
+    # pruned by a norm bound and the cone mesh and Jacobi dropped their
+    # per-call overhead; the prism's options are reordered for a free test id
+    ("pattern", "--x", "3/10", "--y", "2/5", "--depth", "5", "--distances"):
+        "3494a44e036dcea530abf4b3db4256ee4cc7ec93a68cd139e1b2165a79b591b6",
+    ("pattern", "--x", "3/10", "--y", "2/5", "--depth", "6"):
+        "7de5263cf5a0e80f48987abdec32d2172a50619c6a61e7e8e1f75faa778c76cd",
+    ("prism", "--depth", "4", "--x", "3/10", "--y", "2/5"):
+        "e82f3c7f0f58c73015c89d6d335948b3768c3766a874b7024a44d87d5ef70708",
+    ("pattern", "--x", "17/41", "--y", "5/37", "--depth", "4", "--distances"):
+        "9a9f13e9bf39cfb9132ad9e2bacdb105d3bb56a72425d4563ad6d8ccd5450055",
 }
 
 # a test id is the command and its last option; other changes refer to the
@@ -469,6 +480,81 @@ def test_an_out_path_that_cannot_be_written_exits_two(tmp_path, capsys, argv, pa
     code, out, err = run(capsys, *argv, "--out", str(target))
     assert (code, out) == (2, "")
     assert err == f"error: cannot write --out {target}: {os.strerror(errno_)}\n"
+
+
+@pytest.mark.parametrize("path, errno_", [("missing/x.json", errno.ENOENT), (".", errno.EISDIR)],
+                         ids=["missing-directory", "a-directory"])
+def test_an_out_path_that_cannot_be_written_is_refused_before_the_work(tmp_path, capsys, monkeypatch,
+                                                                      path, errno_):
+    def not_called(*args):
+        raise AssertionError("the report ran before --out was checked")
+
+    monkeypatch.setattr("pappus.prisms.bending_report", not_called)
+    target = tmp_path / path
+    code, out, err = run(capsys, "prism", "--x", "3/10", "--y", "2/5", "--depth", "10", "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write --out {target}: {os.strerror(errno_)}\n"
+
+
+def test_a_failed_command_leaves_an_existing_out_file_as_it_was(tmp_path, capsys):
+    # the file is opened only once the output is made
+    target = tmp_path / "report.json"
+    target.write_bytes(b"earlier bytes\n")
+    code, _, err = run(capsys, "prism", "--x", "1/2", "--y", "1/2", "--out", str(target))
+    assert code == 3 and err.startswith("geometry error: ")
+    assert target.read_bytes() == b"earlier bytes\n"
+
+
+CONSOLE = "import sys\nfrom pappus.cli import main\nsys.exit(main())\n"
+
+
+def test_a_closed_stdout_exits_two_without_a_traceback():
+    # the reader is gone before the first write: the command says so and exits 2,
+    # as an unwritable --out does, and the final flush does not raise again
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-c", CONSOLE, "orbit", "--x", "3/10", "--y", "2/5", "--depth", "8"],
+                              stdout=write, stderr=subprocess.PIPE, text=True, env=env_with_src(), timeout=60)
+    finally:
+        os.close(write)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert done.stderr == "error: cannot write stdout: Broken pipe\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("orbit", "--x", "3/10", "--y", "2/5", "--depth", "3"),
+    ("pattern", "--x", "3/10", "--y", "2/5", "--depth", "2", "--distances"),
+    ("prism", "--x", "1/2", "--y", "1/2"),
+    ("--help",),
+    ("limitset", "--x", "3/10", "--y", "2/5", "--depth", "3", "--out", "OUT"),
+], ids=["orbit", "pattern-distances", "prism-exit-3", "help", "out-file"])
+def test_the_console_entry_point_ends_the_process_with_the_same_output(tmp_path, capsys, monkeypatch, argv):
+    # as the entry point main() flushes and leaves through os._exit; called with argv it
+    # returns, and the bytes, the messages and the exit code are the same either way
+    monkeypatch.setenv("COLUMNS", "80")  # the width --help wraps at, in both processes
+    out_file = tmp_path / "console.out"
+    argv = [str(out_file) if a == "OUT" else a for a in argv]
+    done = subprocess.run([sys.executable, "-c", CONSOLE, *argv], capture_output=True, env=env_with_src(),
+                          timeout=60)
+    console = (done.returncode, done.stdout, done.stderr.decode(), out_file.read_bytes() if "--out" in argv else None)
+    out_file.unlink(missing_ok=True)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse ends --help with SystemExit, as it always has
+        code = exc.code
+    cap = capsys.readouterr()
+    inproc = (code, cap.out.encode(), cap.err, out_file.read_bytes() if "--out" in argv else None)
+    assert console == inproc
+
+
+def test_main_with_argv_returns_to_its_caller():
+    script = "import sys\nfrom pappus.cli import main\nprint('returned', main(sys.argv[1:]))\n"
+    done = subprocess.run([sys.executable, "-c", script, "orbit", "--x", "3/10", "--y", "2/5", "--depth", "1"],
+                          capture_output=True, text=True, env=env_with_src(), timeout=60)
+    assert done.returncode == 0
+    assert done.stdout.endswith("returned 0\n")
 
 
 @pytest.mark.parametrize("xy, depth", [(("--x", "3/10", "--y", "2/5"), "9"),
