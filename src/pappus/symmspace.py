@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -162,6 +162,8 @@ class XPoint:
     def _powers(self) -> Tuple[np.ndarray, np.ndarray]:
         """S^(1/2) and S^(-1/2), from one eigen-solve."""
         w, v = jacobi_eigh(self.m)
+        if w[-1] <= 0:
+            raise NumericalFailure("eigenvalues not positive")
         return v @ np.diag(np.sqrt(w)) @ v.T, v @ np.diag(1.0 / np.sqrt(w)) @ v.T
 
     def same(self, other: "XPoint") -> bool:
@@ -237,42 +239,31 @@ class XGeodesic:
 
 
 def geodesic_point(gamma: XGeodesic, tau: float) -> XPoint:
-    w, v = gamma._direction_eig
-    half, _ = gamma.base._powers
-    inner = v @ np.diag(np.exp(-2.0 * tau * w)) @ v.T
-    return XPoint(half @ inner @ half)
-
-
-def _xpoints(mats: np.ndarray) -> Optional[List[XPoint]]:
-    """XPoint(m) for each m of a stack, checked as ``XPoint`` checks one matrix, in one batched
-    det, cbrt and Cholesky; None when any m would take its rescaling or fail."""
-    with np.errstate(all="ignore"):
-        a = (mats + mats.swapaxes(1, 2)) / 2.0
-        det = np.linalg.det(a)
-        if not (np.isfinite(a).all() and (det >= _MIN_NORMAL).all() and (det < math.inf).all()):
-            return None
-        a = a / np.cbrt(det)[:, None, None]
-    if not np.isfinite(a).all():
-        return None
-    try:
-        np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        return None
-    a.flags.writeable = False
-    return [XPoint._checked(m) for m in a]
+    (point,) = geodesic_points(gamma, np.array([float(tau)]))
+    return point
 
 
 def geodesic_points(gamma: XGeodesic, taus: np.ndarray) -> Iterable[XPoint]:
-    """``geodesic_point(gamma, tau)`` for each tau of taus, in order, the same matrices: from one
-    stacked product when every point passes the checks as it stands, else one by one as they
-    are read, so a failure raises where and as ``geodesic_point`` raises it."""
+    """The point at each tau of taus, in order, from one stacked product checked as ``XPoint``
+    checks one matrix, in one batched det, cbrt and Cholesky; when any matrix would take its
+    rescaling or fail, XPoint(m) of each as it is read, so a failure raises at its own tau."""
     w, v = gamma._direction_eig
     half, _ = gamma.base._powers
     with np.errstate(all="ignore"):
         diag = np.zeros((len(taus), 3, 3))
         diag[:, [0, 1, 2], [0, 1, 2]] = np.exp(-2.0 * taus[:, None] * w)
-        points = _xpoints(half @ (v @ diag @ v.T) @ half)
-    return (geodesic_point(gamma, float(tau)) for tau in taus) if points is None else points
+        mats = half @ (v @ diag @ v.T) @ half
+        a = (mats + mats.swapaxes(1, 2)) / 2.0
+        det = np.linalg.det(a)
+        a = a / np.cbrt(det)[:, None, None]  # not finite where the symmetrized matrix is not
+    if np.isfinite(a).all() and (det >= _MIN_NORMAL).all() and (det < math.inf).all():
+        try:
+            np.linalg.cholesky(a)
+            a.flags.writeable = False
+            return [XPoint._checked(m) for m in a]
+        except np.linalg.LinAlgError:
+            pass
+    return (XPoint(m) for m in mats)
 
 
 def geodesic_between(e1: XPoint, e2: XPoint) -> Tuple[XGeodesic, float]:
@@ -280,6 +271,8 @@ def geodesic_between(e1: XPoint, e2: XPoint) -> Tuple[XGeodesic, float]:
     half, half_inv = e1._powers
     w = half_inv @ e2.m @ half_inv
     mu, v = jacobi_eigh(w)
+    if mu[-1] <= 0:
+        raise NumericalFailure("generalized eigenvalues not positive")
     logs = np.log(mu)
     dist = 0.5 * math.sqrt(float((logs * logs).sum()))
     if dist < 1e-12:

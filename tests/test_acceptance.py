@@ -25,12 +25,13 @@ from pappus.markedbox import (
     op_b,
     op_i,
     op_t,
+    orbit_enumerate,
     polarity_box_to_dual,
     polarity_dual_to_box,
     raw_invariant,
     triple_invariant,
 )
-from pappus.fareycomb import limit_set_flags
+from pappus.fareycomb import fold_limit_flags, limit_set_flags
 from pappus.symmspace import (
     XPoint,
     boundary_ray_class,
@@ -46,7 +47,7 @@ from pappus.prisms import (
     prism_of_triangle,
     translation_T,
 )
-from pappus.cli import _fold_limit_flags, _limitset_svg, _orbit_rows
+from pappus.cli import _limitset_svg
 
 X, Y = Fraction(3, 10), Fraction(2, 5)
 
@@ -268,15 +269,15 @@ def test_criterion_11_depth_ten_enumeration_within_budget():
     m = base_box(X, Y)
 
     start = time.perf_counter()
-    rows = _orbit_rows(m, 10, 1)
-    svg_serial = _limitset_svg(_fold_limit_flags(rows), 4.0)
+    rows = orbit_enumerate(m, 10, 1)
+    svg_serial = _limitset_svg(fold_limit_flags(rows), 4.0)
     serial_time = time.perf_counter() - start
     assert len(rows) == 4094
     assert serial_time < 10.0
 
     start = time.perf_counter()
-    rows8 = _orbit_rows(m, 10, 8)
-    svg_par = _limitset_svg(_fold_limit_flags(rows8), 4.0)
+    rows8 = orbit_enumerate(m, 10, 8)
+    svg_par = _limitset_svg(fold_limit_flags(rows8), 4.0)
     parallel_time = time.perf_counter() - start
     assert parallel_time < 3.0
     assert svg_par == svg_serial

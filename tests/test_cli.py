@@ -283,14 +283,20 @@ def test_blas_threads_do_not_change_the_bytes():
     assert hashes["1"] == hashes["2"]
 
 
-def test_a_cone_mesh_sample_out_of_range_is_a_numerical_failure():
-    # a window of 1000 takes exp(-2 tau w) past the float range; numpy warns on the
-    # way, which this suite makes an error, so the command runs in its own process
-    argv = ["prism", "--x", "3/10", "--y", "2/5", "--format", "obj", "--window", "1000"]
-    run = subprocess.run([sys.executable, "-m", "pappus.cli", *argv],
+@pytest.mark.parametrize("argv, error", [
+    (("--x", "3/10", "--y", "2/5", "--window", "1000"), "matrix is not finite at unit determinant"),
+    (("--x", "28/41", "--y", "4/41", "--samples", "7", "--cone", "-40"), "generalized eigenvalues not positive"),
+    (("--x", "24/41", "--y", "7/41", "--samples", "7", "--window", "20"), "eigenvalues not positive"),
+    (("--x", "24/41", "--y", "7/41", "--samples", "7", "--window", "20", "--cone", "0.3"),
+     "eigenvalues not positive"),
+], ids=["window-1000", "cone-minus-40", "window-20", "window-20-cone"])
+def test_a_cone_mesh_sample_out_of_range_is_a_numerical_failure(argv, error):
+    # each run takes a matrix past the float range on the way; the command runs in its own
+    # process, so a numpy warning that reached stderr would show beside the error line
+    run = subprocess.run([sys.executable, "-m", "pappus.cli", "prism", "--format", "obj", *argv],
                          capture_output=True, text=True, env=env_with_src(), timeout=60)
-    assert run.returncode == 3 and run.stdout == ""
-    assert run.stderr.endswith("geometry error: NumericalFailure: matrix is not finite at unit determinant\n")
+    assert (run.returncode, run.stdout) == (3, "")
+    assert run.stderr == f"geometry error: NumericalFailure: {error}\n"
 
 
 def test_float_orbit_rows_print_the_exact_rotation_rounded_once(capsys):
@@ -474,22 +480,26 @@ def test_out_file_matches_stdout(tmp_path, capsys):
 @pytest.mark.parametrize("argv, path, errno_", [
     (("orbit", "--x", "3/10", "--y", "2/5", "--depth", "2"), "missing/x.csv", errno.ENOENT),
     (("verify", "--suite", "duality"), ".", errno.EISDIR),
-], ids=["missing-directory", "a-directory"])
+    (("orbit", "--x", "3/10", "--y", "2/5", "--depth", "2"), "file/x.csv", errno.ENOTDIR),
+], ids=["missing-directory", "a-directory", "directory-part-is-a-file"])
 def test_an_out_path_that_cannot_be_written_exits_two(tmp_path, capsys, argv, path, errno_):
+    (tmp_path / "file").write_text("a regular file\n")
     target = tmp_path / path
     code, out, err = run(capsys, *argv, "--out", str(target))
     assert (code, out) == (2, "")
     assert err == f"error: cannot write --out {target}: {os.strerror(errno_)}\n"
 
 
-@pytest.mark.parametrize("path, errno_", [("missing/x.json", errno.ENOENT), (".", errno.EISDIR)],
-                         ids=["missing-directory", "a-directory"])
+@pytest.mark.parametrize("path, errno_", [
+    ("missing/x.json", errno.ENOENT), (".", errno.EISDIR), ("file/x.json", errno.ENOTDIR),
+], ids=["missing-directory", "a-directory", "directory-part-is-a-file"])
 def test_an_out_path_that_cannot_be_written_is_refused_before_the_work(tmp_path, capsys, monkeypatch,
                                                                       path, errno_):
     def not_called(*args):
         raise AssertionError("the report ran before --out was checked")
 
     monkeypatch.setattr("pappus.prisms.bending_report", not_called)
+    (tmp_path / "file").write_text("a regular file\n")
     target = tmp_path / path
     code, out, err = run(capsys, "prism", "--x", "3/10", "--y", "2/5", "--depth", "10", "--out", str(target))
     assert (code, out) == (2, "")
